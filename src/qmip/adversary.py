@@ -15,6 +15,24 @@ Two engines:
   re-optimized by the eigensolver. Both moves are exact maximizations of the
   surrogate, so the per-sweep value trace is non-decreasing.
 
+Both engines, `random_search` and `brute_force_value` execute a `_Program`:
+every coin branch compiled once per call into a short list of steps. A
+maximal run of verifier gates between prover slots and events is one step;
+while the state has at most `FUSE_MAX_DIM` amplitudes it is one dense matrix
+over the whole state, built once, and above that it stays one step per gate
+with the gate's matrix and axes precomputed. A prover slot holds a row
+permutation that brings its qubits to the front, so the slot's unitary is one
+matmul; the same permutation gives the environment contraction. Events and
+accept rules are 0/1 masks over the basis. Backward passes apply adjoints as
+conj(M^T conj(x)), so no daggered copy of a step is built or stored.
+
+The environment operators of the see-saw audits are often rank deficient
+(rank 1-2 for the 16x16 operators of the rewound `sound_no` audit), so their
+polar completion on the null space is set by rounding. Any reordering of the
+floating-point sums moves see-saw trajectories after the first sweep (by
+about 1e-4 on that audit, while the first sweep agrees to 1e-15); executors
+are compared step by step, not by whole traces.
+
 Everything is seeded: restart r uses default_rng([seed, r]).
 """
 
@@ -32,7 +50,8 @@ from .config import (DEFAULT_RUN_CONFIG, NumericalCheckError,
                      PreconditionError, RunConfig, ValidationError)
 from .linalg import ProjectorOp, Qubit, StateVector, polar_unitary, random_unitary
 from .model import (FlatBranch, ProtocolInstance, ProverStrategy,
-                    Register, RegisterLayout, VerifierSpec, flatten, run)
+                    Register, RegisterLayout, VerifierSpec, flatten,
+                    require_budget, run)
 
 _SWAP4 = np.array(
     [[1, 0, 0, 0],
@@ -40,27 +59,97 @@ _SWAP4 = np.array(
      [0, 1, 0, 0],
      [0, 0, 0, 1]], dtype=np.complex128)
 
+FUSE_MAX_DIM = 256
+"""Largest state dimension 2^n whose verifier segments fuse into one matrix."""
+
+Assignment = dict[tuple[int, int], np.ndarray]
+
 
 # ---------------------------------------------------------------------------
-# batched simulation engine (columns = independent initial vectors)
+# compiled branch programs (columns = independent initial vectors)
 
 
-class _Sim:
-    def __init__(self, layout: RegisterLayout):
-        self.layout = layout
+class _Program:
+    """The coin branches of one layout as step lists, compiled once.
+
+    Steps are ("matrix", M) for a fused segment, ("gate", M, axes) for one
+    gate above the fusion bound, ("prover", key, perm) for a prover slot and
+    ("event", mask) for an accept event.
+    """
+
+    def __init__(self, layout: RegisterLayout, branches: Sequence[FlatBranch]):
         self.n = layout.total_qubits
         self.dim = 2 ** self.n
         self.pos: dict[Qubit, int] = {}
-        off = 0
         for r in layout.registers:
             for i in range(r.qubits):
-                self.pos[(r.name, i)] = off + i
-            off += r.qubits
+                self.pos[(r.name, i)] = len(self.pos)
+        self.d_p = _prover_dim(layout)
+        self._index = np.arange(self.dim).reshape(-1, 1)
+        perms: dict[tuple[Qubit, ...], np.ndarray] = {}
+        self.branches = []
+        for br in branches:
+            steps: list[tuple] = []
+            segment: list[Gate] = []
+            for op in br.ops:
+                if op.kind == "gate":
+                    segment.append(op.gate)
+                elif op.kind != "turn":
+                    steps += self._segment(segment, first=not steps)
+                    segment = []
+                    if op.kind == "prover":
+                        if op.qubits not in perms:
+                            perms[op.qubits] = self._front_perm(op.qubits)
+                        steps.append(("prover", op.prover_key, perms[op.qubits]))
+                    else:
+                        steps.append(("event", self._mask(op.projectors)))
+            steps += self._segment(segment, first=not steps)
+            self.branches.append((br.weight, tuple(steps), self._mask(br.accept)))
 
-    def apply(self, cols: np.ndarray, matrix: np.ndarray,
-              qubits: Sequence[Qubit]) -> np.ndarray:
-        d = len(qubits)
+    # -- compilation
+
+    def _segment(self, gates: Sequence[Gate], first: bool) -> list[tuple]:
+        steps = [("gate", g.full_matrix(), [self.pos[q] for q in g.qubits()])
+                 for g in gates]
+        if not steps or self.dim > FUSE_MAX_DIM:
+            return steps
+        # a branch starts from |0>_(V,M) (x) prover columns, so its leading
+        # segment only needs the columns of the first d_p basis states
+        fused = np.eye(self.dim, self.d_p if first else self.dim,
+                       dtype=np.complex128)
+        for _, m, axes in steps:
+            fused = self._gate(fused, m, axes)
+        return [("matrix", fused)]
+
+    def _front_perm(self, qubits: Sequence[Qubit]) -> np.ndarray:
+        """Row order with `qubits` as the leading bits, the rest in place."""
         axes = [self.pos[q] for q in qubits]
+        rest = [a for a in range(self.n) if a not in axes]
+        return self._index.reshape([2] * self.n).transpose(axes + rest).reshape(-1)
+
+    def _holds(self, p: ProjectorOp) -> np.ndarray:
+        if p.kind == "complement":
+            return ~self._holds(p.inner)
+        bits = [(self._index >> (self.n - 1 - self.pos[q])) & 1 for q in p.qubits]
+        if p.kind == "output_one":
+            return bits[0] == 1
+        keep = np.ones((self.dim, 1), dtype=bool)
+        for b in bits:
+            keep &= b == 0
+        return keep
+
+    def _mask(self, projectors: Sequence[ProjectorOp]) -> np.ndarray:
+        """The conjunction of commuting diagonal projectors, a (dim, 1) column."""
+        keep = np.ones((self.dim, 1), dtype=bool)
+        for p in projectors:
+            keep &= self._holds(p)
+        return keep.astype(np.float64)
+
+    # -- kernels
+
+    def _gate(self, cols: np.ndarray, matrix: np.ndarray,
+              axes: Sequence[int]) -> np.ndarray:
+        d = len(axes)
         b = cols.shape[1]
         tensor = cols.reshape([2] * self.n + [b])
         m = matrix.reshape([2] * (2 * d))
@@ -68,113 +157,117 @@ class _Sim:
         out = np.moveaxis(out, list(range(d)), axes)
         return np.ascontiguousarray(out.reshape(self.dim, b))
 
-    def apply_gate(self, cols: np.ndarray, gate: Gate) -> np.ndarray:
-        if gate.controls:
-            qubits = tuple(q for q, _ in gate.controls) + gate.targets
-            return self.apply(cols, gate.full_matrix(), qubits)
-        return self.apply(cols, gate.matrix, gate.targets)
+    @staticmethod
+    def _front(cols: np.ndarray, perm: np.ndarray, d: int) -> np.ndarray:
+        return cols[perm].reshape(d, -1)
 
-    def project(self, cols: np.ndarray, p: ProjectorOp) -> np.ndarray:
-        b = cols.shape[1]
-        if p.kind == "complement":
-            return cols - self.project(cols, p.inner)
-        tensor = cols.reshape([2] * self.n + [b])
-        out = np.zeros_like(tensor)
-        sl = [slice(None)] * (self.n + 1)
-        if p.kind == "output_one":
-            sl[self.pos[p.qubits[0]]] = 1
-        else:  # all_zero
-            for q in p.qubits:
-                sl[self.pos[q]] = 0
-        out[tuple(sl)] = tensor[tuple(sl)]
-        return out.reshape(self.dim, b)
+    def _act(self, step: tuple, cols: np.ndarray, assignment: Assignment | None,
+             transpose: bool = False) -> np.ndarray:
+        """A gate, segment or prover step (or its transpose) on the columns."""
+        kind = step[0]
+        if kind == "matrix":
+            m = step[1].T if transpose else step[1]
+            return m @ cols[:m.shape[1]]
+        if kind == "gate":
+            return self._gate(cols, step[1].T if transpose else step[1], step[2])
+        u = assignment[step[1]]
+        perm = step[2]
+        out = np.empty_like(cols)
+        out[perm] = ((u.T if transpose else u) @ self._front(cols, perm, u.shape[0])
+                     ).reshape(cols.shape)
+        return out
 
-    def project_all(self, cols: np.ndarray,
-                    projectors: Sequence[ProjectorOp]) -> np.ndarray:
-        for p in projectors:
-            cols = self.project(cols, p)
+    def _adjoint(self, step: tuple, cols: np.ndarray,
+                 assignment: Assignment) -> np.ndarray:
+        return self._act(step, cols.conj(), assignment, transpose=True).conj()
+
+    # -- evaluation
+
+    def _initial_columns(self, prover_cols: np.ndarray) -> np.ndarray:
+        """|0...0>_(V,M) (x) each column of prover_cols."""
+        cols = np.zeros((self.dim, prover_cols.shape[1]), dtype=np.complex128)
+        cols[:self.d_p, :] = prover_cols
         return cols
 
-    def front(self, vec: np.ndarray, qubits: Sequence[Qubit]) -> np.ndarray:
-        """Reshape a single state to (2^d, env) with the given qubits leading."""
-        d = len(qubits)
-        axes = [self.pos[q] for q in qubits]
-        tensor = vec.reshape([2] * self.n)
-        tensor = np.moveaxis(tensor, axes, list(range(d)))
-        return tensor.reshape(2 ** d, -1)
+    def _hits(self, steps: Sequence[tuple], accept: np.ndarray,
+              cols: np.ndarray, assignment: Assignment | None) -> list[np.ndarray]:
+        """Run one branch; returns each event's projected columns and finally
+        the accepted columns."""
+        hits = []
+        for step in steps:
+            if step[0] == "event":
+                hit = cols * step[1]
+                hits.append(hit)
+                cols = cols - hit
+            else:
+                cols = self._act(step, cols, assignment)
+        hits.append(cols * accept)
+        return hits
 
+    def value(self, prover_col: np.ndarray,
+              assignment: Assignment | None) -> float:
+        """Acceptance probability of the shared state in prover_col."""
+        init = self._initial_columns(prover_col)
+        return sum(w * sum(float(np.vdot(v, v).real)
+                           for v in self._hits(steps, accept, init, assignment))
+                   for w, steps, accept in self.branches)
 
-def _initial_columns(sim: _Sim, layout: RegisterLayout,
-                     prover_cols: np.ndarray) -> np.ndarray:
-    """|0...0>_(V,M) (x) each column of prover_cols."""
-    vm_dim = 2 ** sum(r.qubits for r in layout.verifier_side + layout.messages)
-    d_p, b = prover_cols.shape
-    cols = np.zeros((vm_dim * d_p, b), dtype=np.complex128)
-    cols[:d_p, :] = prover_cols
-    return cols
+    def acceptance_operator(self, assignment: Assignment | None,
+                            prover_cols: np.ndarray) -> np.ndarray:
+        """A with <Phi|A|Phi> = acceptance, restricted to span(prover_cols)."""
+        b = prover_cols.shape[1]
+        init = self._initial_columns(prover_cols)
+        a = np.zeros((b, b), dtype=np.complex128)
+        for w, steps, accept in self.branches:
+            for v in self._hits(steps, accept, init, assignment):
+                a += w * (v.conj().T @ v)
+        return (a + a.conj().T) / 2.0
+
+    def environment(self, prover_col: np.ndarray, assignment: Assignment,
+                    key: tuple[int, int]) -> np.ndarray:
+        """The environment operator of assignment[key] at the shared state in
+        prover_col, before the polar step."""
+        init = self._initial_columns(prover_col)
+        d = assignment[key].shape[0]
+        env = np.zeros((d, d), dtype=np.complex128)
+        for w, steps, accept in self.branches:
+            idx = next(i for i, s in enumerate(steps)
+                       if s[0] == "prover" and s[1] == key)
+            # forward to just before the variable
+            chi = init
+            for step in steps[:idx]:
+                if step[0] == "event":
+                    chi = chi - chi * step[1]
+                else:
+                    chi = self._act(step, chi, assignment)
+            # forward through the tail, stashing event hits
+            phi = self._act(steps[idx], chi, assignment)
+            stash: dict[int, np.ndarray] = {}
+            for j in range(idx + 1, len(steps)):
+                if steps[j][0] == "event":
+                    stash[j] = phi * steps[j][1]
+                    phi = phi - stash[j]
+                else:
+                    phi = self._act(steps[j], phi, assignment)
+            mu = phi * accept
+            # backward to just after the variable, accumulating event terms
+            for j in range(len(steps) - 1, idx, -1):
+                if steps[j][0] == "event":
+                    mu = mu - mu * steps[j][1] + stash[j]
+                else:
+                    mu = self._adjoint(steps[j], mu, assignment)
+            perm = steps[idx][2]
+            env += w * (self._front(mu, perm, d)
+                        @ self._front(chi, perm, d).conj().T)
+        return env
 
 
 def _prover_dim(layout: RegisterLayout) -> int:
     return 2 ** sum(r.qubits for r in layout.provers)
 
 
-Assignment = dict[tuple[int, int], np.ndarray]
-
-
-def _evolve(sim: _Sim, branch: FlatBranch, cols: np.ndarray,
-            assignment: Assignment | None,
-            collect: list | None = None) -> np.ndarray:
-    """Run one branch's ops on the columns. Events deflate; if `collect` is
-    given, the projected event columns (and finally the accepted columns) are
-    appended to it."""
-    for op in branch.ops:
-        if op.kind == "gate":
-            cols = sim.apply_gate(cols, op.gate)
-        elif op.kind == "prover":
-            cols = sim.apply(cols, assignment[op.prover_key], op.qubits)
-        elif op.kind == "event":
-            projected = sim.project_all(cols, op.projectors)
-            if collect is not None:
-                collect.append(projected)
-            cols = cols - projected
-    accepted = sim.project_all(cols, branch.accept)
-    if collect is not None:
-        collect.append(accepted)
-    return cols
-
-
-def _branch_value(sim: _Sim, branch: FlatBranch, col: np.ndarray,
-                  assignment: Assignment | None) -> float:
-    hits: list[np.ndarray] = []
-    _evolve(sim, branch, col, assignment, collect=hits)
-    return sum(float(np.vdot(v, v).real) for v in hits)
-
-
-def _value(sim: _Sim, branches: Sequence[FlatBranch], init: np.ndarray,
-           assignment: Assignment | None) -> float:
-    return sum(br.weight * _branch_value(sim, branch=br, col=init.copy(),
-                                         assignment=assignment)
-               for br in branches)
-
-
 # ---------------------------------------------------------------------------
 # optimal shared state
-
-
-def _acceptance_operator(sim: _Sim, layout: RegisterLayout,
-                         branches: Sequence[FlatBranch],
-                         assignment: Assignment | None,
-                         basis_cols: np.ndarray) -> np.ndarray:
-    """A with <Phi|A|Phi> = acceptance, restricted to span(basis columns)."""
-    b = basis_cols.shape[1]
-    a = np.zeros((b, b), dtype=np.complex128)
-    for br in branches:
-        hits: list[np.ndarray] = []
-        _evolve(sim, br, _initial_columns(sim, layout, basis_cols),
-                assignment, collect=hits)
-        for v in hits:
-            a += br.weight * (v.conj().T @ v)
-    return (a + a.conj().T) / 2.0
 
 
 def optimal_shared_state(verifier: VerifierSpec,
@@ -187,17 +280,17 @@ def optimal_shared_state(verifier: VerifierSpec,
     must reproduce p_max within 1e-9.
     """
     layout = verifier.layout
+    require_budget(layout, config)
     d_p = _prover_dim(layout)
     if d_p > 2 ** 12:
         raise PreconditionError(
             f"joint prover space 2^{int(math.log2(d_p))} exceeds the eigensolver budget")
-    dummy = StateVector(np.eye(d_p, dtype=np.complex128)[:, 0],
-                        tuple((r.name, r.qubits) for r in layout.provers))
+    first = np.zeros(d_p, dtype=np.complex128)
+    first[0] = 1.0
+    dummy = StateVector(first, tuple((r.name, r.qubits) for r in layout.provers))
     inst = ProtocolInstance(verifier, tuple(provers), dummy)
-    branches = flatten(inst, config=config)
-    sim = _Sim(layout)
-    a = _acceptance_operator(sim, layout, branches, None,
-                             np.eye(d_p, dtype=np.complex128))
+    program = _Program(layout, flatten(inst, config=config))
+    a = program.acceptance_operator(None, np.eye(d_p, dtype=np.complex128))
     vals, vecs = np.linalg.eigh(a)
     p_max = float(vals[-1])
     vec = vecs[:, -1]
@@ -270,57 +363,7 @@ def strategies_from_assignment(verifier: VerifierSpec,
     return tuple(out)
 
 
-def _environment_update(sim: _Sim, branches: Sequence[FlatBranch],
-                        init: np.ndarray, assignment: Assignment,
-                        key: tuple[int, int]) -> np.ndarray:
-    """Replace assignment[key] by the polar factor of its environment operator."""
-    d = assignment[key].shape[0]
-    env = np.zeros((d, d), dtype=np.complex128)
-    for br in branches:
-        idx = next(i for i, op in enumerate(br.ops)
-                   if op.kind == "prover" and op.prover_key == key)
-        qubits = br.ops[idx].qubits
-        # forward to just before the variable
-        chi = init.copy()
-        for op in br.ops[:idx]:
-            if op.kind == "gate":
-                chi = sim.apply_gate(chi, op.gate)
-            elif op.kind == "prover":
-                chi = sim.apply(chi, assignment[op.prover_key], op.qubits)
-            elif op.kind == "event":
-                chi = chi - sim.project_all(chi, op.projectors)
-        # forward through the tail, stashing event hits
-        phi = sim.apply(chi, assignment[key], qubits)
-        stash: dict[int, np.ndarray] = {}
-        for j, op in enumerate(br.ops[idx + 1:], start=idx + 1):
-            if op.kind == "gate":
-                phi = sim.apply_gate(phi, op.gate)
-            elif op.kind == "prover":
-                phi = sim.apply(phi, assignment[op.prover_key], op.qubits)
-            elif op.kind == "event":
-                hit = sim.project_all(phi, op.projectors)
-                stash[j] = hit
-                phi = phi - hit
-        mu = sim.project_all(phi, br.accept)
-        # backward to just after the variable, accumulating event terms
-        for j in range(len(br.ops) - 1, idx, -1):
-            op = br.ops[j]
-            if op.kind == "gate":
-                mu = sim.apply_gate(mu, op.gate.dagger())
-            elif op.kind == "prover":
-                mu = sim.apply(mu, assignment[op.prover_key].conj().T, op.qubits)
-            elif op.kind == "event":
-                mu = mu - sim.project_all(mu, op.projectors)
-                mu = mu + stash[j]
-        c = sim.front(mu[:, 0], qubits).conj() @ sim.front(chi[:, 0], qubits).T
-        env += br.weight * c.conj()
-    new_u = polar_unitary(env).matrix
-    assignment[key] = new_u
-    return new_u
-
-
-def _product_state_update(sim: _Sim, layout: RegisterLayout,
-                          branches: Sequence[FlatBranch],
+def _product_state_update(program: _Program, layout: RegisterLayout,
                           assignment: Assignment,
                           groups: Sequence[Sequence[int]],
                           group_states: list[np.ndarray]) -> np.ndarray:
@@ -343,7 +386,7 @@ def _product_state_update(sim: _Sim, layout: RegisterLayout,
         cols = factors[0]
         for f in factors[1:]:
             cols = np.kron(cols, f)
-        a = _acceptance_operator(sim, layout, branches, assignment, cols)
+        a = program.acceptance_operator(assignment, cols)
         _, vecs = np.linalg.eigh(a)
         group_states[gi] = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
     full = group_states[0]
@@ -362,12 +405,13 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
     """
     spec = resize_prover_registers(verifier, cfg.prover_dims)
     layout = spec.layout
+    require_budget(layout, config)
     if cfg.product_groups is not None:
         flat = [i for g in cfg.product_groups for i in g]
         if sorted(flat) != list(range(1, layout.k + 1)):
             raise ValidationError("product groups must partition the provers")
     branches = flatten(verifier=spec, config=config)
-    sim = _Sim(layout)
+    program = _Program(layout, branches)
     d_p = _prover_dim(layout)
     keys = sorted({op.prover_key for br in branches for op in br.ops
                    if op.kind == "prover"},
@@ -395,16 +439,16 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
         for _ in range(cfg.max_sweeps):
             if cfg.product_groups is None:
                 basis = np.eye(d_p, dtype=np.complex128)
-                a = _acceptance_operator(sim, layout, branches, assignment, basis)
+                a = program.acceptance_operator(assignment, basis)
                 _, vecs = np.linalg.eigh(a)
                 shared = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
             else:
-                shared = _product_state_update(sim, layout, branches, assignment,
+                shared = _product_state_update(program, layout, assignment,
                                                cfg.product_groups, group_states)
-            init = _initial_columns(sim, layout, shared[:, None])
             for key in keys:
-                _environment_update(sim, branches, init, assignment, key)
-            value = _value(sim, branches, init, assignment)
+                assignment[key] = polar_unitary(
+                    program.environment(shared[:, None], assignment, key)).matrix
+            value = program.value(shared[:, None], assignment)
             trace.append(value)
             if value - prev < cfg.convergence_tol:
                 converged = True
@@ -437,8 +481,9 @@ def random_search(verifier: VerifierSpec, prover_dims: Sequence[int],
     """
     spec = resize_prover_registers(verifier, prover_dims)
     layout = spec.layout
+    require_budget(layout, config)
     branches = flatten(verifier=spec, config=config)
-    sim = _Sim(layout)
+    program = _Program(layout, branches)
     d_p = _prover_dim(layout)
     keys = sorted({op.prover_key for br in branches for op in br.ops
                    if op.kind == "prover"})
@@ -450,8 +495,7 @@ def random_search(verifier: VerifierSpec, prover_dims: Sequence[int],
         assignment = {k: random_unitary(dims[k], rng) for k in keys}
         v = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
         v /= np.linalg.norm(v)
-        init = _initial_columns(sim, layout, v[:, None])
-        best = max(best, _value(sim, branches, init, assignment))
+        best = max(best, program.value(v[:, None], assignment))
     return best
 
 
@@ -481,15 +525,16 @@ def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
     the shared state is eigen-optimized exactly at every grid point, so the
     result is a guaranteed lower bound on the true optimum. If the grid would
     exceed `max_evals`, prover 1's turns are pinned to the canonical angles
-    (0, pi/2), which preserves the lower-bound guarantee.
+    (0, pi/2), which preserves the lower-bound guarantee. A best value above
+    1 + 1e-9 raises NumericalCheckError.
     """
     layout = verifier.layout
     if layout.message_qubits != 1 or any(r.qubits != 1 for r in layout.provers):
         raise PreconditionError(
             "grid search needs 1-qubit private and message registers per prover turn")
-    spec = verifier
-    branches = flatten(verifier=spec, config=config)
-    sim = _Sim(layout)
+    require_budget(layout, config)
+    branches = flatten(verifier=verifier, config=config)
+    program = _Program(layout, branches)
     d_p = _prover_dim(layout)
     keys = sorted({op.prover_key for br in branches for op in br.ops
                    if op.kind == "prover"})
@@ -515,8 +560,10 @@ def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
     for combo in itertools.product(angles, repeat=2 * len(free)):
         for j, key in enumerate(free):
             assignment[key] = _grid_turn_unitary(combo[2 * j], combo[2 * j + 1])
-        a = _acceptance_operator(sim, layout, branches, assignment, basis)
+        a = program.acceptance_operator(assignment, basis)
         top = float(np.linalg.eigvalsh(a)[-1])
         if top > best:
             best = top
-    return min(best, 1.0)
+    if best > 1.0 + 1e-9:
+        raise NumericalCheckError(f"grid value {best:.12f} exceeds 1")
+    return best

@@ -559,6 +559,7 @@ class BranchRecord:
     weight: float
     event_probs: tuple[float, ...]   # within-branch, unweighted
     final_prob: float                # within-branch, unweighted
+    coins: tuple[tuple[str, str], ...] = ()   # (coin id, outcome bits), sorted
 
     @property
     def branch_acceptance(self) -> float:
@@ -590,6 +591,14 @@ def apply_projectors(amps: np.ndarray, state_template: StateVector,
     return out
 
 
+def require_budget(layout: RegisterLayout, config: RunConfig) -> None:
+    """Raise BudgetError when the layout has more qubits than the budget."""
+    if layout.total_qubits > config.max_qubits:
+        raise BudgetError(
+            f"{layout.total_qubits} qubits exceed the configured budget "
+            f"({config.max_qubits})")
+
+
 def run(instance: ProtocolInstance, keep_snapshots: bool = False,
         config: RunConfig = DEFAULT_RUN_CONFIG) -> Transcript:
     """Execute the protocol exactly and return its transcript.
@@ -601,11 +610,7 @@ def run(instance: ProtocolInstance, keep_snapshots: bool = False,
     problems = validate(instance)
     if problems:
         raise ValidationError("; ".join(problems))
-    layout = instance.verifier.layout
-    if layout.total_qubits > config.max_qubits:
-        raise BudgetError(
-            f"{layout.total_qubits} qubits exceed the configured budget "
-            f"({config.max_qubits})")
+    require_budget(instance.verifier.layout, config)
 
     init = initial_state(instance)
     template = init.with_amplitudes(init.amplitudes, normalized=False)
@@ -633,7 +638,7 @@ def run(instance: ProtocolInstance, keep_snapshots: bool = False,
         final_amps = apply_projectors(amps, template, br.accept)
         final_prob = float(np.vdot(final_amps, final_amps).real)
         records.append(BranchRecord(br.history_key(), br.weight,
-                                    tuple(events), final_prob))
+                                    tuple(events), final_prob, br.history))
         acceptance += br.weight * (sum(events) + final_prob)
 
     acceptance = min(max(acceptance, 0.0), 1.0)

@@ -14,6 +14,7 @@ simulation of the coin and preserves acceptance probabilities.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -404,7 +405,7 @@ def rewind_to_perfect_completeness(instance: ProtocolInstance,
         tr = run(out, config=config)
         honest_out = tr.acceptance
         for rec in tr.branches:
-            if rec.history.endswith("b=0"):
+            if b0 in rec.coins:
                 extras["p1"] = rec.event_probs[0] if rec.event_probs else 0.0
                 extras["p2"] = rec.final_prob
             else:
@@ -1304,6 +1305,16 @@ class PipelineResult:
         return tuple(s.report.name for s in self.stages)
 
 
+@contextmanager
+def _stage(name: str):
+    """Prefix a stage's precondition or numerical-check error with its name,
+    keeping the error class (and so the CLI exit code)."""
+    try:
+        yield
+    except (PreconditionError, NumericalCheckError) as e:
+        raise type(e)(f"stage {name}: {e}") from e
+
+
 def run_pipeline(instance: ProtocolInstance, check: bool = True,
                  config: RunConfig = DEFAULT_RUN_CONFIG) -> PipelineResult:
     """Perfect completeness, three turns, public coin, one round - in order.
@@ -1325,43 +1336,33 @@ def run_pipeline(instance: ProtocolInstance, check: bool = True,
     verify_honest = check and instance.meta.role != "no"
 
     if c_in < 1.0:
-        try:
+        with _stage("rewindable"):
             res = make_perfectly_rewindable(
                 inst, p_max=None if verify_honest else c_in,
                 check=verify_honest, config=config)
-        except (PreconditionError, NumericalCheckError) as e:
-            raise PreconditionError(f"stage rewindable: {e}") from e
         stages.append(res)
-        try:
+        with _stage("rewind"):
             res = rewind_to_perfect_completeness(res.instance,
                                                  check=verify_honest,
                                                  config=config)
-        except (PreconditionError, NumericalCheckError) as e:
-            raise PreconditionError(f"stage rewind: {e}") from e
         stages.append(res)
         inst = res.instance
 
     if inst.m < 4 and inst.m != 3:
         inst = pad_turns(inst, 5)
     if inst.m > 3:
-        try:
+        with _stage("three-turn"):
             res = parallelize_to_three(inst, check=verify_honest, config=config)
-        except (PreconditionError, NumericalCheckError) as e:
-            raise PreconditionError(f"stage three-turn: {e}") from e
         stages.append(res)
         inst = res.instance
 
-    try:
+    with _stage("public-coin"):
         res = to_public_coin_3turn(inst, check=verify_honest, config=config)
-    except (PreconditionError, NumericalCheckError) as e:
-        raise PreconditionError(f"stage public-coin: {e}") from e
     stages.append(res)
     inst = res.instance
 
-    try:
+    with _stage("one-round"):
         res = public_coin_to_one_round(inst, check=verify_honest, config=config)
-    except (PreconditionError, NumericalCheckError) as e:
-        raise PreconditionError(f"stage one-round: {e}") from e
     stages.append(res)
     inst = res.instance
 

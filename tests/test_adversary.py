@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from qmip import fixtures
+from qmip import adversary, fixtures
 from qmip.adversary import (SeesawConfig, brute_force_value,
                             optimal_shared_state, random_search,
                             resize_prover_registers, seesaw,
                             strategies_from_assignment)
-from qmip.config import PreconditionError
+from qmip.config import (BudgetError, NumericalCheckError, PreconditionError,
+                         RunConfig)
 from qmip.linalg import StateVector, random_state
 from qmip.model import ProtocolInstance, run
 from qmip.transforms import make_perfectly_rewindable
@@ -184,3 +185,48 @@ def test_grid_refuses_large_instances():
     rw = make_perfectly_rewindable(fixtures.good()).instance
     with pytest.raises(PreconditionError):
         brute_force_value(rw.verifier)  # message registers are 2 qubits wide
+
+
+def test_grid_raises_instead_of_clamping(monkeypatch):
+    compiled = adversary._Program.acceptance_operator
+
+    def scaled(factor):
+        def operator(self, assignment, prover_cols):
+            return factor * compiled(self, assignment, prover_cols)
+        return operator
+
+    monkeypatch.setattr(adversary._Program, "acceptance_operator", scaled(1.01))
+    with pytest.raises(NumericalCheckError, match="exceeds 1"):
+        brute_force_value(fixtures.always().verifier, grid=math.pi / 4)
+    # within 1e-9 of 1 the value is returned as computed, not clamped
+    monkeypatch.setattr(adversary._Program, "acceptance_operator",
+                        scaled(1.0 + 1e-12))
+    value = brute_force_value(fixtures.always().verifier, grid=math.pi / 4)
+    assert 1.0 < value <= 1.0 + 1e-9
+
+
+# --- budgets -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entry", ["seesaw", "optimal_shared_state",
+                                   "random_search", "brute_force_value"])
+def test_budget_checked_before_allocation(entry, monkeypatch):
+    def no_flatten(*args, **kwargs):
+        raise AssertionError("flattened before the budget check")
+
+    monkeypatch.setattr(adversary, "flatten", no_flatten)
+    inst = fixtures.chsh()   # 7 qubits with 1-qubit prover registers
+    small = RunConfig(max_qubits=6)
+    calls = {
+        "seesaw": lambda: seesaw(inst.verifier,
+                                 SeesawConfig(prover_dims=(1, 1), restarts=1),
+                                 config=small),
+        "optimal_shared_state": lambda: optimal_shared_state(
+            inst.verifier, inst.provers, config=small),
+        "random_search": lambda: random_search(inst.verifier, (1, 1), samples=1,
+                                               config=small),
+        "brute_force_value": lambda: brute_force_value(inst.verifier,
+                                                       config=small),
+    }
+    with pytest.raises(BudgetError, match="7 qubits exceed"):
+        calls[entry]()

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from qmip import fixtures
+from qmip import files, fixtures, transforms
 from qmip.adversary import SeesawConfig, optimal_shared_state, seesaw
 from qmip.circuits import circuit_matrix
-from qmip.config import PreconditionError
+from qmip.config import NumericalCheckError, PreconditionError
 from qmip.linalg import ProjectorOp, project, zero_state, tensor_states
 from qmip.model import run, validate
 from qmip.transforms import (direct_two_turn, halve_turns,
@@ -141,6 +141,20 @@ def test_rewind_perfect_completeness_all_fixtures():
         res = rewind_to_perfect_completeness(rw)
         assert abs(res.report.output_honest - 1.0) <= 1e-9
         assert abs(res.report.extras["p3"] - 1.0) <= 1e-9
+
+
+def test_rewind_report_branch_probabilities_match_records():
+    # p1, p2 come from the rewinding branch (coin b = 0), p3 from the
+    # invertibility branch (b = 1)
+    for name in ("rw_good", "rw_always", "rw_ent"):
+        res = rewind_to_perfect_completeness(
+            files.load(fixtures.fixtures_dir() / f"{name}.json"))
+        recs = {dict(rec.coins)["b"]: rec for rec in run(res.instance).branches}
+        assert set(recs) == {"0", "1"}
+        extras = res.report.extras
+        assert extras["p1"] == recs["0"].event_probs[0]
+        assert extras["p2"] == recs["0"].final_prob
+        assert extras["p3"] == recs["1"].event_probs[0]
 
 
 def test_rewind_requires_perfect_rewindability():
@@ -326,3 +340,13 @@ def test_pipeline_yes_instance():
 def test_pipeline_aborts_on_zero_gap():
     with pytest.raises(PreconditionError, match="stage rewindable"):
         run_pipeline(fixtures.good())  # claims c = s = 0.75
+
+
+def test_pipeline_keeps_the_stage_error_class(monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericalCheckError("re-simulation mismatch")
+
+    monkeypatch.setattr(transforms, "to_public_coin_3turn", failing)
+    with pytest.raises(NumericalCheckError) as info:
+        run_pipeline(fixtures.five_turn_yes())
+    assert str(info.value) == "stage public-coin: re-simulation mismatch"
