@@ -9,7 +9,7 @@ from .circuits import Circuit, Gate, apply_circuit, apply_gate, circuit_matrix
 from .config import (DEFAULT_RUN_CONFIG, DEFAULT_TOLERANCES, BudgetError,
                      NumericalCheckError, PreconditionError, RunConfig,
                      Tolerances, ValidationError)
-from .linalg import (ProjectorOp, StateVector, UnitaryOp, apply, fidelity,
+from .linalg import (ProjectorOp, StateVector, fidelity,
                      max_eigenpair, polar_unitary, project, project_norm_sq,
                      pure_fidelity, random_density, random_state,
                      random_unitary, reorder_registers, tensor_states,

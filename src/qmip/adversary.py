@@ -447,7 +447,7 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
                                                cfg.product_groups, group_states)
             for key in keys:
                 assignment[key] = polar_unitary(
-                    program.environment(shared[:, None], assignment, key)).matrix
+                    program.environment(shared[:, None], assignment, key))
             value = program.value(shared[:, None], assignment)
             trace.append(value)
             if value - prev < cfg.convergence_tol:

@@ -101,12 +101,15 @@ class Gate:
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    if gate.controls:
-        qubits = tuple(q for q, _ in gate.controls) + gate.targets
-        amps = apply_matrix(state, gate.full_matrix(), qubits)
-    else:
-        amps = apply_matrix(state, gate.matrix, gate.targets)
-    return state.with_amplitudes(amps)
+    """The gate applied to a copy of the state, by the executor's kernel."""
+    return state.with_amplitudes(
+        apply_matrix(state, gate.matrix, gate.targets, gate.controls))
+
+
+def is_swap(gate: Gate) -> bool:
+    """An uncontrolled SWAP: a relabelling of two qubits that moves no data
+    in the executor."""
+    return not gate.controls and np.array_equal(gate.matrix, _SWAP)
 
 
 @dataclass(frozen=True)

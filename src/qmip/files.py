@@ -42,7 +42,9 @@ def _err(path: str, msg: str) -> ValidationError:
 
 
 def _c_enc(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+    # + 0.0 writes a zero component as 0.0 whatever its sign, so saved bytes
+    # do not depend on how a kernel reached the zero
+    return [float(np.real(z)) + 0.0, float(np.imag(z)) + 0.0]
 
 
 def _c_dec(v, path: str) -> complex:

@@ -8,12 +8,14 @@ targets <= ~10 qubits) dense is both exact and fast enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import math
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances, ValidationError
+from .config import (DEFAULT_TOLERANCES, NumericalCheckError, Tolerances,
+                     ValidationError)
 
 Qubit = tuple[str, int]          # (register name, qubit index within register)
 Layout = tuple[tuple[str, int], ...]   # ordered (register name, qubit count)
@@ -134,41 +136,6 @@ def reorder_registers(state: StateVector, new_order: Sequence[str]) -> StateVect
     return StateVector(tensor.reshape(-1), layout, state.normalized)
 
 
-@dataclass(frozen=True)
-class UnitaryOp:
-    """A 2^d x 2^d unitary acting on an ordered list of target qubits."""
-
-    matrix: np.ndarray
-    targets: tuple[Qubit, ...] = ()
-    label: str = ""
-    tolerances: Tolerances = field(default_factory=lambda: DEFAULT_TOLERANCES, repr=False)
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "targets", tuple((str(r), int(i)) for r, i in self.targets))
-        d = m.shape[0]
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or d & (d - 1):
-            raise ValidationError(f"operator matrix must be square power-of-two, got {m.shape}")
-        if self.targets and 2 ** len(self.targets) != d:
-            raise ValidationError(
-                f"{len(self.targets)} targets do not match a {d}x{d} matrix"
-            )
-        err = np.abs(m.conj().T @ m - np.eye(d)).max()
-        if err > self.tolerances.unitarity:
-            raise ValidationError(f"operator not unitary (||U^dag U - I|| = {err:.3e})")
-
-    @property
-    def arity(self) -> int:
-        return int(np.log2(self.matrix.shape[0]))
-
-    def dagger(self) -> "UnitaryOp":
-        return UnitaryOp(self.matrix.conj().T, self.targets,
-                         label=self.label + "^dag" if self.label else "",
-                         tolerances=self.tolerances)
-
-
 # ---------------------------------------------------------------------------
 # projectors
 
@@ -223,66 +190,243 @@ def _target_axes(state: StateVector, qubits: Sequence[Qubit]) -> list[int]:
     return axes
 
 
-def apply(state: StateVector, op: UnitaryOp) -> StateVector:
-    """Return U|psi> with the same layout. Norm is preserved by unitarity."""
-    amps = apply_matrix(state, op.matrix, op.targets)
-    return state.with_amplitudes(amps)
+# ---------------------------------------------------------------------------
+# slices and in-place kernels
+#
+# An n-qubit state is one C-contiguous buffer of 2^n amplitudes, read as a
+# [2]*n tensor (axis 0 is the most significant bit). Fixing some axes at given
+# bits selects a slice. Reshaping the buffer so that every run of untouched
+# axes becomes one dimension gives that slice as a numpy view with at most
+# (fixed axes) + 1 dimensions, so numpy's inner loops stay long.
+
+Fixed = tuple[tuple[int, int], ...]   # (axis, bit) pairs
+
+
+def _merged(n: int, fixed: dict[int, int], free: Sequence[int] = ()
+            ) -> tuple[tuple[int, ...], list, dict[int, int]]:
+    """The buffer shape with runs of untouched axes merged, an index holding
+    the fixed axes at their bits, and the shape position of each `free` axis.
+    The shape always ends in a merged run (possibly of size 1), so indexing
+    yields a view, never a scalar."""
+    shape: list[int] = []
+    index: list = []
+    where: dict[int, int] = {}
+    run = 1
+    for a in range(n):
+        if a not in fixed and a not in free:
+            run *= 2
+            continue
+        if run > 1:
+            shape.append(run)
+            index.append(slice(None))
+            run = 1
+        if a in fixed:
+            index.append(fixed[a])
+        else:
+            where[a] = len(shape)
+            index.append(slice(None))
+        shape.append(2)
+    shape.append(run)
+    index.append(slice(None))
+    return tuple(shape), index, where
+
+
+class MatrixKernel:
+    """A (controlled) matrix compiled against axes of an n-qubit buffer and
+    applied in place to the control-satisfied slice only. `full_matrix()` is
+    never built. The form is chosen from the matrix:
+
+    * 0/1 permutation (X, CNOT, mcx, SWAP): sub-slices are exchanged along the
+      cycles of the permutation, with one sub-slice temporary;
+    * diagonal with entries in {1, -1, i, -i} (Z, S, CPHASE): sub-slices are
+      scaled;
+    * otherwise dense: the slice is multiplied by the matrix in column blocks
+      of at most BLOCK amplitudes.
+
+    Exchanges and unit scalings are exact. A dense block holds all columns of
+    the slice or a power-of-two number >= BLOCK / 2^d of them, so BLAS runs
+    the same column kernel as one product over the whole slice. Only the sign
+    of a zero amplitude can differ from `full_matrix()` plus tensordot.
+    """
+
+    BLOCK = 1 << 16
+
+    def __init__(self, matrix: np.ndarray, targets: Sequence[int],
+                 controls: Fixed, n: int):
+        m = np.asarray(matrix, dtype=np.complex128)
+        d = len(targets)
+        self.dim = 2 ** d
+        if m.shape != (self.dim, self.dim):
+            raise ValidationError(f"matrix shape {m.shape} does not fit {d} targets")
+        self.shape, index, where = _merged(n, dict(controls), targets)
+        tpos = [where[a] for a in targets]
+
+        def sub(k: int) -> tuple:
+            """Index of the sub-slice where the targets hold the bits of k."""
+            idx = list(index)
+            for j, pos in enumerate(tpos):
+                idx[pos] = (k >> (d - 1 - j)) & 1
+            return tuple(idx)
+
+        self.cycles = self.scales = None
+        if (np.isin(m, (0, 1)).all() and (m.sum(axis=0) == 1).all()
+                and (m.sum(axis=1) == 1).all()):
+            src = m.real.argmax(axis=1)   # row j takes column src[j]
+            self.cycles, seen = [], set()
+            for j0 in range(self.dim):
+                if j0 in seen or src[j0] == j0:
+                    continue
+                cycle, j = [j0], int(src[j0])
+                while j != j0:
+                    cycle.append(j)
+                    j = int(src[j])
+                seen.update(cycle)
+                self.cycles.append([sub(j) for j in cycle])
+        elif (np.count_nonzero(m) == np.count_nonzero(np.diag(m))
+              and np.isin(np.diag(m), (1, -1, 1j, -1j)).all()):
+            self.scales = [(sub(k), m[k, k]) for k in range(self.dim) if m[k, k] != 1]
+        else:
+            self.matrix = m
+            self.index = tuple(index)
+            kept = [pos for pos, i in enumerate(index) if isinstance(i, slice)]
+            self.tdims = [kept.index(pos) for pos in tpos]
+            rest = [self.shape[pos] for pos in kept if pos not in tpos]
+            self.blocks = self._blocks(rest, d)
+
+    def _blocks(self, rest: list[int], d: int) -> list[tuple]:
+        """Column blocks of the target-first slice view, cut along the
+        outermost untouched dimension that is long enough."""
+        nblocks = math.prod(rest) * self.dim // self.BLOCK
+        if nblocks <= 1:
+            return [()]
+        for r, size in enumerate(rest):
+            if size >= nblocks:
+                break
+        else:
+            r = int(np.argmax(rest))
+            nblocks = rest[r]
+        width = rest[r] // nblocks
+        lead = (slice(None),) * (d + r)
+        return [lead + (slice(s, s + width),) for s in range(0, rest[r], width)]
+
+    def __call__(self, buf: np.ndarray) -> None:
+        """Apply in place to `buf`, a writable C-contiguous amplitude buffer."""
+        t = buf.reshape(self.shape)
+        if self.cycles is not None:
+            for cycle in self.cycles:
+                first = t[cycle[0]].copy()
+                for dst, src in zip(cycle, cycle[1:]):
+                    t[dst] = t[src]
+                t[cycle[-1]] = first
+        elif self.scales is not None:
+            for idx, factor in self.scales:
+                t[idx] *= factor
+        else:
+            view = np.moveaxis(t[self.index], self.tdims, range(len(self.tdims)))
+            for blk in self.blocks:
+                b = view[blk]
+                b[...] = (self.matrix @ b.reshape(self.dim, -1)).reshape(b.shape)
 
 
 def apply_matrix(state: StateVector, matrix: np.ndarray,
-                 targets: Sequence[Qubit]) -> np.ndarray:
-    """Apply an arbitrary (not necessarily unitary) matrix on target qubits.
-
-    Index-permutation application: reshape to a [2]*n tensor, contract the
-    target axes against the matrix, move the axes back. O(2^n * 2^d) work,
-    never materializes a 2^n x 2^n matrix.
-    """
-    n = state.n_qubits
+                 targets: Sequence[Qubit],
+                 controls: Sequence[tuple[Qubit, int]] = ()) -> np.ndarray:
+    """Amplitudes of `matrix` on `targets`, controlled by (qubit, bit) pairs,
+    applied to `state`: a copy of the amplitudes, then `MatrixKernel`."""
+    axes = _target_axes(state, tuple(targets) + tuple(q for q, _ in controls))
     d = len(targets)
-    if matrix.shape != (2**d, 2**d):
-        raise ValidationError(f"matrix shape {matrix.shape} does not fit {d} targets")
-    if d == 0:
-        return state.amplitudes * matrix[0, 0]
-    axes = _target_axes(state, targets)
-    psi = state.tensor()
-    m = matrix.reshape([2] * (2 * d))
-    psi = np.tensordot(m, psi, axes=(list(range(d, 2 * d)), axes))
-    # tensordot left the target axes first; restore original ordering
-    psi = np.moveaxis(psi, list(range(d)), axes)
-    return np.ascontiguousarray(psi.reshape(-1))
+    kernel = MatrixKernel(matrix, axes[:d],
+                          tuple(zip(axes[d:], (b for _, b in controls))),
+                          state.n_qubits)
+    out = state.amplitudes.copy()
+    kernel(out)
+    return out
+
+
+def _intersect(xs: list[dict], ys: list[dict]) -> list[dict]:
+    return [{**x, **y} for x in xs for y in ys
+            if all(x.get(a, b) == b for a, b in y.items())]
+
+
+def _slices(p: ProjectorOp, axis: Callable[[Qubit], int]) -> list[dict]:
+    if p.kind == "output_one":
+        return [{axis(p.qubits[0]): 1}]
+    if p.kind == "all_zero":
+        return [{axis(q): 0 for q in p.qubits}]
+    # the complement of one slice is the disjoint union over its fixed axes a
+    # of "earlier fixed axes hold, a is flipped"; of a union, the intersection
+    out: list[dict] = [{}]
+    for s in _slices(p.inner, axis):
+        items = list(s.items())
+        out = _intersect(out, [dict(items[:j] + [(a, 1 - b)])
+                               for j, (a, b) in enumerate(items)])
+    return out
+
+
+def projector_slices(projectors: Iterable[ProjectorOp],
+                     axis: Callable[[Qubit], int]) -> list[Fixed]:
+    """The conjunction of commuting basis projectors as disjoint slices, each
+    a tuple of (axis, bit) pairs; `axis` maps a qubit to its buffer axis. An
+    empty list is the zero projector, [()] the identity."""
+    out: list[dict] = [{}]
+    for p in projectors:
+        out = _intersect(out, _slices(p, axis))
+    return [tuple(s.items()) for s in out]
+
+
+class Slices:
+    """A disjoint union of slices compiled against an n-qubit buffer: the
+    basis projector onto every amplitude in any of them."""
+
+    def __init__(self, n: int, slices: Iterable[Fixed]):
+        self.views = [(shape, tuple(index))
+                      for shape, index, _ in (_merged(n, dict(s)) for s in slices)]
+
+    def mass(self, buf: np.ndarray) -> float:
+        """||P psi||^2."""
+        total = 0.0
+        for shape, index in self.views:
+            v = buf.reshape(shape)[index].ravel()
+            total += float(np.vdot(v, v).real)
+        return total
+
+    def clear(self, buf: np.ndarray) -> None:
+        """psi <- (I - P) psi, in place."""
+        for shape, index in self.views:
+            buf.reshape(shape)[index] = 0.0
+
+    def kept(self, buf: np.ndarray) -> np.ndarray:
+        """A new buffer holding P psi."""
+        out = np.zeros_like(buf)
+        for shape, index in self.views:
+            out.reshape(shape)[index] = buf.reshape(shape)[index]
+        return out
+
+
+def checked_probability(val: float, what: str,
+                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+    """`val` clipped into [0, 1]; NumericalCheckError if it lies outside by
+    more than the probability tolerance."""
+    slack = tolerances.probability
+    if not -slack <= val <= 1.0 + slack:
+        raise NumericalCheckError(
+            f"{what} {val!r} lies outside [0, 1] by more than {slack:g}")
+    return min(max(val, 0.0), 1.0)
 
 
 def project(state: StateVector, p: ProjectorOp) -> np.ndarray:
     """Return the (unnormalized) amplitudes of P|psi>."""
-    amps = state.amplitudes
-    n = state.n_qubits
-    if p.kind == "output_one":
-        pos = state.qubit_position(p.qubits[0])
-        tensor = amps.reshape([2] * n).copy()
-        sl = [slice(None)] * n
-        sl[pos] = 0
-        tensor[tuple(sl)] = 0.0
-        return tensor.reshape(-1)
-    if p.kind == "all_zero":
-        if not p.qubits:
-            return amps.copy()
-        tensor = amps.reshape([2] * n).copy()
-        mask = np.zeros([2] * n, dtype=bool)
-        sl = [slice(None)] * n
-        for q in p.qubits:
-            sl[state.qubit_position(q)] = 0
-        mask[tuple(sl)] = True
-        tensor[~mask] = 0.0
-        return tensor.reshape(-1)
-    # complement
-    return amps - project(state, p.inner)
+    return Slices(state.n_qubits,
+                  projector_slices((p,), state.qubit_position)).kept(state.amplitudes)
 
 
 def project_norm_sq(state: StateVector, p: ProjectorOp) -> float:
-    """||P |psi>||^2, clipped into [0, 1] for normalized inputs."""
-    val = float(np.linalg.norm(project(state, p)) ** 2)
+    """||P |psi>||^2. For a normalized input it must lie in [0, 1] within the
+    probability tolerance (else NumericalCheckError) and is clipped there."""
+    val = Slices(state.n_qubits,
+                 projector_slices((p,), state.qubit_position)).mass(state.amplitudes)
     if state.normalized:
-        val = min(max(val, 0.0), 1.0)
+        val = checked_probability(val, "projector mass")
     return val
 
 
@@ -368,8 +512,8 @@ def max_eigenpair(h: np.ndarray,
     return float(vals[-1]), v / np.linalg.norm(v)
 
 
-def polar_unitary(a: np.ndarray, targets: Sequence[Qubit] = (),
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> UnitaryOp:
+def polar_unitary(a: np.ndarray,
+                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """The unitary maximizing Re tr(U^dag a): U = V W^dag from a = V S W^dag.
 
     Rank-deficient inputs are allowed; any completion of the SVD basis is a
@@ -380,7 +524,11 @@ def polar_unitary(a: np.ndarray, targets: Sequence[Qubit] = (),
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("polar decomposition input is not square")
     v, _, wh = np.linalg.svd(a)
-    return UnitaryOp(v @ wh, tuple(targets), tolerances=tolerances)
+    u = v @ wh
+    err = np.abs(u.conj().T @ u - np.eye(len(u))).max()
+    if err > tolerances.unitarity:
+        raise ValidationError(f"operator not unitary (||U^dag U - I|| = {err:.3e})")
+    return u
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

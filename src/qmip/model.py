@@ -24,14 +24,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from .circuits import Circuit, Gate, apply_gate, cnot, h as h_gate, mcx, x as x_gate
+from .circuits import (Circuit, Gate, cnot, h as h_gate, is_swap, mcx,
+                       x as x_gate)
+# bench/layers.py traces gate applications under this name
+from .circuits import apply_gate  # noqa: F401
 from .config import (DEFAULT_RUN_CONFIG, BudgetError, PreconditionError,
                      RunConfig, ValidationError)
-from .linalg import (ProjectorOp, Qubit, StateVector, project, tensor_states,
+from .linalg import (MatrixKernel, ProjectorOp, Qubit, Slices, StateVector,
+                     checked_probability, projector_slices, tensor_states,
                      zero_state)
 
 # ---------------------------------------------------------------------------
@@ -351,7 +353,15 @@ def validate(instance: ProtocolInstance) -> list[str]:
 
     if not v.final.accept:
         problems.append("final decision has no accept rules")
-    has_default = any(rule.when is None for rule in v.final.accept)
+    # run() takes the first matching rule and purify_coins XORs every rule
+    # into one output qubit; the two agree only when no branch matches twice,
+    # i.e. several rules must all key distinct outcomes of one coin
+    whens = [rule.when for rule in v.final.accept]
+    if len(whens) > 1 and (None in whens or len({w[0] for w in whens}) > 1
+                           or len(set(whens)) < len(whens)):
+        problems.append("final accept rules overlap: several rules must key "
+                        "distinct outcomes of one coin")
+    has_default = None in whens
     for rule in v.final.accept:
         check_condition(rule.when, "final accept rule")
         for p in rule.projectors:
@@ -583,14 +593,6 @@ def initial_state(instance: ProtocolInstance) -> StateVector:
     return tensor_states(zero_state(vm), instance.shared)
 
 
-def apply_projectors(amps: np.ndarray, state_template: StateVector,
-                     projectors: Iterable[ProjectorOp]) -> np.ndarray:
-    out = amps
-    for p in projectors:
-        out = project(state_template.with_amplitudes(out, normalized=False), p)
-    return out
-
-
 def require_budget(layout: RegisterLayout, config: RunConfig) -> None:
     """Raise BudgetError when the layout has more qubits than the budget."""
     if layout.total_qubits > config.max_qubits:
@@ -599,13 +601,49 @@ def require_budget(layout: RegisterLayout, config: RunConfig) -> None:
             f"({config.max_qubits})")
 
 
+def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int
+                    ) -> tuple[list[tuple], Slices]:
+    """A flattened branch compiled against the axes of the state buffer:
+    its steps and its accept projector.
+
+    Uncontrolled SWAPs only permute the logical-to-physical axis map at
+    compile time and move no data; every later step is compiled against the
+    mapped axes. Steps are ("gate", MatrixKernel), ("event", Slices) and
+    ("turn", turn, axes), where axes[l] is the physical axis of logical axis
+    l when the turn ends.
+    """
+    phys = list(range(n))
+
+    def at(q: Qubit) -> int:
+        return phys[axis[q]]
+
+    steps: list[tuple] = []
+    for op in br.ops:
+        if op.kind == "gate":
+            g = op.gate
+            if is_swap(g):
+                a, b = (axis[q] for q in g.targets)
+                phys[a], phys[b] = phys[b], phys[a]
+            else:
+                steps.append(("gate", MatrixKernel(
+                    g.matrix, [at(q) for q in g.targets],
+                    tuple((at(q), bit) for q, bit in g.controls), n)))
+        elif op.kind == "event":
+            steps.append(("event", Slices(n, projector_slices(op.projectors, at))))
+        elif op.kind == "turn":
+            steps.append(("turn", op.turn, tuple(phys)))
+    return steps, Slices(n, projector_slices(br.accept, at))
+
+
 def run(instance: ProtocolInstance, keep_snapshots: bool = False,
         config: RunConfig = DEFAULT_RUN_CONFIG) -> Transcript:
     """Execute the protocol exactly and return its transcript.
 
     The acceptance probability is the coin-weighted sum over branches of the
     banked accept-event masses plus the final projector mass. Summation order
-    is the deterministic branch enumeration order.
+    is the deterministic branch enumeration order. Each branch is compiled
+    once (`_compile_branch`) and runs in place on one writable buffer;
+    snapshots are copied out in the layout's qubit order.
     """
     problems = validate(instance)
     if problems:
@@ -613,6 +651,9 @@ def run(instance: ProtocolInstance, keep_snapshots: bool = False,
     require_budget(instance.verifier.layout, config)
 
     init = initial_state(instance)
+    n = init.n_qubits
+    axis = {q: i for i, q in enumerate(
+        (name, j) for name, size in init.layout for j in range(size))}
     template = init.with_amplitudes(init.amplitudes, normalized=False)
     branches = flatten(instance, config=config)
 
@@ -620,28 +661,27 @@ def run(instance: ProtocolInstance, keep_snapshots: bool = False,
     snapshots: list[tuple[int, str, StateVector]] = []
     acceptance = 0.0
     for br in branches:
-        amps = init.amplitudes.copy()
+        steps, accept = _compile_branch(br, axis, n)
+        buf = init.amplitudes.copy()
         events: list[float] = []
-        for op in br.ops:
-            if op.kind == "gate":
-                amps = apply_gate(template.with_amplitudes(amps, normalized=False),
-                                  op.gate).amplitudes
-            elif op.kind == "event":
-                projected = apply_projectors(amps, template, op.projectors)
-                events.append(float(np.vdot(projected, projected).real))
-                amps = amps - projected
-            elif op.kind == "turn":
-                if keep_snapshots:
-                    snapshots.append(
-                        (op.turn, br.history_key(),
-                         template.with_amplitudes(amps.copy(), normalized=False)))
-        final_amps = apply_projectors(amps, template, br.accept)
-        final_prob = float(np.vdot(final_amps, final_amps).real)
+        for step in steps:
+            if step[0] == "gate":
+                step[1](buf)
+            elif step[0] == "event":
+                events.append(step[1].mass(buf))
+                step[1].clear(buf)
+            elif keep_snapshots:
+                # transpose().copy() is always a new buffer, never a view of buf
+                logical = buf.reshape([2] * n).transpose(step[2]).copy()
+                snapshots.append(
+                    (step[1], br.history_key(),
+                     template.with_amplitudes(logical.reshape(-1), normalized=False)))
+        final_prob = accept.mass(buf)
         records.append(BranchRecord(br.history_key(), br.weight,
                                     tuple(events), final_prob, br.history))
         acceptance += br.weight * (sum(events) + final_prob)
 
-    acceptance = min(max(acceptance, 0.0), 1.0)
+    acceptance = checked_probability(acceptance, "acceptance", config.tolerances)
     return Transcript(acceptance, tuple(records), tuple(snapshots))
 
 

@@ -88,6 +88,6 @@ def test_overlapping_targets_rejected():
 
 def test_gate_unitarity_not_enforced_for_internal_matrices():
     # placeholder (non-unitary) matrices are allowed at the Gate level; the
-    # file loader and UnitaryOp enforce unitarity where it matters
+    # file loader and polar_unitary enforce unitarity where it matters
     g = u1(np.array([[1, 0], [0, 0]], dtype=complex), ("Q", 0))
     assert g.name == "U"

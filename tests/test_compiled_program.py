@@ -1,13 +1,19 @@
-"""The compiled branch program against independent executors.
+"""The compiled executors against a frozen per-gate reference.
 
-Random verifiers (at most 7 qubits, coins, accept events, gates with 0-3
-controls) and random prover assignments are run three ways: the compiled
-program, `model.run` of the equivalent strategies, and a per-gate reference
-of the environment operator kept here as a test oracle. Every test runs on
-both sides of the fusion bound: with the module's bound (fused segments) and
-with a bound of 1 (one step per gate).
+Random verifiers (at most 7 qubits, coins, accept events, SWAPs and
+permutation, diagonal and dense gates with 0-3 controls) and random prover
+assignments are run three ways: the adversary's compiled program,
+`model.run` of the equivalent strategies, and a per-gate reference kept here
+as a test oracle (`Gate.full_matrix()` plus one tensordot per gate). Every
+adversary test runs on both sides of the fusion bound: with the module's
+bound (fused segments) and with a bound of 1 (one step per gate).
+
+`model.run`'s in-place slice kernel (`linalg.MatrixKernel`) is checked gate by
+gate against the same reference, and `run(keep_snapshots=True)` branch by
+branch, including the snapshots it copies out.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -17,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 from qmip import adversary, fixtures
 from qmip.adversary import (resize_prover_registers,
                             strategies_from_assignment)
-from qmip.circuits import Circuit, Gate
-from qmip.linalg import ProjectorOp, StateVector, random_state, random_unitary
+from qmip.circuits import Circuit, Gate, apply_gate, swap
+from qmip.linalg import (MatrixKernel, ProjectorOp, StateVector, random_state,
+                         random_unitary)
 from qmip.model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                         FinalDecision, ProtocolInstance, VerifierSpec,
                         VerifierTurn, flatten, make_layout, run, validate)
@@ -32,12 +39,13 @@ FUSE_BOUNDS = [adversary.FUSE_MAX_DIM, 1]
 
 class _Reference:
     def __init__(self, layout):
-        self.n = layout.total_qubits
+        """`layout`: ordered (register name, qubit count) pairs."""
+        self.n = sum(size for _, size in layout)
         self.dim = 2 ** self.n
         self.pos = {}
-        for r in layout.registers:
-            for i in range(r.qubits):
-                self.pos[(r.name, i)] = len(self.pos)
+        for name, size in layout:
+            for i in range(size):
+                self.pos[(name, i)] = len(self.pos)
 
     def apply(self, cols, matrix, qubits):
         d = len(qubits)
@@ -119,6 +127,39 @@ class _Reference:
             env += br.weight * c.conj()
         return env
 
+    def run(self, branches, init):
+        """Acceptance, per-branch (event masses, final mass) and
+        (turn, history key, amplitudes) snapshots of an inlined protocol."""
+        acceptance, records, snapshots = 0.0, [], []
+        for br in branches:
+            cols, events = init.copy(), []
+            for op in br.ops:
+                if op.kind == "event":
+                    proj = self.project_all(cols, op.projectors)
+                    events.append(float(np.vdot(proj, proj).real))
+                    cols = cols - proj
+                elif op.kind == "turn":
+                    snapshots.append((op.turn, br.history_key(), cols[:, 0].copy()))
+                else:
+                    cols = self.step(cols, op, {})
+            final = self.project_all(cols, br.accept)
+            records.append((events, float(np.vdot(final, final).real)))
+            acceptance += br.weight * (sum(events) + records[-1][1])
+        return acceptance, records, snapshots
+
+
+def _matrix(kind, dim, rng):
+    if kind == "permutation":
+        return np.eye(dim, dtype=np.complex128)[rng.permutation(dim)]
+    if kind == "diagonal":
+        return np.diag(rng.choice(np.array([1, -1, 1j, -1j]), dim))
+    if kind == "phases":   # diagonal, but not unit-valued: the dense path
+        return np.diag(np.exp(2j * np.pi * rng.random(dim)))
+    return random_unitary(dim, rng)
+
+
+KINDS = ["permutation", "diagonal", "phases", "dense"]
+
 
 # --- random protocols ----------------------------------------------------------
 
@@ -142,10 +183,13 @@ def verifiers(draw, max_qubits=7):
 
     def gate():
         qubits = draw(st.permutations(vm))
+        kind = draw(st.sampled_from(KINDS + ["swap"]))
+        if kind == "swap" and len(qubits) >= 2:
+            return swap(qubits[0], qubits[1])
         n_t = draw(st.integers(1, min(2, len(qubits))))
         n_c = draw(st.integers(0, min(3, len(qubits) - n_t)))
         seed = draw(st.integers(0, 2 ** 32 - 1))
-        matrix = random_unitary(2 ** n_t, np.random.default_rng(seed))
+        matrix = _matrix(kind, 2 ** n_t, np.random.default_rng(seed))
         controls = tuple((c, draw(st.integers(0, 1)))
                          for c in qubits[n_t:n_t + n_c])
         return Gate("U", matrix, tuple(qubits[:n_t]), controls)
@@ -194,10 +238,13 @@ def verifiers(draw, max_qubits=7):
 
     turns = tuple(VerifierTurn(steps(allow_coins=True)) for _ in range(m // 2))
     final_steps = steps(allow_coins=False)
-    rules = []
+    # one default rule, or one rule per outcome of one coin (rules may not
+    # overlap)
+    rules = [AcceptRule(projectors())]
     if coins and draw(st.booleans()):
-        rules.append(AcceptRule(projectors(), when=condition()))
-    rules.append(AcceptRule(projectors()))
+        cid, flips = draw(st.sampled_from(coins))
+        rules = [AcceptRule(projectors(), when=(cid, "".join(bits)))
+                 for bits in itertools.product("01", repeat=flips)]
     return VerifierSpec(layout, m, turns, FinalDecision(final_steps, tuple(rules)))
 
 
@@ -254,7 +301,7 @@ def test_compiled_acceptance_operator_equals_run(fuse_max_dim, spec, seed):
 def test_compiled_environment_equals_reference(fuse_max_dim, spec, seed):
     with mock.patch.object(adversary, "FUSE_MAX_DIM", fuse_max_dim):
         program, branches, assignment, inst = _setup(spec, seed)
-        ref = _Reference(spec.layout)
+        ref = _Reference(spec.layout.as_state_layout())
         phi = inst.shared.amplitudes[:, None]
         init = np.zeros((ref.dim, 1), dtype=np.complex128)
         init[:len(phi)] = phi
@@ -273,10 +320,88 @@ def test_compiled_program_above_the_fusion_bound():
                    for s in steps)
     phi = inst.shared.amplitudes[:, None]
     assert abs(program.value(phi, assignment) - run(inst).acceptance) <= TOL
-    ref = _Reference(spec.layout)
+    ref = _Reference(spec.layout.as_state_layout())
     init = np.zeros((ref.dim, 1), dtype=np.complex128)
     init[:len(phi)] = phi
     for key in assignment:
         got = program.environment(phi, assignment, key)
         want = ref.environment(branches, init, assignment, key)
         assert np.abs(got - want).max() <= TOL
+
+
+# --- model.run's in-place kernel ----------------------------------------------
+
+
+@st.composite
+def gates(draw, n):
+    """A gate on ("Q", 0..n-1): 1-3 targets, 0-5 controls of both polarities,
+    and a permutation, unit diagonal, general diagonal or dense matrix."""
+    qubits = draw(st.permutations(range(n)))
+    n_t = draw(st.integers(1, min(3, n)))
+    n_c = draw(st.integers(0, min(5, n - n_t)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    matrix = _matrix(draw(st.sampled_from(KINDS)), 2 ** n_t, rng)
+    controls = tuple((("Q", q), draw(st.integers(0, 1)))
+                     for q in qubits[n_t:n_t + n_c])
+    return Gate("U", matrix, tuple(("Q", q) for q in qubits[:n_t]), controls)
+
+
+def _kernel_against_reference(n, gate, seed):
+    state = StateVector(random_state(2 ** n, np.random.default_rng(seed)),
+                        (("Q", n),))
+    want = _Reference(state.layout).apply_gate(state.amplitudes[:, None], gate)
+    got = apply_gate(state, gate).amplitudes
+    assert np.abs(got - want[:, 0]).max() <= TOL
+
+
+# a block of 16 amplitudes cuts every dense product into column blocks
+BLOCKS = [MatrixKernel.BLOCK, 16]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_equals_full_matrix_reference(block, data, seed):
+    n = data.draw(st.integers(1, 10))
+    with mock.patch.object(MatrixKernel, "BLOCK", block):
+        _kernel_against_reference(n, data.draw(gates(n)), seed)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_equals_full_matrix_reference_16_qubits(block, kind):
+    rng = np.random.default_rng(16)
+    controls = ((("Q", 12), 1), (("Q", 3), 0), (("Q", 7), 1))
+    gate = Gate("U", _matrix(kind, 4, rng), (("Q", 9), ("Q", 0)), controls)
+    with mock.patch.object(MatrixKernel, "BLOCK", block):
+        _kernel_against_reference(16, gate, 17)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1))
+def test_run_equals_reference(spec, seed):
+    _, _, _, inst = _setup(spec, seed)
+    tr = run(inst, keep_snapshots=True)
+    ref = _Reference(spec.layout.as_state_layout())
+    init = np.zeros((ref.dim, 1), dtype=np.complex128)
+    init[:inst.shared.dim, 0] = inst.shared.amplitudes
+    acceptance, records, snapshots = ref.run(flatten(inst), init)
+    assert abs(tr.acceptance - acceptance) <= TOL
+    for rec, (events, final) in zip(tr.branches, records, strict=True):
+        assert np.abs(np.subtract(rec.event_probs, events)).max(initial=0) <= TOL
+        assert abs(rec.final_prob - final) <= TOL
+    for (turn, key, st_), (t_ref, key_ref, amps) in zip(tr.snapshots, snapshots,
+                                                        strict=True):
+        assert (turn, key) == (t_ref, key_ref)
+        assert np.abs(st_.amplitudes - amps).max() <= TOL
+    for a, b in itertools.combinations(tr.snapshots, 2):
+        assert not np.shares_memory(a[2].amplitudes, b[2].amplitudes)
+
+
+def test_snapshot_is_not_changed_by_later_gates():
+    # no SWAP precedes the snapshot, so its logical-order copy is an identity
+    # transpose of the live buffer, which the final X then changes in place
+    tr = run(fixtures.always(), keep_snapshots=True)
+    (_, snap), = tr.snapshots_after_turn(2)
+    assert snap.amplitudes[0] == 1.0
+    assert tr.acceptance == 1.0

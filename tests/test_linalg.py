@@ -1,30 +1,29 @@
 """Core linear algebra: operations, spec examples, and randomized invariants."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qmip.circuits import apply_circuit, Circuit, cnot, h
-from qmip.config import ValidationError
-from qmip.linalg import (StateVector, UnitaryOp, apply, fidelity,
+from qmip.circuits import (apply_circuit, apply_gate, Circuit, cnot, h,
+                           unitary_gate, x)
+from qmip.config import NumericalCheckError, ValidationError
+from qmip.linalg import (StateVector, fidelity,
                          max_eigenpair, polar_unitary, project_norm_sq,
                          ProjectorOp, random_density, random_state,
                          random_unitary, reorder_registers, zero_state)
 
-H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-
 
 def test_apply_basis_flip():
     st = zero_state([("Q", 1)])
-    out = apply(st, UnitaryOp(X, (("Q", 0),)))
+    out = apply_gate(st, x(("Q", 0)))
     assert np.allclose(out.amplitudes, [0, 1])
 
 
 def test_apply_hadamard():
     st = zero_state([("Q", 1)])
-    out = apply(st, UnitaryOp(H, (("Q", 0),)))
+    out = apply_gate(st, h(("Q", 0)))
     assert np.allclose(out.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
@@ -38,14 +37,17 @@ def test_bell_state_preparation():
 def test_apply_rejects_unknown_register():
     st = zero_state([("Q", 1)])
     with pytest.raises(ValidationError):
-        apply(st, UnitaryOp(X, (("R", 0),)))
+        apply_gate(st, x(("R", 0)))
     with pytest.raises(ValidationError):
-        apply(st, UnitaryOp(X, (("Q", 3),)))
+        apply_gate(st, x(("Q", 3)))
 
 
 def test_unitarity_validation():
-    with pytest.raises(ValidationError, match="not unitary"):
-        UnitaryOp(np.array([[1, 0], [0, 2]], dtype=complex), (("Q", 0),))
+    # polar_unitary checks the product of its SVD factors
+    bad = (np.diag([1.0, 2.0]).astype(complex), np.ones(2), np.eye(2))
+    with mock.patch("numpy.linalg.svd", return_value=bad):
+        with pytest.raises(ValidationError, match="not unitary"):
+            polar_unitary(np.eye(2, dtype=complex))
 
 
 def test_project_norm_sq_examples():
@@ -56,6 +58,17 @@ def test_project_norm_sq_examples():
     bell = StateVector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),
                        (("Q", 2),))
     assert abs(project_norm_sq(bell, ProjectorOp.all_zero([("Q", 0)])) - 0.5) < 1e-12
+
+
+def test_project_norm_sq_raises_instead_of_clamping():
+    # |norm - 1| = 9e-10 passes StateVector's check; the mass 1 + 1.8e-9 does not
+    over = StateVector(np.array([math.sqrt(1 + 1.8e-9), 0], dtype=complex),
+                       (("Q", 1),))
+    with pytest.raises(NumericalCheckError, match="projector mass"):
+        project_norm_sq(over, ProjectorOp.all_zero(()))
+    near = StateVector(np.array([math.sqrt(1 + 5e-10), 0], dtype=complex),
+                       (("Q", 1),))
+    assert project_norm_sq(near, ProjectorOp.all_zero(())) == 1.0
 
 
 def test_complement_projector():
@@ -73,8 +86,8 @@ def test_norm_preservation_random():
         st = StateVector(random_state(2**n, rng), (("Q", int(n)),))
         targets = tuple(("Q", int(i)) for i in
                         rng.choice(n, size=d, replace=False))
-        u = UnitaryOp(random_unitary(2**d, rng), targets)
-        assert abs(apply(st, u).norm() - 1.0) <= 1e-10
+        u = unitary_gate(random_unitary(2**d, rng), targets)
+        assert abs(apply_gate(st, u).norm() - 1.0) <= 1e-10
 
 
 def test_inversion_exactness():
@@ -85,8 +98,8 @@ def test_inversion_exactness():
         st = StateVector(random_state(2**n, rng), (("Q", n),))
         targets = tuple(("Q", int(i)) for i in
                         rng.choice(n, size=d, replace=False))
-        u = UnitaryOp(random_unitary(2**d, rng), targets)
-        back = apply(apply(st, u), u.dagger())
+        u = unitary_gate(random_unitary(2**d, rng), targets)
+        back = apply_gate(apply_gate(st, u), u.dagger())
         assert np.abs(back.amplitudes - st.amplitudes).max() <= 1e-10
 
 
@@ -187,11 +200,11 @@ def test_max_eigenpair_dominates_random_vectors():
 def test_polar_of_unitary_is_itself():
     rng = np.random.default_rng(4)
     u = random_unitary(4, rng)
-    assert np.abs(polar_unitary(u).matrix - u).max() < 1e-10
+    assert np.abs(polar_unitary(u) - u).max() < 1e-10
 
 
 def test_polar_of_positive_diagonal_is_identity():
-    assert np.allclose(polar_unitary(np.diag([2.0, 0.5]).astype(complex)).matrix,
+    assert np.allclose(polar_unitary(np.diag([2.0, 0.5]).astype(complex)),
                        np.eye(2))
 
 
@@ -205,7 +218,7 @@ def test_polar_signed_diagonal_against_grid_oracle():
             val = np.trace(u.conj().T @ a).real
             if val > best:
                 best, best_u = val, u
-    u_star = polar_unitary(a).matrix
+    u_star = polar_unitary(a)
     assert np.abs(u_star - np.diag([1.0, -1.0])).max() < 1e-10
     assert np.trace(u_star.conj().T @ a).real >= best - 1e-3
 
@@ -214,7 +227,7 @@ def test_polar_beats_random_unitaries():
     rng = np.random.default_rng(6)
     for dim in (2, 4):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        u_star = polar_unitary(g).matrix
+        u_star = polar_unitary(g)
         star = np.trace(u_star.conj().T @ g).real
         assert star >= -1e-9
         assert abs(np.trace(u_star.conj().T @ g).imag) < 1e-9
@@ -224,5 +237,5 @@ def test_polar_beats_random_unitaries():
 
 
 def test_polar_rank_deficient_still_unitary():
-    u = polar_unitary(np.zeros((4, 4), dtype=complex)).matrix
+    u = polar_unitary(np.zeros((4, 4), dtype=complex))
     assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qmip import fixtures
-from qmip.circuits import Circuit, cnot, x
-from qmip.config import BudgetError, RunConfig, ValidationError
+from qmip.circuits import Circuit, Gate, cnot, x
+from qmip.config import (BudgetError, NumericalCheckError, RunConfig,
+                         ValidationError)
 from qmip.linalg import ProjectorOp, StateVector
 from qmip.model import (AcceptRule, ApplyStep, CoinStep, FinalDecision,
                         ProtocolInstance, ProverStrategy, Register,
@@ -177,3 +178,52 @@ def test_purify_rejects_conditioned_accept_events():
     rewound = rewind_to_perfect_completeness(rw).instance
     with pytest.raises(PreconditionError, match="accept events"):
         purify_coins(rewound)
+
+
+def _coin_with_rules(rules):
+    """A 1-flip coin sent to prover 1; V0 stays 0, so output_one(V0) never
+    holds."""
+    lay = RegisterLayout((Register("V", 1, "verifier"),
+                          Register("M1", 1, "message"),
+                          Register("P1", 1, "prover")))
+    spec = VerifierSpec(lay, 2, (VerifierTurn((CoinStep("c", 1, (1,)),)),),
+                        FinalDecision((), tuple(rules)))
+    shared = StateVector(np.array([1, 0], dtype=complex), (("P1", 1),))
+    return ProtocolInstance(spec, (ProverStrategy(1, (Circuit(()),)),), shared)
+
+
+def test_overlapping_accept_rules_rejected():
+    # first match gives 1/2 here, the XOR of purify_coins gives 1
+    v0 = (ProjectorOp.output_one(("V", 0)),)
+    always = (ProjectorOp.all_zero(()),)
+    overlapping = _coin_with_rules([AcceptRule(v0, when=("c", "0")),
+                                    AcceptRule(always)])
+    assert any("overlap" in p for p in validate(overlapping))
+    with pytest.raises(ValidationError, match="overlap"):
+        run(overlapping)
+    for rules in ([AcceptRule(always), AcceptRule(always)],
+                  [AcceptRule(v0, when=("c", "0")),
+                   AcceptRule(always, when=("c", "0"))]):
+        assert any("overlap" in p for p in validate(_coin_with_rules(rules)))
+    disjoint = _coin_with_rules([AcceptRule(v0, when=("c", "0")),
+                                 AcceptRule(always, when=("c", "1"))])
+    assert validate(disjoint) == []
+    assert abs(run(disjoint).acceptance - 0.5) <= 1e-12
+    assert abs(run(purify_coins(disjoint)).acceptance - 0.5) <= 1e-12
+
+
+def _scaled_output(factor):
+    """ALWAYS with a non-unitary final gate scaling every amplitude."""
+    inst = fixtures.always()
+    spec = inst.verifier
+    scale = Gate("U", factor * np.eye(2), (("V", 0),))
+    final = replace(spec.final, steps=spec.final.steps
+                    + (ApplyStep(Circuit((scale,))),))
+    return replace(inst, verifier=replace(spec, final=final))
+
+
+def test_run_raises_instead_of_clamping():
+    with pytest.raises(NumericalCheckError, match="acceptance"):
+        run(_scaled_output(1.5))
+    # within the 1e-9 probability tolerance the excess is clipped
+    assert run(_scaled_output(np.sqrt(1 + 5e-10))).acceptance == 1.0
