@@ -11,9 +11,8 @@ from .config import (DEFAULT_RUN_CONFIG, DEFAULT_TOLERANCES, BudgetError,
                      Tolerances, ValidationError)
 from .linalg import (ProjectorOp, StateVector, fidelity,
                      max_eigenpair, polar_unitary, project, project_norm_sq,
-                     pure_fidelity, random_density, random_state,
-                     random_unitary, reorder_registers, tensor_states,
-                     zero_state)
+                     random_density, random_state, random_unitary,
+                     reorder_registers, tensor_states, zero_state)
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
                     ProverStrategy, Register, RegisterLayout, Transcript,

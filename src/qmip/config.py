@@ -17,7 +17,6 @@ class Tolerances:
     probability: float = 1e-9         # slack on probabilities / honest-value identities
     psd: float = 1e-9                 # eigenvalue floor for density-operator checks
     trace: float = 1e-9               # | tr(rho) - 1 | for density operators
-    broadcast_residual: float = 1e-9  # unused; kept for config round-trips
 
     def with_(self, **kw) -> "Tolerances":
         return replace(self, **kw)

@@ -65,9 +65,6 @@ class StateVector:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def register_sizes(self) -> dict[str, int]:
-        return dict(self.layout)
-
     def qubit_position(self, qubit: Qubit) -> int:
         """Global big-endian position of (register, index)."""
         reg, idx = qubit
@@ -106,25 +103,12 @@ def tensor_states(a: StateVector, b: StateVector) -> StateVector:
                        a.normalized and b.normalized)
 
 
-def basis_state(layout: Iterable[Sequence], bits: Sequence[int]) -> StateVector:
-    lay = _as_layout(layout)
-    n = sum(q for _, q in lay)
-    if len(bits) != n:
-        raise ValidationError("bit string length does not match layout")
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | (int(b) & 1)
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[idx] = 1.0
-    return StateVector(amps, lay)
-
-
 def reorder_registers(state: StateVector, new_order: Sequence[str]) -> StateVector:
     """Permute the register order of `state` (same registers, new layout order)."""
     old_names = [name for name, _ in state.layout]
     if sorted(new_order) != sorted(old_names):
         raise ValidationError("new_order must be a permutation of the register names")
-    sizes = state.register_sizes()
+    sizes = dict(state.layout)
     positions: dict[str, list[int]] = {}
     off = 0
     for name, n in state.layout:
@@ -486,11 +470,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray,
     s = _psd_sqrt(rho)
     vals = np.linalg.eigvalsh(s @ sigma @ s)
     return float(min(np.sqrt(np.clip(vals, 0.0, None)).sum(), 1.0))
-
-
-def pure_fidelity(phi: np.ndarray, psi: np.ndarray) -> float:
-    """|<phi|psi>| for unit vectors."""
-    return float(abs(np.vdot(np.asarray(phi), np.asarray(psi))))
 
 
 # ---------------------------------------------------------------------------

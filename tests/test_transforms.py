@@ -42,6 +42,40 @@ def test_all_transform_outputs_validate():
         assert validate(inst) == []
 
 
+# --- each pass simulates its input once -----------------------------------------
+
+
+_SNAPSHOT_PASS_INPUTS = {
+    "halve": fixtures.five_turn_yes,
+    "public-coin": fixtures.three_turn,
+    "one-round": lambda: to_public_coin_3turn(fixtures.three_turn()).instance,
+    "direct-one-round": fixtures.three_turn,
+    "three-turn": fixtures.nine_turn_yes,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SNAPSHOT_PASS_INPUTS))
+def test_each_pass_runs_its_input_once(monkeypatch, name):
+    """One snapshot run of the input, whose acceptance is the honest input
+    value, then one run of the output; three-turn reuses the runs of its two
+    halvings."""
+    inst = _SNAPSHOT_PASS_INPUTS[name]()
+    calls = []
+    real_run = transforms.run
+
+    def counting_run(instance, keep_snapshots=False, **kwargs):
+        tr = real_run(instance, keep_snapshots=keep_snapshots, **kwargs)
+        calls.append((keep_snapshots, tr.acceptance))
+        return tr
+
+    monkeypatch.setattr(transforms, "run", counting_run)
+    report = transforms.PASSES[name](inst).report
+    halvings = 2 if name == "three-turn" else 1
+    assert [snap for snap, _ in calls] == [True, False] * halvings
+    assert report.input_honest == calls[0][1]
+    assert report.output_honest == calls[-1][1]
+
+
 # --- turn / prover arithmetic ------------------------------------------------
 
 
@@ -286,8 +320,11 @@ def test_direct_equals_detour():
 def test_sequential_repetition_values():
     sr = sequential_repetition(fixtures.good(), 3)
     assert abs(sr.report.output_honest - 0.75 ** 3) <= 1e-9
-    sr1 = sequential_repetition(fixtures.good(), 1)
-    assert sr1.instance.m == 2  # unchanged
+    inst = fixtures.good()
+    for repeat in (sequential_repetition, parallel_repetition_fresh_provers):
+        res = repeat(inst, 1)
+        assert res.instance is inst and res.instance.m == 2  # unchanged
+        assert res.report.notes == ("n = 1: instance unchanged",)
 
 
 def test_sequential_repetition_perfect_completeness():
