@@ -215,6 +215,16 @@ def _merged(n: int, fixed: dict[int, int], free: Sequence[int] = ()
     return tuple(shape), index, where
 
 
+def permutation_sources(matrix: np.ndarray) -> np.ndarray | None:
+    """For a 0/1 permutation matrix, the column each row takes (row j takes
+    column src[j]); None for any other matrix."""
+    m = np.asarray(matrix)
+    if (np.isin(m, (0, 1)).all() and (m.sum(axis=0) == 1).all()
+            and (m.sum(axis=1) == 1).all()):
+        return m.real.argmax(axis=1)
+    return None
+
+
 class MatrixKernel:
     """A (controlled) matrix compiled against axes of an n-qubit buffer and
     applied in place to the control-satisfied slice only. `full_matrix()` is
@@ -253,9 +263,8 @@ class MatrixKernel:
             return tuple(idx)
 
         self.cycles = self.scales = None
-        if (np.isin(m, (0, 1)).all() and (m.sum(axis=0) == 1).all()
-                and (m.sum(axis=1) == 1).all()):
-            src = m.real.argmax(axis=1)   # row j takes column src[j]
+        src = permutation_sources(m)
+        if src is not None:
             self.cycles, seen = [], set()
             for j0 in range(self.dim):
                 if j0 in seen or src[j0] == j0:

@@ -26,6 +26,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+import numpy as np
+
 from .circuits import (Circuit, Gate, cnot, h as h_gate, is_swap, mcx,
                        x as x_gate)
 # bench/layers.py traces gate applications under this name
@@ -33,8 +35,8 @@ from .circuits import apply_gate  # noqa: F401
 from .config import (DEFAULT_RUN_CONFIG, BudgetError, PreconditionError,
                      RunConfig, ValidationError)
 from .linalg import (MatrixKernel, ProjectorOp, Qubit, Slices, StateVector,
-                     checked_probability, projector_slices, tensor_states,
-                     zero_state)
+                     checked_probability, permutation_sources,
+                     projector_slices)
 
 # ---------------------------------------------------------------------------
 # registers
@@ -586,13 +588,6 @@ class Transcript:
         return [(key, st) for t, key, st in self.snapshots if t == turn]
 
 
-def initial_state(instance: ProtocolInstance) -> StateVector:
-    """|0...0> on the verifier and message registers, tensored with the shared state."""
-    layout = instance.verifier.layout
-    vm = tuple((r.name, r.qubits) for r in layout.verifier_side + layout.messages)
-    return tensor_states(zero_state(vm), instance.shared)
-
-
 def require_budget(layout: RegisterLayout, config: RunConfig) -> None:
     """Raise BudgetError when the layout has more qubits than the budget."""
     if layout.total_qubits > config.max_qubits:
@@ -601,21 +596,40 @@ def require_budget(layout: RegisterLayout, config: RunConfig) -> None:
             f"({config.max_qubits})")
 
 
-def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int
-                    ) -> tuple[list[tuple], Slices]:
-    """A flattened branch compiled against the axes of the state buffer:
-    its steps and its accept projector.
+def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
+                    classical: dict[int, int]) -> tuple[list[tuple], Slices]:
+    """A flattened branch compiled against the state buffer: its steps and
+    its accept projector.
 
-    Uncontrolled SWAPs only permute the logical-to-physical axis map at
-    compile time and move no data; every later step is compiled against the
-    mapped axes. Steps are ("gate", MatrixKernel), ("event", Slices) and
-    ("turn", turn, axes), where axes[l] is the physical axis of logical axis
-    l when the turn ends.
+    The full state has n axes. A classical axis holds a known bit and is not
+    stored: the buffer holds the live axes only, in full-state order, and
+    `classical` maps the axes that start classical to their bits. At compile
+    time an uncontrolled SWAP permutes the logical-to-full axis map and moves
+    no data; a control on a classical axis drops the gate (other bit) or the
+    control (its bit); a 0/1 permutation on classical targets without live
+    controls rewrites their bits. Any other gate first activates its
+    classical targets, one ("grow", lead, bit) step each: the buffer doubles
+    and the old amplitudes land at the known bit of the new axis, which has
+    `lead` amplitudes' worth of live axes before it. Projector slices that
+    disagree with a classical bit are dropped, and the classical pairs of
+    the rest removed.
+
+    The other steps are ("gate", MatrixKernel), ("event", Slices) and
+    ("turn", turn, index, perm): the full state in the layout's order has
+    the live buffer, with its axes permuted by perm, at `index`.
     """
-    phys = list(range(n))
+    phys = list(range(n))       # logical axis -> full-state axis
+    bits = dict(classical)      # full-state axis -> bit, for classical axes
 
-    def at(q: Qubit) -> int:
-        return phys[axis[q]]
+    def at(a: int) -> int:
+        """The buffer axis of the live full-state axis a."""
+        return sum(1 for b in range(a) if b not in bits)
+
+    def slices(projectors: Sequence[ProjectorOp]) -> Slices:
+        kept = [tuple((at(a), b) for a, b in s if a not in bits)
+                for s in projector_slices(projectors, lambda q: phys[axis[q]])
+                if all(bits.get(a, b) == b for a, b in s)]
+        return Slices(n - len(bits), kept)
 
     steps: list[tuple] = []
     for op in br.ops:
@@ -624,15 +638,32 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int
             if is_swap(g):
                 a, b = (axis[q] for q in g.targets)
                 phys[a], phys[b] = phys[b], phys[a]
-            else:
-                steps.append(("gate", MatrixKernel(
-                    g.matrix, [at(q) for q in g.targets],
-                    tuple((at(q), bit) for q, bit in g.controls), n)))
+                continue
+            controls = [(phys[axis[q]], bit) for q, bit in g.controls]
+            if any(bits.get(a, b) != b for a, b in controls):
+                continue
+            controls = [(a, b) for a, b in controls if a not in bits]
+            targets = [phys[axis[q]] for q in g.targets]
+            src = permutation_sources(g.matrix)
+            if src is not None and not controls and all(t in bits for t in targets):
+                k = int("".join(str(bits[t]) for t in targets), 2)
+                j = int(np.flatnonzero(src == k)[0])
+                for i, t in enumerate(reversed(targets)):
+                    bits[t] = (j >> i) & 1
+                continue
+            for t in targets:
+                if t in bits:
+                    steps.append(("grow", 2 ** at(t), bits.pop(t)))
+            steps.append(("gate", MatrixKernel(
+                g.matrix, [at(t) for t in targets],
+                tuple((at(a), b) for a, b in controls), n - len(bits))))
         elif op.kind == "event":
-            steps.append(("event", Slices(n, projector_slices(op.projectors, at))))
+            steps.append(("event", slices(op.projectors)))
         elif op.kind == "turn":
-            steps.append(("turn", op.turn, tuple(phys)))
-    return steps, Slices(n, projector_slices(br.accept, at))
+            index = tuple(bits.get(a, slice(None)) for a in phys)
+            perm = [at(a) for a in phys if a not in bits]
+            steps.append(("turn", op.turn, index, perm))
+    return steps, slices(br.accept)
 
 
 def run(instance: ProtocolInstance, keep_snapshots: bool = False,
@@ -642,40 +673,51 @@ def run(instance: ProtocolInstance, keep_snapshots: bool = False,
     The acceptance probability is the coin-weighted sum over branches of the
     banked accept-event masses plus the final projector mass. Summation order
     is the deterministic branch enumeration order. Each branch is compiled
-    once (`_compile_branch`) and runs in place on one writable buffer;
-    snapshots are copied out in the layout's qubit order.
+    once (`_compile_branch`) and runs in place on one writable buffer.
+
+    Qubits that hold a known bit stay out of the buffer: it starts as the
+    shared state, with every verifier and message qubit classical at 0, and
+    a qubit joins it only when a gate needs it as a target (a classical
+    control or a permutation of classical bits is resolved at compile time).
+    The budget still counts the layout's qubits. Snapshots are expanded into
+    full states in the layout's qubit order.
     """
     problems = validate(instance)
     if problems:
         raise ValidationError("; ".join(problems))
-    require_budget(instance.verifier.layout, config)
+    layout = instance.verifier.layout
+    require_budget(layout, config)
 
-    init = initial_state(instance)
-    n = init.n_qubits
+    state_layout = layout.as_state_layout()
+    n = layout.total_qubits
     axis = {q: i for i, q in enumerate(
-        (name, j) for name, size in init.layout for j in range(size))}
-    template = init.with_amplitudes(init.amplitudes, normalized=False)
+        (name, j) for name, size in state_layout for j in range(size))}
+    classical = dict.fromkeys(range(n - instance.shared.n_qubits), 0)
     branches = flatten(instance, config=config)
 
     records: list[BranchRecord] = []
     snapshots: list[tuple[int, str, StateVector]] = []
     acceptance = 0.0
     for br in branches:
-        steps, accept = _compile_branch(br, axis, n)
-        buf = init.amplitudes.copy()
+        steps, accept = _compile_branch(br, axis, n, classical)
+        buf = instance.shared.amplitudes.copy()
         events: list[float] = []
         for step in steps:
             if step[0] == "gate":
                 step[1](buf)
+            elif step[0] == "grow":
+                grown = np.zeros(2 * buf.size, dtype=buf.dtype)
+                grown.reshape(step[1], 2, -1)[:, step[2]] = buf.reshape(step[1], -1)
+                buf = grown
             elif step[0] == "event":
                 events.append(step[1].mass(buf))
                 step[1].clear(buf)
             elif keep_snapshots:
-                # transpose().copy() is always a new buffer, never a view of buf
-                logical = buf.reshape([2] * n).transpose(step[2]).copy()
-                snapshots.append(
-                    (step[1], br.history_key(),
-                     template.with_amplitudes(logical.reshape(-1), normalized=False)))
+                full = np.zeros(2 ** n, dtype=buf.dtype)
+                full.reshape([2] * n)[step[2]] = (
+                    buf.reshape([2] * len(step[3])).transpose(step[3]))
+                snapshots.append((step[1], br.history_key(),
+                                  StateVector(full, state_layout, normalized=False)))
         final_prob = accept.mass(buf)
         records.append(BranchRecord(br.history_key(), br.weight,
                                     tuple(events), final_prob, br.history))

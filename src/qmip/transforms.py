@@ -12,7 +12,8 @@ simulation of the coin and preserves acceptance probabilities.
 
 A pass is a construction run by `_run_pass`: the construction builds the
 output and names its formulas and honest-value identity; the runner purifies,
-validates, measures and checks the identity to 1e-9, and writes the report.
+validates, measures and checks the identity to the probability tolerance
+(1e-9 by default), and writes the report.
 Each pass simulates its input at most once.
 """
 
@@ -297,7 +298,7 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
             extras.update(b.out_extras(tr))
         if b.expected is not None:
             expected = b.expected(honest_in)
-            if abs(honest_out - expected) > 1e-9:
+            if abs(honest_out - expected) > config.tolerances.probability:
                 raise NumericalCheckError(
                     f"{name} honest value {honest_out:.12f} != "
                     f"{b.claimed['completeness']['formula']} = {expected:.12f}")
@@ -497,7 +498,7 @@ def make_perfectly_rewindable(instance: ProtocolInstance,
         if check:
             p_out, _ = optimal_shared_state(out.verifier, out.provers,
                                             config=config)
-            if abs(p_out - 0.5) > 1e-9:
+            if abs(p_out - 0.5) > config.tolerances.probability:
                 raise NumericalCheckError(
                     f"rewindable optimum is {p_out:.12f}, expected 0.5")
 
@@ -546,7 +547,7 @@ def rewind_to_perfect_completeness(instance: ProtocolInstance,
         _, s_in = _claims(inst)
         if check:
             p_opt, _ = optimal_shared_state(spec, inst.provers, config=config)
-            if abs(p_opt - 0.5) > 1e-9:
+            if abs(p_opt - 0.5) > config.tolerances.probability:
                 raise PreconditionError(
                     f"requires honest optimum exactly 1/2 (perfectly "
                     f"rewindable), got {p_opt:.12f}")

@@ -20,15 +20,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmip import adversary, fixtures
+from qmip import adversary, fixtures, model
 from qmip.adversary import (resize_prover_registers,
                             strategies_from_assignment)
-from qmip.circuits import Circuit, Gate, apply_gate, swap
+from qmip.circuits import Circuit, Gate, apply_gate, cnot, mcx, swap, x, z
 from qmip.linalg import (MatrixKernel, ProjectorOp, StateVector, random_state,
                          random_unitary)
 from qmip.model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
-                        FinalDecision, ProtocolInstance, VerifierSpec,
-                        VerifierTurn, flatten, make_layout, run, validate)
+                        FinalDecision, ProtocolInstance, ProverStrategy,
+                        VerifierSpec, VerifierTurn, _compile_branch, flatten,
+                        make_layout, purify_coins, run, validate)
 
 TOL = 1e-12
 FUSE_BOUNDS = [adversary.FUSE_MAX_DIM, 1]
@@ -165,7 +166,11 @@ KINDS = ["permutation", "diagonal", "phases", "dense"]
 
 
 @st.composite
-def verifiers(draw, max_qubits=7):
+def verifiers(draw, max_qubits=7, purifiable=False):
+    """A random verifier. `purifiable` keeps to what `purify_coins` turns
+    into an equivalent unitary protocol: unconditioned accept events, coins
+    without a record (each gets a fresh record register) and one projector
+    on verifier and message qubits per accept rule."""
     k = draw(st.integers(1, 2))
     q = draw(st.integers(1, 2))
     p_sizes = [draw(st.integers(1, 2)) for _ in range(k)]
@@ -200,18 +205,18 @@ def verifiers(draw, max_qubits=7):
             return cid, draw(st.text("01", min_size=flips, max_size=flips))
         return None
 
-    def projector(depth=0):
+    def projector(pool, depth=0):
         kind = draw(st.sampled_from(["output_one", "all_zero", "complement"]
                                     if depth == 0 else ["output_one", "all_zero"]))
         if kind == "output_one":
-            return ProjectorOp.output_one(draw(st.sampled_from(every)))
+            return ProjectorOp.output_one(draw(st.sampled_from(pool)))
         if kind == "all_zero":
             return ProjectorOp.all_zero(
-                draw(st.lists(st.sampled_from(every), max_size=3, unique=True)))
-        return ProjectorOp.complement(projector(depth + 1))
+                draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)))
+        return ProjectorOp.complement(projector(pool, depth + 1))
 
-    def projectors():
-        return tuple(projector() for _ in range(draw(st.integers(1, 2))))
+    def projectors(pool=every, most=2):
+        return tuple(projector(pool) for _ in range(draw(st.integers(1, most))))
 
     def apply_step():
         gates = tuple(gate() for _ in range(draw(st.integers(1, 4))))
@@ -226,12 +231,13 @@ def verifiers(draw, max_qubits=7):
                 flips = draw(st.integers(1, q))
                 recipients = tuple(i for i in range(1, k + 1) if draw(st.booleans()))
                 record = None
-                if flips <= n_v and draw(st.booleans()):
+                if flips <= n_v and not purifiable and draw(st.booleans()):
                     record = tuple(("V", i) for i in range(flips))
                 out.append(CoinStep(cid, flips, recipients, record))
                 coins.append((cid, flips))
             elif kind == "event":
-                out.append(AcceptNowStep(projectors(), when=condition()))
+                out.append(AcceptNowStep(
+                    projectors(), when=None if purifiable else condition()))
             else:
                 out.append(apply_step())
         return tuple(out)
@@ -240,10 +246,12 @@ def verifiers(draw, max_qubits=7):
     final_steps = steps(allow_coins=False)
     # one default rule, or one rule per outcome of one coin (rules may not
     # overlap)
-    rules = [AcceptRule(projectors())]
+    # a purified accept rule is a verifier circuit reading its qubits
+    pool, most = (vm, 1) if purifiable else (every, 2)
+    rules = [AcceptRule(projectors(pool, most))]
     if coins and draw(st.booleans()):
         cid, flips = draw(st.sampled_from(coins))
-        rules = [AcceptRule(projectors(), when=(cid, "".join(bits)))
+        rules = [AcceptRule(projectors(pool, most), when=(cid, "".join(bits)))
                  for bits in itertools.product("01", repeat=flips)]
     return VerifierSpec(layout, m, turns, FinalDecision(final_steps, tuple(rules)))
 
@@ -377,12 +385,12 @@ def test_kernel_equals_full_matrix_reference_16_qubits(block, kind):
         _kernel_against_reference(16, gate, 17)
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1))
-def test_run_equals_reference(spec, seed):
-    _, _, _, inst = _setup(spec, seed)
+def _run_against_reference(inst):
+    """`run(keep_snapshots=True)` of `inst` against the per-gate reference:
+    acceptance, branch records and snapshots to 1e-12; no two snapshots share
+    memory."""
     tr = run(inst, keep_snapshots=True)
-    ref = _Reference(spec.layout.as_state_layout())
+    ref = _Reference(inst.verifier.layout.as_state_layout())
     init = np.zeros((ref.dim, 1), dtype=np.complex128)
     init[:inst.shared.dim, 0] = inst.shared.amplitudes
     acceptance, records, snapshots = ref.run(flatten(inst), init)
@@ -396,6 +404,77 @@ def test_run_equals_reference(spec, seed):
         assert np.abs(st_.amplitudes - amps).max() <= TOL
     for a, b in itertools.combinations(tr.snapshots, 2):
         assert not np.shares_memory(a[2].amplitudes, b[2].amplitudes)
+    return tr
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1))
+def test_run_equals_reference(spec, seed):
+    _run_against_reference(_setup(spec, seed)[3])
+
+
+# --- lazy qubits: each compile-time path of `model._compile_branch` -----------
+
+V0, V1, V2, M, P0, P1 = ("V", 0), ("V", 1), ("V", 2), ("M1", 0), ("P1", 0), ("P1", 1)
+_H = _matrix("dense", 2, np.random.default_rng(5))
+_PHASES = _matrix("phases", 2, np.random.default_rng(6))
+_ONE, _ZERO = ProjectorOp.output_one, ProjectorOp.all_zero
+_NOT = ProjectorOp.complement
+
+# (gates of the verifier's turn, its event or None, accept projector,
+#  grow steps, gate kernels, live slices of the event, live slices of accept).
+# The prover's first turn swaps P1[0] into M1, so M1 and P1[1] are live and
+# V, P1[0] classical at 0 when the verifier moves.
+LAZY_CASES = {
+    "bit-rewrites": ([x(V0), cnot(V0, V1), mcx(((V0, 1), (V1, 1)), V2)],
+                     None, _ONE(V2), 0, 0, [], 1),
+    "control-at-its-bit": ([x(V1), Gate("U", _H, (M,), ((V1, 1),))],
+                           None, _ONE(M), 0, 1, [], 1),
+    "control-at-other-bit": ([Gate("U", _H, (M,), ((V1, 1),))],
+                             None, _ONE(M), 0, 0, [], 1),
+    "dense-activation": ([Gate("U", _H, (V0,)), Gate("U", _H, (M,), ((V0, 1),))],
+                         None, _ONE(V0), 1, 2, [], 1),
+    "diagonal-activation": ([x(V0), z(V0), Gate("U", _PHASES, (V1,))],
+                            None, _ZERO([V0, M]), 2, 2, [], 1),
+    "cnot-onto-classical": ([cnot(M, V0)], None, _ONE(V0), 1, 1, [], 1),
+    "swap-classical-live": ([swap(V0, M), x(M), Gate("U", _H, (V0,))],
+                            None, _ONE(M), 0, 1, [], 1),
+    "event-constant-false": ([], _ONE(V0), _ZERO([V0, M]), 0, 0, [0], 1),
+    "event-constant-true": ([x(V1)], _ONE(V1), _ONE(M), 0, 0, [1], 1),
+    "complement-constant-true": ([], _NOT(_ONE(V1)), _ONE(M), 0, 0, [1], 1),
+    "complement-partly-classical": ([], _NOT(_ZERO([V0, M])), _ONE(P1),
+                                    0, 0, [1], 1),
+    "accept-constant-true": ([x(V2)], None, _NOT(_ZERO([V0, V2])), 0, 0, [], 1),
+    "accept-constant-false": ([], None, _NOT(_ZERO([V0, V2])), 0, 0, [], 0),
+}
+
+
+@pytest.mark.parametrize("case", LAZY_CASES)
+def test_lazy_paths_equal_reference(case):
+    gates, event, accept, grows, kernels, event_slices, accept_slices = LAZY_CASES[case]
+    layout = make_layout([("V", 3)], 1, 1, [2])
+    steps = (ApplyStep(Circuit(tuple(gates))),)
+    if event is not None:
+        steps += (AcceptNowStep((event,)),)
+    spec = VerifierSpec(layout, 3, (VerifierTurn(steps),),
+                        FinalDecision((), (AcceptRule((accept,)),)))
+    prover = ProverStrategy(1, (Circuit((swap(P0, M),)), Circuit(())))
+    inst = ProtocolInstance(spec, (prover,), StateVector(
+        random_state(4, np.random.default_rng(3)), (("P1", 2),)))
+    compiled = []
+
+    def spy(*args):
+        compiled.append(_compile_branch(*args))
+        return compiled[-1]
+
+    with mock.patch.object(model, "_compile_branch", spy):
+        tr = _run_against_reference(inst)
+    (steps, final), = compiled
+    kinds = [s[0] for s in steps]
+    assert (kinds.count("grow"), kinds.count("gate")) == (grows, kernels)
+    assert [len(s[1].views) for s in steps if s[0] == "event"] == event_slices
+    assert len(final.views) == accept_slices
+    assert [t for t, _, _ in tr.snapshots] == [1, 2, 3]
 
 
 def test_snapshot_is_not_changed_by_later_gates():
@@ -405,3 +484,18 @@ def test_snapshot_is_not_changed_by_later_gates():
     (_, snap), = tr.snapshots_after_turn(2)
     assert snap.amplitudes[0] == 1.0
     assert tr.acceptance == 1.0
+
+
+# --- run == run o purify_coins -------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=verifiers(max_qubits=8, purifiable=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_run_equals_run_of_purified(spec, seed):
+    # purified coins are Hadamards on fresh |0> record qubits, so the
+    # purified run also activates classical qubits by a dense gate
+    inst = _setup(spec, seed)[3]
+    tr = run(inst)
+    assert abs(sum(rec.weight for rec in tr.branches) - 1.0) <= TOL
+    assert abs(run(purify_coins(inst)).acceptance - tr.acceptance) <= 1e-10

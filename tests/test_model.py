@@ -1,21 +1,22 @@
 """Protocol model: validation, execution, coins, purification."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qmip import fixtures
-from qmip.circuits import Circuit, Gate, cnot, x
+from qmip import fixtures, model
+from qmip.circuits import Circuit, Gate, cnot, h, x
 from qmip.config import (BudgetError, NumericalCheckError, RunConfig,
                          ValidationError)
 from qmip.linalg import ProjectorOp, StateVector
 from qmip.model import (AcceptRule, ApplyStep, CoinStep, FinalDecision,
                         ProtocolInstance, ProverStrategy, Register,
                         RegisterLayout, VerifierSpec, VerifierTurn,
-                        acceptance_probability, is_public_coin, purify_coins,
-                        run, turn_owner, validate)
-from qmip.transforms import (direct_two_turn, halve_turns,
+                        acceptance_probability, is_public_coin, make_layout,
+                        purify_coins, run, turn_owner, validate)
+from qmip.transforms import (direct_two_turn, halve_turns, run_pipeline,
                              to_public_coin_3turn)
 
 
@@ -105,6 +106,44 @@ def test_coin_budget():
 def test_qubit_budget():
     with pytest.raises(BudgetError):
         run(fixtures.chsh(), config=RunConfig(max_qubits=3))
+
+
+def test_run_never_allocates_the_full_state():
+    # the 21-qubit one-round output of five_turn_yes holds 2^21 amplitudes
+    # (32 MiB); its verifier and message qubits stay classical until a gate
+    # needs them, so the run's buffers stay far smaller
+    inst = run_pipeline(fixtures.five_turn_yes()).instance
+    assert inst.verifier.layout.total_qubits == 21
+    tracemalloc.start()
+    try:
+        acceptance = run(inst).acceptance
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(acceptance - 1.0) <= 1e-9
+    assert peak < 8 * 2**20
+
+
+def test_qubit_budget_counts_layout_qubits(monkeypatch):
+    # 23 qubits, of which the verifier touches two: the run would need a
+    # buffer of 2^3 amplitudes, but the budget counts the layout
+    layout = make_layout([("V", 20)], 1, 1, [2])
+    send = Circuit((h(("V", 0)), cnot(("V", 0), ("M1", 0))))
+    spec = VerifierSpec(
+        layout, 2, (VerifierTurn((ApplyStep(send),)),),
+        FinalDecision((), (AcceptRule((ProjectorOp.output_one(("P1", 0)),)),)))
+    copy = ProverStrategy(1, (Circuit((cnot(("M1", 0), ("P1", 0)),)),))
+    shared = StateVector(np.array([1, 0, 0, 0], dtype=complex), (("P1", 2),))
+    inst = ProtocolInstance(spec, (copy,), shared)
+    assert layout.total_qubits == 23
+    assert abs(run(inst, config=RunConfig(max_qubits=23)).acceptance - 0.5) <= 1e-12
+
+    def no_flatten(*args, **kwargs):
+        raise AssertionError("flattened before the budget check")
+
+    monkeypatch.setattr(model, "flatten", no_flatten)
+    with pytest.raises(BudgetError, match="23 qubits exceed"):
+        run(inst)
 
 
 def _hidden_coin_variant():

@@ -1,6 +1,7 @@
 """Transformation passes: turn arithmetic, honest identities, rewinding
 algebra, and empirical soundness audits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from qmip import files, fixtures, transforms
 from qmip.adversary import SeesawConfig, optimal_shared_state, seesaw
 from qmip.circuits import circuit_matrix
-from qmip.config import NumericalCheckError, PreconditionError
+from qmip.config import (NumericalCheckError, PreconditionError, RunConfig,
+                         Tolerances)
 from qmip.linalg import ProjectorOp, project, zero_state, tensor_states
 from qmip.model import run, validate
 from qmip.transforms import (direct_two_turn, halve_turns,
@@ -74,6 +76,53 @@ def test_each_pass_runs_its_input_once(monkeypatch, name):
     assert [snap for snap, _ in calls] == [True, False] * halvings
     assert report.input_honest == calls[0][1]
     assert report.output_honest == calls[-1][1]
+
+
+def _planted_runs(monkeypatch):
+    """Every honest run of a pass reads 1e-8 above its true acceptance."""
+    real_run = transforms.run
+
+    def run_plus(instance, **kwargs):
+        tr = real_run(instance, **kwargs)
+        return dataclasses.replace(tr, acceptance=tr.acceptance + 1e-8)
+
+    monkeypatch.setattr(transforms, "run", run_plus)
+
+
+def _planted_optimum(monkeypatch):
+    """An honest optimum at 1/2 reads 1e-8 above it."""
+    real = transforms.optimal_shared_state
+
+    def optimum_plus(*args, **kwargs):
+        p, phi = real(*args, **kwargs)
+        return (p + 1e-8 if abs(p - 0.5) < 1e-6 else p), phi
+
+    monkeypatch.setattr(transforms, "optimal_shared_state", optimum_plus)
+
+
+def _rw_good():
+    return files.load(fixtures.fixtures_dir() / "rw_good.json")
+
+
+# (planted value, pass, error at the default tolerance)
+_PLANTED = {
+    "honest-identity": (_planted_runs, lambda cfg: rewind_to_perfect_completeness(
+        _rw_good(), config=cfg), NumericalCheckError),
+    "rewindable-optimum": (_planted_optimum, lambda cfg: make_perfectly_rewindable(
+        fixtures.good(), config=cfg), NumericalCheckError),
+    "rewind-premise": (_planted_optimum, lambda cfg: rewind_to_perfect_completeness(
+        _rw_good(), config=cfg), PreconditionError),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_PLANTED))
+def test_pass_checks_read_the_probability_tolerance(monkeypatch, check):
+    plant, run_pass, error = _PLANTED[check]
+    plant(monkeypatch)
+    with pytest.raises(error):
+        run_pass(RunConfig())
+    loose = RunConfig(tolerances=Tolerances(probability=1e-7))
+    assert run_pass(loose).report.output_honest is not None
 
 
 # --- turn / prover arithmetic ------------------------------------------------
