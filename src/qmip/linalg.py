@@ -219,7 +219,7 @@ def permutation_sources(matrix: np.ndarray) -> np.ndarray | None:
     """For a 0/1 permutation matrix, the column each row takes (row j takes
     column src[j]); None for any other matrix."""
     m = np.asarray(matrix)
-    if (np.isin(m, (0, 1)).all() and (m.sum(axis=0) == 1).all()
+    if (((m == 0) | (m == 1)).all() and (m.sum(axis=0) == 1).all()
             and (m.sum(axis=1) == 1).all()):
         return m.real.argmax(axis=1)
     return None

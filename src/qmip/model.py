@@ -644,8 +644,10 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
                 continue
             controls = [(a, b) for a, b in controls if a not in bits]
             targets = [phys[axis[q]] for q in g.targets]
-            src = permutation_sources(g.matrix)
-            if src is not None and not controls and all(t in bits for t in targets):
+            src = None
+            if not controls and all(t in bits for t in targets):
+                src = permutation_sources(g.matrix)
+            if src is not None:
                 k = int("".join(str(bits[t]) for t in targets), 2)
                 j = int(np.flatnonzero(src == k)[0])
                 for i, t in enumerate(reversed(targets)):
