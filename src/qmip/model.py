@@ -609,8 +609,8 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
     control (its bit); a 0/1 permutation on classical targets without live
     controls rewrites their bits. Any other gate first activates its
     classical targets, one ("grow", lead, bit) step each: the buffer doubles
-    and the old amplitudes land at the known bit of the new axis, which has
-    `lead` amplitudes' worth of live axes before it. Projector slices that
+    and the old amplitudes land at the known bit of the new axis (`lead` is
+    2 to the number of live axes before it). Projector slices that
     disagree with a classical bit are dropped, and the classical pairs of
     the rest removed.
 

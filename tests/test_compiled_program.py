@@ -10,7 +10,11 @@ bound (fused segments) and with a bound of 1 (one step per gate).
 
 `model.run`'s in-place slice kernel (`linalg.MatrixKernel`) is checked gate by
 gate against the same reference, and `run(keep_snapshots=True)` branch by
-branch, including the snapshots it copies out.
+branch, including the snapshots it copies out. Hand-written cases take each
+compile-time path of the lazy qubits in `run` once (bit rewrites, classical
+controls, activations, SWAPs of classical and live qubits, projectors fixed
+by classical bits), and random protocols compare `run` with
+`run∘purify_coins`.
 """
 
 import itertools
