@@ -47,7 +47,7 @@ instance = ProtocolInstance(spec, (prover,), shared,
 
 print("validation problems:", validate(instance))
 
-transcript = run(instance, keep_snapshots=True)
+transcript = run(instance, snapshot_turns=range(1, instance.m + 1))
 print(f"acceptance probability: {transcript.acceptance:.12f}")
 # No strategy can beat 1/2: the coin never leaves the verifier's space.
 

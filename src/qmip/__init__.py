@@ -16,8 +16,8 @@ from .linalg import (ProjectorOp, StateVector, fidelity,
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
                     ProverStrategy, Register, RegisterLayout, Transcript,
-                    VerifierSpec, VerifierTurn, acceptance_probability,
-                    is_public_coin, purify_coins, run, turn_owner, validate)
+                    VerifierSpec, VerifierTurn, is_public_coin, purify_coins,
+                    run, turn_owner, validate)
 from .transforms import (PASSES, PipelineResult, TransformReport,
                          TransformResult, direct_two_turn, halve_turns,
                          make_perfectly_rewindable, pad_turns,

@@ -23,7 +23,8 @@ over the whole state, built once, and above that it stays one step per gate
 with the gate's matrix and axes precomputed. A prover slot holds a row
 permutation that brings its qubits to the front, so the slot's unitary is one
 matmul; the same permutation gives the environment contraction. Events and
-accept rules are 0/1 masks over the basis. Backward passes apply adjoints as
+accept rules are 0/1 masks over the basis, cut by `linalg.projector_slices`
+as in `model.run`. Backward passes apply adjoints as
 conj(M^T conj(x)), so no daggered copy of a step is built or stored.
 
 The environment operators of the see-saw audits are often rank deficient
@@ -45,19 +46,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Gate, ry
+from .circuits import _SWAP, Circuit, Gate, ry
 from .config import (DEFAULT_RUN_CONFIG, NumericalCheckError,
                      PreconditionError, RunConfig, ValidationError)
-from .linalg import ProjectorOp, Qubit, StateVector, polar_unitary, random_unitary
-from .model import (FlatBranch, ProtocolInstance, ProverStrategy,
-                    Register, RegisterLayout, VerifierSpec, flatten,
-                    require_budget, run)
-
-_SWAP4 = np.array(
-    [[1, 0, 0, 0],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1]], dtype=np.complex128)
+from .linalg import (ProjectorOp, Qubit, Slices, StateVector, polar_unitary,
+                     projector_slices, random_unitary, zero_state)
+from .model import (ProtocolInstance, ProverStrategy, Register,
+                    RegisterLayout, VerifierSpec, flatten, require_budget,
+                    run)
 
 FUSE_MAX_DIM = 256
 """Largest state dimension 2^n whose verifier segments fuse into one matrix."""
@@ -70,22 +66,41 @@ Assignment = dict[tuple[int, int], np.ndarray]
 
 
 class _Program:
-    """The coin branches of one layout as step lists, compiled once.
+    """The coin branches of one verifier as step lists, compiled once.
+
+    The layout's qubit budget is checked before anything is built. With
+    `provers`, their circuits are inlined as verifier gates; without, each
+    prover turn is a slot: `keys` lists the (prover, turn) slots in sorted
+    order and `dims[key]` is the dimension of a slot's unitary. `d_p` is the
+    dimension of the joint prover space.
 
     Steps are ("matrix", M) for a fused segment, ("gate", M, axes) for one
     gate above the fusion bound, ("prover", key, perm) for a prover slot and
     ("event", mask) for an accept event.
     """
 
-    def __init__(self, layout: RegisterLayout, branches: Sequence[FlatBranch]):
+    def __init__(self, spec: VerifierSpec, config: RunConfig,
+                 provers: Sequence[ProverStrategy] | None = None):
+        layout = spec.layout
+        require_budget(layout, config)
+        prover_layout = tuple((r.name, r.qubits) for r in layout.provers)
+        if provers is None:
+            branches = flatten(verifier=spec, config=config)
+        else:
+            branches = flatten(ProtocolInstance(spec, tuple(provers),
+                                                zero_state(prover_layout)),
+                               config=config)
         self.n = layout.total_qubits
         self.dim = 2 ** self.n
         self.pos: dict[Qubit, int] = {}
         for r in layout.registers:
             for i in range(r.qubits):
                 self.pos[(r.name, i)] = len(self.pos)
-        self.d_p = _prover_dim(layout)
-        self._index = np.arange(self.dim).reshape(-1, 1)
+        self.d_p = 2 ** sum(q for _, q in prover_layout)
+        self.keys = sorted({op.prover_key for br in branches for op in br.ops
+                            if op.kind == "prover"})
+        self.dims = {key: 2 ** (layout.provers[key[0] - 1].qubits
+                                + layout.message_qubits) for key in self.keys}
         perms: dict[tuple[Qubit, ...], np.ndarray] = {}
         self.branches = []
         for br in branches:
@@ -125,25 +140,13 @@ class _Program:
         """Row order with `qubits` as the leading bits, the rest in place."""
         axes = [self.pos[q] for q in qubits]
         rest = [a for a in range(self.n) if a not in axes]
-        return self._index.reshape([2] * self.n).transpose(axes + rest).reshape(-1)
-
-    def _holds(self, p: ProjectorOp) -> np.ndarray:
-        if p.kind == "complement":
-            return ~self._holds(p.inner)
-        bits = [(self._index >> (self.n - 1 - self.pos[q])) & 1 for q in p.qubits]
-        if p.kind == "output_one":
-            return bits[0] == 1
-        keep = np.ones((self.dim, 1), dtype=bool)
-        for b in bits:
-            keep &= b == 0
-        return keep
+        index = np.arange(self.dim).reshape([2] * self.n)
+        return index.transpose(axes + rest).reshape(-1)
 
     def _mask(self, projectors: Sequence[ProjectorOp]) -> np.ndarray:
         """The conjunction of commuting diagonal projectors, a (dim, 1) column."""
-        keep = np.ones((self.dim, 1), dtype=bool)
-        for p in projectors:
-            keep &= self._holds(p)
-        return keep.astype(np.float64)
+        return Slices(self.n, projector_slices(projectors, self.pos.__getitem__)
+                      ).kept(np.ones((self.dim, 1)))
 
     # -- kernels
 
@@ -204,14 +207,6 @@ class _Program:
         hits.append(cols * accept)
         return hits
 
-    def value(self, prover_col: np.ndarray,
-              assignment: Assignment | None) -> float:
-        """Acceptance probability of the shared state in prover_col."""
-        init = self._initial_columns(prover_col)
-        return sum(w * sum(float(np.vdot(v, v).real)
-                           for v in self._hits(steps, accept, init, assignment))
-                   for w, steps, accept in self.branches)
-
     def acceptance_operator(self, assignment: Assignment | None,
                             prover_cols: np.ndarray) -> np.ndarray:
         """A with <Phi|A|Phi> = acceptance, restricted to span(prover_cols)."""
@@ -262,10 +257,6 @@ class _Program:
         return env
 
 
-def _prover_dim(layout: RegisterLayout) -> int:
-    return 2 ** sum(r.qubits for r in layout.provers)
-
-
 # ---------------------------------------------------------------------------
 # optimal shared state
 
@@ -279,25 +270,20 @@ def optimal_shared_state(verifier: VerifierSpec,
     Returns (p_max, state). With check=True the state is re-simulated and
     must reproduce p_max within 1e-9.
     """
-    layout = verifier.layout
-    require_budget(layout, config)
-    d_p = _prover_dim(layout)
+    program = _Program(verifier, config, provers)
+    d_p = program.d_p
     if d_p > 2 ** 12:
         raise PreconditionError(
             f"joint prover space 2^{int(math.log2(d_p))} exceeds the eigensolver budget")
-    first = np.zeros(d_p, dtype=np.complex128)
-    first[0] = 1.0
-    dummy = StateVector(first, tuple((r.name, r.qubits) for r in layout.provers))
-    inst = ProtocolInstance(verifier, tuple(provers), dummy)
-    program = _Program(layout, flatten(inst, config=config))
     a = program.acceptance_operator(None, np.eye(d_p, dtype=np.complex128))
     vals, vecs = np.linalg.eigh(a)
     p_max = float(vals[-1])
     vec = vecs[:, -1]
     state = StateVector(vec / np.linalg.norm(vec),
-                        tuple((r.name, r.qubits) for r in layout.provers))
+                        tuple((r.name, r.qubits) for r in verifier.layout.provers))
     if check:
-        resim = run(inst.with_shared(state), config=config).acceptance
+        resim = run(ProtocolInstance(verifier, tuple(provers), state),
+                    config=config).acceptance
         if abs(resim - p_max) > 1e-9:
             raise NumericalCheckError(
                 f"eigenvalue {p_max:.12f} vs re-simulated {resim:.12f}")
@@ -405,25 +391,19 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
     """
     spec = resize_prover_registers(verifier, cfg.prover_dims)
     layout = spec.layout
-    require_budget(layout, config)
     if cfg.product_groups is not None:
         flat = [i for g in cfg.product_groups for i in g]
         if sorted(flat) != list(range(1, layout.k + 1)):
             raise ValidationError("product groups must partition the provers")
-    branches = flatten(verifier=spec, config=config)
-    program = _Program(layout, branches)
-    d_p = _prover_dim(layout)
-    keys = sorted({op.prover_key for br in branches for op in br.ops
-                   if op.kind == "prover"},
-                  key=lambda k: (k[1], k[0]))
-    dims = {key: 2 ** (layout.provers[key[0] - 1].qubits
-                       + layout.message_qubits) for key in keys}
+    program = _Program(spec, config)
+    keys = sorted(program.keys, key=lambda k: (k[1], k[0]))
 
     best: tuple[float, int, Assignment, np.ndarray, list[float], bool] | None = None
     restart_values = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        assignment: Assignment = {k: random_unitary(dims[k], rng) for k in keys}
+        assignment: Assignment = {k: random_unitary(program.dims[k], rng)
+                                  for k in keys}
         if cfg.product_groups is None:
             group_states = None
         else:
@@ -438,7 +418,7 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
         prev = -1.0
         for _ in range(cfg.max_sweeps):
             if cfg.product_groups is None:
-                basis = np.eye(d_p, dtype=np.complex128)
+                basis = np.eye(program.d_p, dtype=np.complex128)
                 a = program.acceptance_operator(assignment, basis)
                 _, vecs = np.linalg.eigh(a)
                 shared = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
@@ -448,7 +428,8 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
             for key in keys:
                 assignment[key] = polar_unitary(
                     program.environment(shared[:, None], assignment, key))
-            value = program.value(shared[:, None], assignment)
+            value = float(program.acceptance_operator(
+                assignment, shared[:, None])[0, 0].real)
             trace.append(value)
             if value - prev < cfg.convergence_tol:
                 converged = True
@@ -479,23 +460,16 @@ def random_search(verifier: VerifierSpec, prover_dims: Sequence[int],
 
     A lower-bound oracle, independent of the see-saw path.
     """
-    spec = resize_prover_registers(verifier, prover_dims)
-    layout = spec.layout
-    require_budget(layout, config)
-    branches = flatten(verifier=spec, config=config)
-    program = _Program(layout, branches)
-    d_p = _prover_dim(layout)
-    keys = sorted({op.prover_key for br in branches for op in br.ops
-                   if op.kind == "prover"})
-    dims = {key: 2 ** (layout.provers[key[0] - 1].qubits
-                       + layout.message_qubits) for key in keys}
+    program = _Program(resize_prover_registers(verifier, prover_dims), config)
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(samples):
-        assignment = {k: random_unitary(dims[k], rng) for k in keys}
-        v = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
+        assignment = {k: random_unitary(program.dims[k], rng)
+                      for k in program.keys}
+        v = rng.standard_normal(program.d_p) + 1j * rng.standard_normal(program.d_p)
         v /= np.linalg.norm(v)
-        best = max(best, program.value(v[:, None], assignment))
+        best = max(best, float(
+            program.acceptance_operator(assignment, v[:, None])[0, 0].real))
     return best
 
 
@@ -512,7 +486,7 @@ def _grid_turn_unitary(theta0: float, theta1: float) -> np.ndarray:
         for p_out in (0, 1):
             for p_in in (0, 1):
                 c[2 * p_out + m_bit, 2 * p_in + m_bit] = r[p_out, p_in]
-    return _SWAP4 @ c
+    return _SWAP @ c
 
 
 def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
@@ -532,12 +506,8 @@ def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
     if layout.message_qubits != 1 or any(r.qubits != 1 for r in layout.provers):
         raise PreconditionError(
             "grid search needs 1-qubit private and message registers per prover turn")
-    require_budget(layout, config)
-    branches = flatten(verifier=verifier, config=config)
-    program = _Program(layout, branches)
-    d_p = _prover_dim(layout)
-    keys = sorted({op.prover_key for br in branches for op in br.ops
-                   if op.kind == "prover"})
+    program = _Program(verifier, config)
+    keys = program.keys
     points = max(2, int(round(2 * math.pi / grid)))
     angles = [2 * math.pi * j / points for j in range(points)]
 
@@ -553,7 +523,7 @@ def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
             f"grid of {points}^{2*len(free)} points exceeds the exhaustion "
             f"budget ({max_evals})")
 
-    basis = np.eye(d_p, dtype=np.complex128)
+    basis = np.eye(program.d_p, dtype=np.complex128)
     best = 0.0
     assignment: Assignment = {
         k: _grid_turn_unitary(*pinned[k]) for k in pinned}

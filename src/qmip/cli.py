@@ -57,7 +57,8 @@ def cmd_simulate(args) -> int:
             strat["shared_amplitudes"],
             tuple((r.name, r.qubits) for r in spec.layout.provers))
         inst = inst.__class__(spec, strat["strategies"], shared, inst.meta)
-    tr = run(inst, keep_snapshots=args.snapshots, config=cfg)
+    tr = run(inst, snapshot_turns=range(1, inst.m + 1) if args.snapshots else (),
+             config=cfg)
     print(f"p_acc = {tr.acceptance:.12f}")
     if args.snapshots:
         out = _out_dir(args)

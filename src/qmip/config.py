@@ -6,7 +6,7 @@ loosen lives here rather than being buried as a literal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -17,9 +17,6 @@ class Tolerances:
     probability: float = 1e-9         # slack on probabilities / honest-value identities
     psd: float = 1e-9                 # eigenvalue floor for density-operator checks
     trace: float = 1e-9               # | tr(rho) - 1 | for density operators
-
-    def with_(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)

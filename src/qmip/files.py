@@ -23,7 +23,7 @@ from .linalg import ProjectorOp, StateVector
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
                     ProverStrategy, Register, RegisterLayout, VerifierSpec,
-                    VerifierTurn, turn_owner, validate)
+                    VerifierTurn, require_valid, turn_owner)
 
 FORMAT_TAG = "qmip-protocol/1"
 STRATEGY_TAG = "qmip-strategy/1"
@@ -204,6 +204,37 @@ def _when_dec(v, path: str):
     return (str(v[0]), str(v[1]))
 
 
+def _steps_dec(values, circuits: dict[str, Circuit], path: str,
+               turn: int | None) -> tuple:
+    """The verifier steps at `path`: those of verifier turn `turn`, which
+    names a coin without an id, or with `turn` None the final steps, which
+    may not hold coins."""
+    steps: list = []
+    for si, sv in enumerate(values):
+        spath = f"{path}[{si}]"
+        if "apply" in sv:
+            steps.append(ApplyStep(
+                _circuit_dec(sv["apply"], circuits, spath),
+                _when_dec(sv.get("when"), spath)))
+        elif "coin" in sv and turn is not None:
+            cv = sv["coin"]
+            rec = cv.get("record")
+            steps.append(CoinStep(
+                str(cv.get("id", f"coin{turn}")), int(cv.get("flips", 1)),
+                tuple(int(r) for r in cv.get("recipients", [])),
+                None if rec is None else tuple(
+                    _qubit_dec(q, spath) for q in rec)))
+        elif "accept_now" in sv:
+            steps.append(AcceptNowStep(
+                tuple(_proj_dec(p, spath) for p in sv["accept_now"]),
+                _when_dec(sv.get("when"), spath)))
+        elif turn is None:
+            raise _err(spath, "final steps are apply / accept_now")
+        else:
+            raise _err(spath, "steps are apply / coin / accept_now")
+    return tuple(steps)
+
+
 # ---------------------------------------------------------------------------
 # instance <-> dict
 
@@ -222,29 +253,31 @@ def instance_to_dict(instance: ProtocolInstance) -> dict:
         circuits[nm] = _circuit_enc(c)
         return nm
 
+    def steps_enc(steps, base: str) -> list[dict]:
+        out = []
+        for s in steps:
+            if isinstance(s, ApplyStep):
+                out.append({"apply": name_circuit(base, s.circuit),
+                            "when": _when_enc(s.when)})
+            elif isinstance(s, CoinStep):
+                out.append({"coin": {
+                    "id": s.coin_id, "flips": s.flips,
+                    "recipients": list(s.recipients),
+                    "record": None if s.record is None
+                    else [_qubit_enc(q) for q in s.record]}})
+            else:
+                out.append({"accept_now": [_proj_enc(p) for p in s.projectors],
+                            "when": _when_enc(s.when)})
+        return out
+
     turns_out: list[dict] = []
     v_idx = 0
     p_idx = 0
     for t in range(1, spec.m + 1):
         if turn_owner(spec.m, t) == "V":
             v_idx += 1
-            steps_out = []
-            for s in spec.turns[v_idx - 1].steps:
-                if isinstance(s, ApplyStep):
-                    steps_out.append({
-                        "apply": name_circuit(f"v{v_idx}", s.circuit),
-                        "when": _when_enc(s.when)})
-                elif isinstance(s, CoinStep):
-                    steps_out.append({"coin": {
-                        "id": s.coin_id, "flips": s.flips,
-                        "recipients": list(s.recipients),
-                        "record": None if s.record is None
-                        else [_qubit_enc(q) for q in s.record]}})
-                else:
-                    steps_out.append({
-                        "accept_now": [_proj_enc(p) for p in s.projectors],
-                        "when": _when_enc(s.when)})
-            turns_out.append({"owner": "verifier", "steps": steps_out})
+            turns_out.append({"owner": "verifier", "steps": steps_enc(
+                spec.turns[v_idx - 1].steps, f"v{v_idx}")})
         else:
             p_idx += 1
             entry = {}
@@ -253,14 +286,7 @@ def instance_to_dict(instance: ProtocolInstance) -> dict:
                     f"p{p.index}_t{p_idx}", p.circuits[p_idx - 1])
             turns_out.append({"owner": "provers", "circuits": entry})
 
-    final_steps = []
-    for s in spec.final.steps:
-        if isinstance(s, ApplyStep):
-            final_steps.append({"apply": name_circuit("final", s.circuit),
-                                "when": _when_enc(s.when)})
-        else:
-            final_steps.append({"accept_now": [_proj_enc(p) for p in s.projectors],
-                                "when": _when_enc(s.when)})
+    final_steps = steps_enc(spec.final.steps, "final")
     accept = [{"projectors": [_proj_enc(p) for p in rule.projectors],
                "when": _when_enc(rule.when)} for rule in spec.final.accept]
 
@@ -315,28 +341,8 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
             raise _err(path, f"turn {t} must belong to the {expected} "
                              f"(alternation with the last turn for the provers)")
         if owner == "verifier":
-            steps: list = []
-            for si, sv in enumerate(tv.get("steps", [])):
-                spath = f"{path}.steps[{si}]"
-                if "apply" in sv:
-                    steps.append(ApplyStep(
-                        _circuit_dec(sv["apply"], circuits, spath),
-                        _when_dec(sv.get("when"), spath)))
-                elif "coin" in sv:
-                    cv = sv["coin"]
-                    rec = cv.get("record")
-                    steps.append(CoinStep(
-                        str(cv.get("id", f"coin{t}")), int(cv.get("flips", 1)),
-                        tuple(int(r) for r in cv.get("recipients", [])),
-                        None if rec is None else tuple(
-                            _qubit_dec(q, spath) for q in rec)))
-                elif "accept_now" in sv:
-                    steps.append(AcceptNowStep(
-                        tuple(_proj_dec(p, spath) for p in sv["accept_now"]),
-                        _when_dec(sv.get("when"), spath)))
-                else:
-                    raise _err(spath, "steps are apply / coin / accept_now")
-            turns_v.append(VerifierTurn(tuple(steps)))
+            turns_v.append(VerifierTurn(
+                _steps_dec(tv.get("steps", []), circuits, f"{path}.steps", t)))
         else:
             entry = tv.get("circuits", {})
             for i in range(1, layout.k + 1):
@@ -345,19 +351,7 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
                                  f"{path}.circuits.{i}"))
 
     fv = data.get("final", {})
-    final_steps: list = []
-    for si, sv in enumerate(fv.get("steps", [])):
-        spath = f"final.steps[{si}]"
-        if "apply" in sv:
-            final_steps.append(ApplyStep(
-                _circuit_dec(sv["apply"], circuits, spath),
-                _when_dec(sv.get("when"), spath)))
-        elif "accept_now" in sv:
-            final_steps.append(AcceptNowStep(
-                tuple(_proj_dec(p, spath) for p in sv["accept_now"]),
-                _when_dec(sv.get("when"), spath)))
-        else:
-            raise _err(spath, "final steps are apply / accept_now")
+    final_steps = _steps_dec(fv.get("steps", []), circuits, "final.steps", None)
     accept = tuple(
         AcceptRule(tuple(_proj_dec(p, f"final.accept[{i}]")
                          for p in rv.get("projectors", [])),
@@ -366,7 +360,7 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
 
     out_q = data.get("output_qubit")
     spec = VerifierSpec(layout, m, tuple(turns_v),
-                        FinalDecision(tuple(final_steps), accept),
+                        FinalDecision(final_steps, accept),
                         None if out_q is None else _qubit_dec(out_q, "output_qubit"))
 
     sv = data.get("shared_state", {})
@@ -398,9 +392,7 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
     provers = tuple(ProverStrategy(i, tuple(prover_circuits[i]))
                     for i in range(1, layout.k + 1))
     instance = ProtocolInstance(spec, provers, shared, meta)
-    problems = validate(instance)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    require_valid(instance)
     return instance
 
 

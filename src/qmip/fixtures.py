@@ -19,27 +19,13 @@ import numpy as np
 
 from .circuits import Circuit, cnot, cphase, h, ry, swap, toffoli, u1, x
 from .config import NumericalCheckError
-from .linalg import StateVector
+from .linalg import StateVector, zero_state
 from .model import (AcceptRule, ApplyStep, FinalDecision, InstanceMeta,
                     ProtocolInstance, ProverStrategy, ProjectorOp, Register,
-                    RegisterLayout, VerifierSpec, VerifierTurn, run)
+                    RegisterLayout, VerifierSpec, VerifierTurn, make_layout,
+                    run)
 
 COS2_PI_8 = (1.0 + 1.0 / math.sqrt(2.0)) / 2.0
-
-
-def _layout(n_v: int, k: int, q: int, p_sizes) -> RegisterLayout:
-    regs = [Register("V", n_v, "verifier")]
-    regs += [Register(f"M{i+1}", q, "message") for i in range(k)]
-    regs += [Register(f"P{i+1}", p_sizes[i], "prover") for i in range(k)]
-    return RegisterLayout(tuple(regs))
-
-
-def _zero_shared(layout: RegisterLayout) -> StateVector:
-    dims = tuple((r.name, r.qubits) for r in layout.provers)
-    n = sum(q for _, q in dims)
-    amps = np.zeros(2 ** n, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(amps, dims)
 
 
 def _accept_on(qubit) -> tuple[AcceptRule, ...]:
@@ -58,7 +44,8 @@ def _instance(name, role, c, s, layout, m, v_turns, final_steps, accept_qubit,
                     for i, circs in enumerate(prover_circuits))
     meta = InstanceMeta(name=name, role=role, claimed_completeness=c,
                         claimed_soundness=s)
-    return ProtocolInstance(spec, provers, shared or _zero_shared(layout), meta)
+    return ProtocolInstance(spec, provers, shared or zero_state(
+        (r.name, r.qubits) for r in layout.provers), meta)
 
 
 def _tilt_gate(theta: float):
@@ -66,7 +53,7 @@ def _tilt_gate(theta: float):
 
 
 def always() -> ProtocolInstance:
-    lay = _layout(1, 1, 1, [1])
+    lay = make_layout([("V", 1)], 1, 1, [1])
     return _instance(
         "always", "yes", 1.0, 1.0, lay, 2,
         [Circuit(())],
@@ -76,7 +63,7 @@ def always() -> ProtocolInstance:
 
 
 def never() -> ProtocolInstance:
-    lay = _layout(1, 1, 1, [1])
+    lay = make_layout([("V", 1)], 1, 1, [1])
     return _instance(
         "never", "no", 0.0, 0.0, lay, 2,
         [Circuit(())],
@@ -88,7 +75,7 @@ def never() -> ProtocolInstance:
 def guess() -> ProtocolInstance:
     """The verifier hides a fair coin; the prover guesses it. Value 1/2 for
     every strategy."""
-    lay = _layout(2, 1, 1, [1])
+    lay = make_layout([("V", 2)], 1, 1, [1])
     final = Circuit((cnot(("M1", 0), ("V", 1)), cnot(("V", 0), ("V", 1)),
                      x(("V", 1))), label="output = (guess == coin)")
     return _instance(
@@ -102,7 +89,7 @@ def guess() -> ProtocolInstance:
 def _phase_echo(name, role, theta, m, c_claim, s_claim,
                 honest_first=None) -> ProtocolInstance:
     """Tilt/phase/untilt game over m turns (m = 2, 3, 5 or 9)."""
-    lay = _layout(1, 1, 1, [1])
+    lay = make_layout([("V", 1)], 1, 1, [1])
     tilt = Circuit((_tilt_gate(theta),), label="tilt")
     untilt = Circuit((_tilt_gate(-theta),), label="untilt")
     phase = Circuit((cphase([("V", 0), ("M1", 0)]),), label="mark")
@@ -141,7 +128,7 @@ def ent() -> ProtocolInstance:
     |0> in a randomly chosen basis. Acceptance is linear in the answer state,
     so the exact optimum is the top eigenvalue (1 + 1/sqrt(2))/2 for every
     prover dimension, attained at the Bloch pi/4 state."""
-    lay = _layout(2, 1, 1, [1])
+    lay = make_layout([("V", 2)], 1, 1, [1])
     phi = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)],
                    dtype=np.complex128)
     honest = Circuit((swap(("P1", 0), ("M1", 0)),), label="send the state")

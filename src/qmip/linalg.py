@@ -446,7 +446,7 @@ def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _pure_part(rho: np.ndarray, tol: float = 1e-12) -> np.ndarray | None:
+def _pure_part(rho: np.ndarray) -> np.ndarray | None:
     """Return the state vector if rho is (numerically) rank one, else None."""
     purity = float(np.trace(rho @ rho).real)
     if abs(purity - 1.0) > 1e-10:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -204,11 +204,6 @@ class VerifierSpec:
     def prover_turn_count(self) -> int:
         return (self.m + 1) // 2
 
-    def coin_turn_indices(self) -> list[int]:
-        """Verifier message turns (1-based over verifier turns) containing a coin."""
-        return [j + 1 for j, t in enumerate(self.turns)
-                if any(isinstance(s, CoinStep) for s in t.steps)]
-
 
 def turn_owner(m: int, t: int) -> str:
     """Owner of turn t (1-based): 'P' iff t has the parity of m."""
@@ -312,13 +307,17 @@ def validate(instance: ProtocolInstance) -> list[str]:
         elif len(bits) != coin_ids[cid] or any(ch not in "01" for ch in bits):
             problems.append(f"{where} has a malformed outcome for coin {cid!r}")
 
-    for j, turn in enumerate(v.turns):
-        where = f"verifier turn {j+1}"
-        for si, step in enumerate(turn.steps):
+    blocks = [(f"verifier turn {j+1}", turn.steps) for j, turn in enumerate(v.turns)]
+    blocks.append(("final", v.final.steps))
+    for where, steps in blocks:
+        for si, step in enumerate(steps):
             loc = f"{where} step {si+1}"
             if isinstance(step, ApplyStep):
                 check_condition(step.when, loc)
                 _circuit_in_registers(step.circuit, vm, layout, loc, problems)
+            elif isinstance(step, CoinStep) and where == "final":
+                problems.append(
+                    f"{loc}: coin steps are not allowed in the final circuit")
             elif isinstance(step, CoinStep):
                 if step.coin_id in coin_ids:
                     problems.append(f"{loc}: duplicate coin id {step.coin_id!r}")
@@ -340,18 +339,6 @@ def validate(instance: ProtocolInstance) -> list[str]:
                 check_condition(step.when, loc)
                 for p in step.projectors:
                     _projector_qubits_exist(p, layout, loc, problems)
-
-    for si, step in enumerate(v.final.steps):
-        loc = f"final step {si+1}"
-        if isinstance(step, ApplyStep):
-            check_condition(step.when, loc)
-            _circuit_in_registers(step.circuit, vm, layout, loc, problems)
-        elif isinstance(step, AcceptNowStep):
-            check_condition(step.when, loc)
-            for p in step.projectors:
-                _projector_qubits_exist(p, layout, loc, problems)
-        else:
-            problems.append(f"{loc}: coin steps are not allowed in the final circuit")
 
     if not v.final.accept:
         problems.append("final decision has no accept rules")
@@ -467,12 +454,23 @@ def flatten(instance: ProtocolInstance | None = None, *,
     With an instance, prover turns are inlined as gates. With only a verifier,
     prover turns become placeholder ops (kind "prover") so an optimizer can
     substitute its own matrices; placeholder targets are (P_i ++ M_i) qubits.
+
+    A branch is one outcome of every coin in the verifier's turns, and its
+    weight is 2^-(total flips). Branches come in `itertools.product` order
+    over the coins in protocol order, the first coin most significant. A
+    condition only sees the coins drawn before its step, so a condition on a
+    later coin never holds.
     """
     if (instance is None) == (verifier is None):
         raise ValidationError("pass exactly one of instance / verifier")
     spec = instance.verifier if instance else verifier
     layout = spec.layout
     m = spec.m
+    coins = [s for t in spec.turns for s in t.steps if isinstance(s, CoinStep)]
+    flips = sum(c.flips for c in coins)
+    if 2 ** flips > config.max_branches:
+        raise BudgetError(
+            f"coin branching exceeds the configured budget ({config.max_branches})")
 
     prover_circ: dict[tuple[int, int], Circuit] = {}
     if instance is not None:
@@ -480,84 +478,54 @@ def flatten(instance: ProtocolInstance | None = None, *,
             for t, c in enumerate(p.circuits):
                 prover_circ[(p.index, t + 1)] = c
 
-    branches: list[FlatBranch] = []
-
-    def walk(turn_idx: int, v_turn_idx: int, history: dict[str, str],
-             ops: list[FlatOp], weight: float,
-             resume: tuple[int, int] | None) -> None:
-        # resume = (verifier turn index, step offset) when re-entering after a coin
-        if len(branches) >= config.max_branches:
-            raise BudgetError(
-                f"coin branching exceeds the configured budget ({config.max_branches})")
-        t = turn_idx
-        vj = v_turn_idx
-        while t <= m:
-            owner = turn_owner(m, t)
-            if owner == "V":
-                steps = spec.turns[vj - 1].steps
-                start = 0
-                if resume is not None and resume[0] == vj:
-                    start = resume[1]
-                    resume = None
-                pending = list(steps[start:])
-                for si, step in enumerate(pending):
-                    if isinstance(step, ApplyStep):
-                        if _matches(step.when, history):
-                            for g in step.circuit:
-                                ops.append(FlatOp("gate", gate=g))
-                    elif isinstance(step, AcceptNowStep):
-                        if _matches(step.when, history):
-                            ops.append(FlatOp("event", projectors=step.projectors))
-                    elif isinstance(step, CoinStep):
-                        for bits in itertools.product("01", repeat=step.flips):
-                            outcome = "".join(bits)
-                            sub_hist = dict(history)
-                            sub_hist[step.coin_id] = outcome
-                            sub_ops = list(ops)
-                            for j, b in enumerate(outcome):
-                                if b == "0":
-                                    continue
-                                if step.record is not None:
-                                    sub_ops.append(
-                                        FlatOp("gate", gate=x_gate(step.record[j])))
-                            for i in step.recipients:
-                                mreg = layout.messages[i - 1].name
-                                for j, b in enumerate(outcome):
-                                    if b == "1":
-                                        sub_ops.append(
-                                            FlatOp("gate", gate=x_gate((mreg, j))))
-                            walk(t, vj, sub_hist, sub_ops,
-                                 weight / (2 ** step.flips),
-                                 (vj, start + si + 1))
-                        return
-                ops.append(FlatOp("turn", turn=t))
-                vj += 1
+    # (turn, prover ops, verifier steps); turn None is the final decision,
+    # whose coin steps validate() rejects and flatten skips
+    blocks: list[tuple[int | None, list[FlatOp], Sequence[Step]]] = []
+    for t in range(1, m + 1):
+        # owners alternate, so turn t is its owner's ((t + 1) // 2)-th
+        pt = (t + 1) // 2
+        if turn_owner(m, t) == "V":
+            blocks.append((t, [], spec.turns[pt - 1].steps))
+            continue
+        ops: list[FlatOp] = []
+        for i in range(1, layout.k + 1):
+            if instance is not None:
+                ops += [FlatOp("gate", gate=g) for g in prover_circ[(i, pt)]]
             else:
-                pt = (t + 1) // 2 if m % 2 == 1 else t // 2
-                for i in range(1, layout.k + 1):
-                    key = (i, pt)
-                    if instance is not None:
-                        for g in prover_circ[key]:
-                            ops.append(FlatOp("gate", gate=g))
-                    else:
-                        qs = tuple(layout.qubits_of(layout.provers[i - 1].name)
-                                   + layout.qubits_of(layout.messages[i - 1].name))
-                        ops.append(FlatOp("prover", prover_key=key, qubits=qs))
-                ops.append(FlatOp("turn", turn=t))
-            t += 1
-        # final decision
-        for step in spec.final.steps:
-            if isinstance(step, ApplyStep):
-                if _matches(step.when, history):
-                    for g in step.circuit:
-                        ops.append(FlatOp("gate", gate=g))
-            elif isinstance(step, AcceptNowStep):
-                if _matches(step.when, history):
-                    ops.append(FlatOp("event", projectors=step.projectors))
-        branches.append(FlatBranch(tuple(sorted(history.items())), weight,
-                                   tuple(ops), _accept_for(spec.final, history)))
+                qs = tuple(layout.qubits_of(layout.provers[i - 1].name)
+                           + layout.qubits_of(layout.messages[i - 1].name))
+                ops.append(FlatOp("prover", prover_key=(i, pt), qubits=qs))
+        blocks.append((t, ops, ()))
+    blocks.append((None, [], [s for s in spec.final.steps
+                              if not isinstance(s, CoinStep)]))
 
-    walk(1, 1, {}, [], 1.0, None)
+    outcomes = [["".join(b) for b in itertools.product("01", repeat=c.flips)]
+                for c in coins]
+    branches: list[FlatBranch] = []
+    for drawn in itertools.product(*outcomes):
+        bits_of = iter(drawn)
+        history: dict[str, str] = {}
+        ops = []
+        for t, prover_ops, steps in blocks:
+            ops += prover_ops
+            for step in steps:
+                if isinstance(step, CoinStep):
+                    bits = history[step.coin_id] = next(bits_of)
+                    regs = [step.record] if step.record is not None else []
+                    regs += [[(layout.messages[i - 1].name, j)
+                              for j in range(step.flips)] for i in step.recipients]
+                    ops += [FlatOp("gate", gate=x_gate(q)) for qs in regs
+                            for q, b in zip(qs, bits) if b == "1"]
+                elif not _matches(step.when, history):
+                    continue
+                elif isinstance(step, ApplyStep):
+                    ops += [FlatOp("gate", gate=g) for g in step.circuit]
+                else:
+                    ops.append(FlatOp("event", projectors=step.projectors))
+            if t is not None:
+                ops.append(FlatOp("turn", turn=t))
+        branches.append(FlatBranch(tuple(sorted(history.items())), 2.0 ** -flips,
+                                   tuple(ops), _accept_for(spec.final, history)))
     return tuple(branches)
 
 
@@ -668,7 +636,7 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
     return steps, slices(br.accept)
 
 
-def run(instance: ProtocolInstance, keep_snapshots: bool = False,
+def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
         config: RunConfig = DEFAULT_RUN_CONFIG) -> Transcript:
     """Execute the protocol exactly and return its transcript.
 
@@ -681,12 +649,11 @@ def run(instance: ProtocolInstance, keep_snapshots: bool = False,
     shared state, with every verifier and message qubit classical at 0, and
     a qubit joins it only when a gate needs it as a target (a classical
     control or a permutation of classical bits is resolved at compile time).
-    The budget still counts the layout's qubits. Snapshots are expanded into
-    full states in the layout's qubit order.
+    The budget still counts the layout's qubits. After each turn in
+    `snapshot_turns`, every branch's state is expanded into a full state in
+    the layout's qubit order.
     """
-    problems = validate(instance)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    require_valid(instance)
     layout = instance.verifier.layout
     require_budget(layout, config)
 
@@ -714,7 +681,7 @@ def run(instance: ProtocolInstance, keep_snapshots: bool = False,
             elif step[0] == "event":
                 events.append(step[1].mass(buf))
                 step[1].clear(buf)
-            elif keep_snapshots:
+            elif step[1] in snapshot_turns:
                 full = np.zeros(2 ** n, dtype=buf.dtype)
                 full.reshape([2] * n)[step[2]] = (
                     buf.reshape([2] * len(step[3])).transpose(step[3]))
@@ -727,12 +694,6 @@ def run(instance: ProtocolInstance, keep_snapshots: bool = False,
 
     acceptance = checked_probability(acceptance, "acceptance", config.tolerances)
     return Transcript(acceptance, tuple(records), tuple(snapshots))
-
-
-def acceptance_probability(instance: ProtocolInstance,
-                           config: RunConfig = DEFAULT_RUN_CONFIG) -> float:
-    """Convenience wrapper over run()."""
-    return run(instance, config=config).acceptance
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
     measured: list[float] = []
 
     def snapshot(turn: int) -> StateVector:
-        tr = run(inst, keep_snapshots=True, config=config)
+        tr = run(inst, snapshot_turns=(turn,), config=config)
         measured.append(tr.acceptance)
         return _snapshot_after(tr, turn)
 

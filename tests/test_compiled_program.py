@@ -9,12 +9,13 @@ adversary test runs on both sides of the fusion bound: with the module's
 bound (fused segments) and with a bound of 1 (one step per gate).
 
 `model.run`'s in-place slice kernel (`linalg.MatrixKernel`) is checked gate by
-gate against the same reference, and `run(keep_snapshots=True)` branch by
-branch, including the snapshots it copies out. Hand-written cases take each
-compile-time path of the lazy qubits in `run` once (bit rewrites, classical
-controls, activations, SWAPs of classical and live qubits, projectors fixed
-by classical bits), and random protocols compare `run` with
-`run∘purify_coins`.
+gate against the same reference, and `run` with a snapshot after every turn
+branch by branch, including the snapshots it copies out. Hand-written cases
+take each compile-time path of the lazy qubits in `run` once (bit rewrites,
+classical controls, activations, SWAPs of classical and live qubits,
+projectors fixed by classical bits), and random protocols compare `run` with
+`run∘purify_coins`. Over the same random verifiers, `flatten`'s branch count,
+weights and order and the file codec's `load∘save` round trip are properties.
 """
 
 import itertools
@@ -24,10 +25,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmip import adversary, fixtures, model
+from qmip import adversary, files, fixtures, model
 from qmip.adversary import (resize_prover_registers,
                             strategies_from_assignment)
 from qmip.circuits import Circuit, Gate, apply_gate, cnot, mcx, swap, x, z
+from qmip.config import DEFAULT_RUN_CONFIG
 from qmip.linalg import (MatrixKernel, ProjectorOp, StateVector, random_state,
                          random_unitary)
 from qmip.model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
@@ -277,7 +279,8 @@ def _setup(spec, seed):
     inst = ProtocolInstance(spec, strategies, StateVector(
         phi, tuple((r.name, r.qubits) for r in layout.provers)))
     assert validate(inst) == []
-    return adversary._Program(layout, branches), branches, assignment, inst
+    return (adversary._Program(spec, DEFAULT_RUN_CONFIG), branches, assignment,
+            inst)
 
 
 @pytest.mark.parametrize("fuse_max_dim", FUSE_BOUNDS)
@@ -287,7 +290,8 @@ def test_compiled_value_equals_run(fuse_max_dim, spec, seed):
     with mock.patch.object(adversary, "FUSE_MAX_DIM", fuse_max_dim):
         program, _, assignment, inst = _setup(spec, seed)
         phi = inst.shared.amplitudes[:, None]
-        assert abs(program.value(phi, assignment) - run(inst).acceptance) <= TOL
+        value = program.acceptance_operator(assignment, phi)[0, 0].real
+        assert abs(value - run(inst).acceptance) <= TOL
 
 
 @pytest.mark.parametrize("fuse_max_dim", FUSE_BOUNDS)
@@ -331,7 +335,8 @@ def test_compiled_program_above_the_fusion_bound():
     assert not any(s[0] == "matrix" for _, steps, _ in program.branches
                    for s in steps)
     phi = inst.shared.amplitudes[:, None]
-    assert abs(program.value(phi, assignment) - run(inst).acceptance) <= TOL
+    value = program.acceptance_operator(assignment, phi)[0, 0].real
+    assert abs(value - run(inst).acceptance) <= TOL
     ref = _Reference(spec.layout.as_state_layout())
     init = np.zeros((ref.dim, 1), dtype=np.complex128)
     init[:len(phi)] = phi
@@ -390,10 +395,10 @@ def test_kernel_equals_full_matrix_reference_16_qubits(block, kind):
 
 
 def _run_against_reference(inst):
-    """`run(keep_snapshots=True)` of `inst` against the per-gate reference:
-    acceptance, branch records and snapshots to 1e-12; no two snapshots share
-    memory."""
-    tr = run(inst, keep_snapshots=True)
+    """`run` of `inst`, with a snapshot after every turn, against the per-gate
+    reference: acceptance, branch records and snapshots to 1e-12; no two
+    snapshots share memory."""
+    tr = run(inst, snapshot_turns=range(1, inst.m + 1))
     ref = _Reference(inst.verifier.layout.as_state_layout())
     init = np.zeros((ref.dim, 1), dtype=np.complex128)
     init[:inst.shared.dim, 0] = inst.shared.amplitudes
@@ -484,7 +489,7 @@ def test_lazy_paths_equal_reference(case):
 def test_snapshot_is_not_changed_by_later_gates():
     # no SWAP precedes the snapshot, so its logical-order copy is an identity
     # transpose of the live buffer, which the final X then changes in place
-    tr = run(fixtures.always(), keep_snapshots=True)
+    tr = run(fixtures.always(), snapshot_turns=range(1, 3))
     (_, snap), = tr.snapshots_after_turn(2)
     assert snap.amplitudes[0] == 1.0
     assert tr.acceptance == 1.0
@@ -503,3 +508,40 @@ def test_run_equals_run_of_purified(spec, seed):
     tr = run(inst)
     assert abs(sum(rec.weight for rec in tr.branches) - 1.0) <= TOL
     assert abs(run(purify_coins(inst)).acceptance - tr.acceptance) <= 1e-10
+
+
+# --- flatten and the file codec over random protocols ---------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=verifiers())
+def test_flatten_branch_invariants(spec):
+    coins = [(s.coin_id, s.flips) for t in spec.turns for s in t.steps
+             if isinstance(s, CoinStep)]
+    flips = sum(f for _, f in coins)
+    branches = flatten(verifier=spec)
+    assert len(branches) == 2 ** flips
+    assert all(br.weight == 2.0 ** -flips for br in branches)
+    # coin ids c0, c1 sort in coin order, so sorted histories list the
+    # outcomes with the first coin most significant
+    outcomes = [[(cid, "".join(bits)) for bits in itertools.product("01", repeat=f)]
+                for cid, f in coins]
+    assert [br.history for br in branches] == list(itertools.product(*outcomes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1))
+def test_load_save_round_trip(spec, seed, tmp_path_factory):
+    """Saving what `load` read writes the bytes that saving the instance
+    wrote, with one exception: `load` divides the shared state by its norm,
+    so a state whose floating-point norm is not exactly 1 comes back changed
+    in its last bits. The expected text is that of the rescaled state."""
+    inst = _setup(spec, seed)[3]
+    path = tmp_path_factory.mktemp("round_trip") / "protocol.json"
+    files.save(inst, path)
+    loaded = files.load(path)
+    amps = inst.shared.amplitudes
+    rescaled = inst.with_shared(inst.shared.with_amplitudes(
+        amps / np.linalg.norm(amps)))
+    assert files.save(loaded, path) == files.save(rescaled, path)
+    assert run(loaded).acceptance == run(rescaled).acceptance

@@ -14,7 +14,7 @@ from qmip.linalg import ProjectorOp, StateVector
 from qmip.model import (AcceptRule, ApplyStep, CoinStep, FinalDecision,
                         ProtocolInstance, ProverStrategy, Register,
                         RegisterLayout, VerifierSpec, VerifierTurn,
-                        acceptance_probability, is_public_coin, make_layout,
+                        is_public_coin, make_layout,
                         purify_coins, run, turn_owner, validate)
 from qmip.transforms import (direct_two_turn, halve_turns, run_pipeline,
                              to_public_coin_3turn)
@@ -67,9 +67,9 @@ def test_prover_turn_counts():
 
 
 def test_run_examples():
-    assert acceptance_probability(fixtures.always()) == 1.0
-    assert acceptance_probability(fixtures.never()) == 0.0
-    assert abs(acceptance_probability(fixtures.guess()) - 0.5) < 1e-12
+    assert run(fixtures.always()).acceptance == 1.0
+    assert run(fixtures.never()).acceptance == 0.0
+    assert abs(run(fixtures.guess()).acceptance - 0.5) < 1e-12
 
 
 def test_run_determinism_bitwise():
@@ -80,7 +80,7 @@ def test_run_determinism_bitwise():
 
 
 def test_snapshot_norms_are_one():
-    tr = run(fixtures.five_turn_yes(), keep_snapshots=True)
+    tr = run(fixtures.five_turn_yes(), snapshot_turns=range(1, 6))
     assert len(tr.snapshots) == 5
     for _, _, st in tr.snapshots:
         assert abs(st.norm() - 1.0) <= 1e-10
@@ -101,6 +101,22 @@ def test_coin_budget():
     inst = halve_turns(fixtures.five_turn_yes()).instance
     with pytest.raises(BudgetError):
         run(inst, config=RunConfig(max_branches=1))
+
+
+def test_coin_budget_checked_before_any_branch_is_built(monkeypatch):
+    inst = halve_turns(fixtures.five_turn_yes()).instance   # 2 branches
+    built = []
+    real = model.FlatBranch
+
+    def counting_branch(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "FlatBranch", counting_branch)
+    with pytest.raises(BudgetError, match=r"exceeds the configured budget \(1\)"):
+        model.flatten(inst, config=RunConfig(max_branches=1))
+    assert built == []
+    assert len(model.flatten(inst, config=RunConfig(max_branches=2))) == 2
 
 
 def test_qubit_budget():
@@ -167,8 +183,8 @@ def _hidden_coin_variant():
 def test_private_coin_matches_hadamard_model():
     # branch-enumerated private coin vs the committed coherent-H fixture
     coin_version = _hidden_coin_variant()
-    assert abs(acceptance_probability(coin_version)
-               - acceptance_probability(fixtures.guess())) < 1e-12
+    assert abs(run(coin_version).acceptance
+               - run(fixtures.guess()).acceptance) < 1e-12
 
 
 def test_purify_equals_branch_enumeration():

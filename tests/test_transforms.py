@@ -65,9 +65,9 @@ def test_each_pass_runs_its_input_once(monkeypatch, name):
     calls = []
     real_run = transforms.run
 
-    def counting_run(instance, keep_snapshots=False, **kwargs):
-        tr = real_run(instance, keep_snapshots=keep_snapshots, **kwargs)
-        calls.append((keep_snapshots, tr.acceptance))
+    def counting_run(instance, snapshot_turns=(), **kwargs):
+        tr = real_run(instance, snapshot_turns=snapshot_turns, **kwargs)
+        calls.append((bool(snapshot_turns), tr.acceptance))
         return tr
 
     monkeypatch.setattr(transforms, "run", counting_run)
@@ -76,6 +76,27 @@ def test_each_pass_runs_its_input_once(monkeypatch, name):
     assert [snap for snap, _ in calls] == [True, False] * halvings
     assert report.input_honest == calls[0][1]
     assert report.output_honest == calls[-1][1]
+
+
+@pytest.mark.parametrize("name", sorted(_SNAPSHOT_PASS_INPUTS))
+def test_snapshot_run_keeps_one_state_per_branch(monkeypatch, name):
+    """A pass reads the state after one turn, so its snapshot run expands one
+    full state per branch, not one per turn and branch."""
+    inst = _SNAPSHOT_PASS_INPUTS[name]()
+    transcripts = []
+    real_run = transforms.run
+
+    def recording_run(*args, **kwargs):
+        transcripts.append(real_run(*args, **kwargs))
+        return transcripts[-1]
+
+    monkeypatch.setattr(transforms, "run", recording_run)
+    transforms.PASSES[name](inst)
+    snapshot_runs = [tr for tr in transcripts if tr.snapshots]
+    assert snapshot_runs
+    for tr in snapshot_runs:
+        assert len(tr.snapshots) == len(tr.branches)
+        assert len({turn for turn, _, _ in tr.snapshots}) == 1
 
 
 def _planted_runs(monkeypatch):
