@@ -12,6 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import Any
 
@@ -41,20 +44,18 @@ def _err(path: str, msg: str) -> ValidationError:
 # complex / matrix encoding
 
 
-def _c_enc(z: complex) -> list[float]:
+def _complex_enc(a) -> list:
+    """The complex array `a` as nested lists of [re, im] pairs."""
+    a = np.asarray(a)
     # + 0.0 writes a zero component as 0.0 whatever its sign, so saved bytes
     # do not depend on how a kernel reached the zero
-    return [float(np.real(z)) + 0.0, float(np.imag(z)) + 0.0]
+    return (np.stack((a.real, a.imag), -1) + 0.0).tolist()
 
 
 def _c_dec(v, path: str) -> complex:
     if not (isinstance(v, list) and len(v) == 2):
         raise _err(path, "complex numbers are [re, im] pairs")
     return complex(float(v[0]), float(v[1]))
-
-
-def _mat_enc(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_c_enc(z) for z in row] for row in np.asarray(m)]
 
 
 def _mat_dec(v, path: str) -> np.ndarray:
@@ -82,9 +83,7 @@ def _gate_enc(g: Gate) -> dict:
     out: dict[str, Any] = {"gate": g.name, "targets": [_qubit_enc(t) for t in g.targets]}
     if g.name == "U" or g.name not in GATE_NAMES:
         out["gate"] = "U"
-        out["matrix"] = _mat_enc(g.matrix)
-    elif g.name == "SWAP":
-        pass
+        out["matrix"] = _complex_enc(g.matrix)
     if g.controls:
         out["controls"] = [[_qubit_enc(q), b] for q, b in g.controls]
     return out
@@ -306,8 +305,7 @@ def instance_to_dict(instance: ProtocolInstance) -> dict:
         "final": {"steps": final_steps, "accept": accept},
         "output_qubit": None if spec.output_qubit is None
         else _qubit_enc(spec.output_qubit),
-        "shared_state": {"amplitudes": [_c_enc(z)
-                                        for z in instance.shared.amplitudes]},
+        "shared_state": {"amplitudes": _complex_enc(instance.shared.amplitudes)},
     }
 
 
@@ -396,8 +394,70 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
     return instance
 
 
-def canonical_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=1)
+def canonical_json(data) -> str:
+    """`data` as `json.dumps(data, sort_keys=True, indent=1)` writes it.
+
+    `data` is built of dicts with str keys, lists, str, int, float, bool and
+    None; anything else raises TypeError. `indent` turns off json's C
+    encoder, so this writer stands in for it: a list of [float, float] pairs
+    (amplitudes, matrix rows) is rendered with one format, and floats go
+    through `float.__repr__`, as json's do (numpy 2's `repr` of a float64
+    differs).
+    """
+    return _json(data, "\n")
+
+
+def _json(o, nl: str) -> str:
+    """`o` rendered with its closing bracket after `nl` (newline + indent)."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    inner = nl + " "
+    sep = "," + inner
+    if isinstance(o, list):
+        if not o:
+            return "[]"
+        pairs = _json_pairs(o, inner)
+        if pairs is None:
+            pairs = sep.join([_json(v, inner) for v in o])
+        return "[" + inner + pairs + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + sep.join(
+            [encode_basestring_ascii(k) + ": " + _json(o[k], inner)
+             for k in sorted(o)]) + nl + "}"
+    raise TypeError(f"Object of type {type(o).__name__} "
+                    f"is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    if isfinite(x):
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_pairs(o: list, inner: str) -> str | None:
+    """The items of `o`, each after `inner`, if all are [float, float] pairs
+    of finite floats; None otherwise."""
+    if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
+        return None
+    flat = list(chain.from_iterable(o))
+    if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
+        return None
+    pair = "[" + inner + " %s," + inner + " %s" + inner + "]"
+    return ("," + inner).join([pair] * len(o)) % tuple(map(float.__repr__, flat))
 
 
 def save(instance: ProtocolInstance, path: str | Path) -> str:
@@ -435,7 +495,7 @@ def strategy_to_dict(result) -> dict:
             {"index": p.index,
              "turns": [_circuit_enc(c) for c in p.circuits]}
             for p in result.strategies],
-        "shared": [_c_enc(z) for z in result.shared.amplitudes],
+        "shared": _complex_enc(result.shared.amplitudes),
         "trace": list(result.trace),
         "converged": result.converged,
         "restart_values": list(result.restart_values),

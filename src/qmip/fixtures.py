@@ -11,6 +11,7 @@ completeness and soundness tests alike.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -254,7 +255,7 @@ def generate_all(directory: str | Path) -> dict:
 
     for name, inst in instances.items():
         fname = f"{name}.json"
-        files.save(inst, directory / fname)
+        text = files.save(inst, directory / fname)
         measured = run(inst).acceptance
         if name in EXPECTED:
             expected, provenance = EXPECTED[name]
@@ -267,7 +268,7 @@ def generate_all(directory: str | Path) -> dict:
                 f"fixture {name}: measured {measured:.12f}, expected {expected:.12f}")
         manifest["entries"][name] = {
             "file": fname,
-            "digest": files.digest(directory / fname),
+            "digest": hashlib.sha256(text.encode()).hexdigest(),
             "honest_value": measured,
             "expected_honest_value": expected,
             "provenance": provenance,

@@ -109,6 +109,17 @@ def test_fixtures_verify(fdir, capsys):
     assert "verified" in out
 
 
+def test_generated_fixtures_reproduce_committed_digests(fdir):
+    def digests(directory):
+        entries = json.loads((directory / "manifest.json").read_text())
+        return {n: e["digest"] for n, e in entries["entries"].items()}
+
+    generated = digests(fdir)
+    assert generated == digests(fixtures.fixtures_dir())
+    assert generated == {n: files.digest(fdir / f"{n}.json")
+                         for n in generated}
+
+
 def test_fixtures_verify_detects_tampering(fdir, tmp_path, capsys):
     import shutil
     d = tmp_path / "tampered"

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qmip import fixtures, files
 from qmip.config import ValidationError
@@ -43,6 +44,71 @@ def test_save_is_deterministic(tmp_path):
     t1 = files.save(fixtures.chsh(), tmp_path / "c1.json")
     t2 = files.save(fixtures.chsh(), tmp_path / "c2.json")
     assert t1 == t2
+
+
+def test_save_returns_the_bytes_it_writes(tmp_path):
+    rw = make_perfectly_rewindable(fixtures.ent()).instance
+    for name, inst in [*((n, b()) for n, b in fixtures.BUILDERS.items()),
+                       ("rw_ent", rw)]:
+        path = tmp_path / f"{name}.json"
+        assert files.save(inst, path).encode() == path.read_bytes()
+
+
+_PY_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5,
+                     float("nan"), float("inf"), float("-inf")]))
+_FLOATS = st.one_of(_PY_FLOATS, _PY_FLOATS.map(np.float64))
+
+
+def _float_lists(n: int):
+    return st.lists(_PY_FLOATS, min_size=n, max_size=n)
+
+
+_PAIRS = st.lists(_float_lists(2), min_size=1, max_size=6)
+# items that must send a list of pairs down the general path: a pair holding
+# an int or a float64, a length-1 or length-3 item (or both, so that the
+# lengths add up to two pairs'), a pair of pairs, and a scalar
+_NEAR_MISSES = st.one_of(
+    st.tuples(_PY_FLOATS, st.one_of(st.integers(), _FLOATS)).map(
+        lambda p: [list(p)]),
+    st.lists(st.one_of(_float_lists(1), _float_lists(3)), min_size=1,
+             max_size=2),
+    st.lists(_float_lists(2), min_size=2, max_size=2).map(lambda p: [p]),
+    st.one_of(st.none(), st.text(), _FLOATS).map(lambda x: [x]))
+
+
+@st.composite
+def _near_miss_pairs(draw):
+    pairs = draw(_PAIRS)
+    for item in draw(_NEAR_MISSES):
+        pairs.insert(draw(st.integers(0, len(pairs))), item)
+    return pairs
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(),
+                     st.integers(-2 ** 200, 2 ** 200), _FLOATS, st.text())
+_JSON_TREES = st.recursive(
+    st.one_of(_SCALARS, _PAIRS, _near_miss_pairs()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_JSON_TREES)
+@example(tree=[[1.0], [2.0, 3.0, 4.0]])
+@example(tree={"a": [[1.0, 2], [-0.0, np.float64(0.1)]]})
+def test_canonical_json_writes_what_json_dumps_writes(tree):
+    assert files.canonical_json(tree) == json.dumps(tree, sort_keys=True,
+                                                    indent=1)
+
+
+@pytest.mark.parametrize("value", [(1.0, 2.0), np.int64(1), np.bool_(True),
+                                   {1.0}, {1: 2}, [object()]])
+def test_canonical_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        files.canonical_json(value)
 
 
 def test_non_unitary_gate_rejected(tmp_path):
