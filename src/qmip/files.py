@@ -420,16 +420,18 @@ def _json(o, nl: str) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return _json_float(o)
+        if isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
     inner = nl + " "
     sep = "," + inner
     if isinstance(o, list):
         if not o:
             return "[]"
-        pairs = _json_pairs(o, inner)
-        if pairs is None:
-            pairs = sep.join([_json(v, inner) for v in o])
-        return "[" + inner + pairs + nl + "]"
+        items = _json_pairs(o, inner)
+        if items is None:
+            items = sep.join([_json(v, inner) for v in o])
+        return "[" + inner + items + nl + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -438,14 +440,6 @@ def _json(o, nl: str) -> str:
              for k in sorted(o)]) + nl + "}"
     raise TypeError(f"Object of type {type(o).__name__} "
                     f"is not JSON serializable")
-
-
-def _json_float(x: float) -> str:
-    if isfinite(x):
-        return float.__repr__(x)
-    if x != x:
-        return "NaN"
-    return "Infinity" if x > 0 else "-Infinity"
 
 
 def _json_pairs(o: list, inner: str) -> str | None:
@@ -457,7 +451,8 @@ def _json_pairs(o: list, inner: str) -> str | None:
     if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
         return None
     pair = "[" + inner + " %s," + inner + " %s" + inner + "]"
-    return ("," + inner).join([pair] * len(o)) % tuple(map(float.__repr__, flat))
+    return (("," + inner).join([pair] * len(o))
+            % tuple(map(float.__repr__, flat)))
 
 
 def save(instance: ProtocolInstance, path: str | Path) -> str:
