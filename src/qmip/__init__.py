@@ -9,10 +9,10 @@ from .circuits import Circuit, Gate, apply_circuit, apply_gate, circuit_matrix
 from .config import (DEFAULT_RUN_CONFIG, DEFAULT_TOLERANCES, BudgetError,
                      NumericalCheckError, PreconditionError, RunConfig,
                      Tolerances, ValidationError)
-from .linalg import (ProjectorOp, StateVector, fidelity,
-                     max_eigenpair, polar_unitary, project, project_norm_sq,
-                     random_density, random_state, random_unitary,
-                     reorder_registers, tensor_states, zero_state)
+from .linalg import (ProjectorOp, StateVector, fidelity, polar_unitary,
+                     project, project_norm_sq, random_density, random_state,
+                     random_unitary, reorder_registers, tensor_states,
+                     zero_state)
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
                     ProverStrategy, Register, RegisterLayout, Transcript,

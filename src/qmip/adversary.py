@@ -83,12 +83,11 @@ class _Program:
                  provers: Sequence[ProverStrategy] | None = None):
         layout = spec.layout
         require_budget(layout, config)
-        prover_layout = tuple((r.name, r.qubits) for r in layout.provers)
         if provers is None:
             branches = flatten(verifier=spec, config=config)
         else:
             branches = flatten(ProtocolInstance(spec, tuple(provers),
-                                                zero_state(prover_layout)),
+                                                zero_state(layout.shared_layout)),
                                config=config)
         self.n = layout.total_qubits
         self.dim = 2 ** self.n
@@ -96,7 +95,7 @@ class _Program:
         for r in layout.registers:
             for i in range(r.qubits):
                 self.pos[(r.name, i)] = len(self.pos)
-        self.d_p = 2 ** sum(q for _, q in prover_layout)
+        self.d_p = 2 ** sum(r.qubits for r in layout.provers)
         self.keys = sorted({op.prover_key for br in branches for op in br.ops
                             if op.kind == "prover"})
         self.dims = {key: 2 ** (layout.provers[key[0] - 1].qubits
@@ -279,8 +278,7 @@ def optimal_shared_state(verifier: VerifierSpec,
     vals, vecs = np.linalg.eigh(a)
     p_max = float(vals[-1])
     vec = vecs[:, -1]
-    state = StateVector(vec / np.linalg.norm(vec),
-                        tuple((r.name, r.qubits) for r in verifier.layout.provers))
+    state = StateVector(vec / np.linalg.norm(vec), verifier.layout.shared_layout)
     if check:
         resim = run(ProtocolInstance(verifier, tuple(provers), state),
                     config=config).acceptance
@@ -353,7 +351,8 @@ def _product_state_update(program: _Program, layout: RegisterLayout,
                           assignment: Assignment,
                           groups: Sequence[Sequence[int]],
                           group_states: list[np.ndarray]) -> np.ndarray:
-    """One round of per-group eigen-updates under a product constraint.
+    """One round of per-group eigen-updates under a product constraint; one
+    group of all provers is the unconstrained update.
 
     Groups must be contiguous in the prover register order. Returns the full
     product state.
@@ -391,10 +390,10 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
     """
     spec = resize_prover_registers(verifier, cfg.prover_dims)
     layout = spec.layout
-    if cfg.product_groups is not None:
-        flat = [i for g in cfg.product_groups for i in g]
-        if sorted(flat) != list(range(1, layout.k + 1)):
-            raise ValidationError("product groups must partition the provers")
+    groups = (cfg.product_groups if cfg.product_groups is not None
+              else (tuple(range(1, layout.k + 1)),))
+    if sorted(i for g in groups for i in g) != list(range(1, layout.k + 1)):
+        raise ValidationError("product groups must partition the provers")
     program = _Program(spec, config)
     keys = sorted(program.keys, key=lambda k: (k[1], k[0]))
 
@@ -404,27 +403,18 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
         rng = np.random.default_rng([cfg.seed, r])
         assignment: Assignment = {k: random_unitary(program.dims[k], rng)
                                   for k in keys}
-        if cfg.product_groups is None:
-            group_states = None
-        else:
-            group_states = []
-            for g in cfg.product_groups:
-                d_g = int(np.prod([2 ** layout.provers[i - 1].qubits for i in g]))
-                v = rng.standard_normal(d_g) + 1j * rng.standard_normal(d_g)
-                group_states.append(v / np.linalg.norm(v))
+        group_states = []
+        for g in groups:
+            d_g = int(np.prod([2 ** layout.provers[i - 1].qubits for i in g]))
+            v = rng.standard_normal(d_g) + 1j * rng.standard_normal(d_g)
+            group_states.append(v / np.linalg.norm(v))
         shared = None
         trace: list[float] = []
         converged = False
         prev = -1.0
         for _ in range(cfg.max_sweeps):
-            if cfg.product_groups is None:
-                basis = np.eye(program.d_p, dtype=np.complex128)
-                a = program.acceptance_operator(assignment, basis)
-                _, vecs = np.linalg.eigh(a)
-                shared = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
-            else:
-                shared = _product_state_update(program, layout, assignment,
-                                               cfg.product_groups, group_states)
+            shared = _product_state_update(program, layout, assignment,
+                                           groups, group_states)
             for key in keys:
                 assignment[key] = polar_unitary(
                     program.environment(shared[:, None], assignment, key))
@@ -442,8 +432,7 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
 
     value, _, assignment, shared, trace, converged = best
     strategies = strategies_from_assignment(spec, assignment)
-    shared_state = StateVector(shared, tuple((r.name, r.qubits)
-                                             for r in layout.provers))
+    shared_state = StateVector(shared, layout.shared_layout)
     inst = ProtocolInstance(spec, strategies, shared_state)
     resim = run(inst, config=config).acceptance
     if abs(resim - value) > 1e-9:

@@ -53,9 +53,8 @@ def cmd_simulate(args) -> int:
         spec = adversary.resize_prover_registers(inst.verifier,
                                                  strat["prover_dims"])
         from .linalg import StateVector
-        shared = StateVector(
-            strat["shared_amplitudes"],
-            tuple((r.name, r.qubits) for r in spec.layout.provers))
+        shared = StateVector(strat["shared_amplitudes"],
+                             spec.layout.shared_layout)
         inst = inst.__class__(spec, strat["strategies"], shared, inst.meta)
     tr = run(inst, snapshot_turns=range(1, inst.m + 1) if args.snapshots else (),
              config=cfg)

@@ -362,7 +362,6 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
                         None if out_q is None else _qubit_dec(out_q, "output_qubit"))
 
     sv = data.get("shared_state", {})
-    prover_layout = tuple((r.name, r.qubits) for r in layout.provers)
     if "amplitudes" in sv:
         amps = np.array([_c_dec(z, "shared_state.amplitudes")
                          for z in sv["amplitudes"]], dtype=np.complex128)
@@ -370,12 +369,12 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
         if abs(norm - 1.0) > 1e-9:
             raise _err("shared_state", f"amplitudes not normalized "
                                        f"(||psi|| deviates by {abs(norm-1.0):.3e})")
-        shared = StateVector(amps / norm, prover_layout)
+        shared = StateVector(amps / norm, layout.shared_layout)
     elif "circuit" in sv:
         from .circuits import apply_circuit
         from .linalg import zero_state
         prep = _circuit_dec(sv["circuit"], circuits, "shared_state.circuit")
-        shared = apply_circuit(zero_state(prover_layout), prep)
+        shared = apply_circuit(zero_state(layout.shared_layout), prep)
     else:
         raise _err("shared_state", "needs amplitudes or a preparation circuit")
 

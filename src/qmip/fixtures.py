@@ -45,8 +45,8 @@ def _instance(name, role, c, s, layout, m, v_turns, final_steps, accept_qubit,
                     for i, circs in enumerate(prover_circuits))
     meta = InstanceMeta(name=name, role=role, claimed_completeness=c,
                         claimed_soundness=s)
-    return ProtocolInstance(spec, provers, shared or zero_state(
-        (r.name, r.qubits) for r in layout.provers), meta)
+    return ProtocolInstance(spec, provers,
+                            shared or zero_state(layout.shared_layout), meta)
 
 
 def _tilt_gate(theta: float):

@@ -8,7 +8,6 @@ targets <= ~10 qubits) dense is both exact and fast enough.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -227,98 +226,34 @@ def permutation_sources(matrix: np.ndarray) -> np.ndarray | None:
 
 class MatrixKernel:
     """A (controlled) matrix compiled against axes of an n-qubit buffer and
-    applied in place to the control-satisfied slice only. `full_matrix()` is
-    never built. The form is chosen from the matrix:
+    applied in place to the control-satisfied slice only; `full_matrix()` is
+    never built. The slice, with its targets moved to the front, is
+    multiplied by the matrix in one product and written back.
 
-    * 0/1 permutation (X, CNOT, mcx, SWAP): sub-slices are exchanged along the
-      cycles of the permutation, with one sub-slice temporary;
-    * diagonal with entries in {1, -1, i, -i} (Z, S, CPHASE): sub-slices are
-      scaled;
-    * otherwise dense: the slice is multiplied by the matrix in column blocks
-      of at most BLOCK amplitudes.
-
-    Exchanges and unit scalings are exact. A dense block holds all columns of
-    the slice or a power-of-two number >= BLOCK / 2^d of them, so BLAS runs
-    the same column kernel as one product over the whole slice. Only the sign
-    of a zero amplitude can differ from `full_matrix()` plus tensordot.
+    For a 0/1 permutation (X, CNOT, mcx, SWAP) or a diagonal with entries in
+    {1, -1, i, -i} (Z, S, CPHASE), every output amplitude has exactly one
+    nonzero term, so the product is exact: only the sign of a zero amplitude
+    can differ from `full_matrix()` plus tensordot.
     """
-
-    BLOCK = 1 << 16
 
     def __init__(self, matrix: np.ndarray, targets: Sequence[int],
                  controls: Fixed, n: int):
-        m = np.asarray(matrix, dtype=np.complex128)
+        self.matrix = np.asarray(matrix, dtype=np.complex128)
         d = len(targets)
         self.dim = 2 ** d
-        if m.shape != (self.dim, self.dim):
-            raise ValidationError(f"matrix shape {m.shape} does not fit {d} targets")
+        if self.matrix.shape != (self.dim, self.dim):
+            raise ValidationError(
+                f"matrix shape {self.matrix.shape} does not fit {d} targets")
         self.shape, index, where = _merged(n, dict(controls), targets)
-        tpos = [where[a] for a in targets]
-
-        def sub(k: int) -> tuple:
-            """Index of the sub-slice where the targets hold the bits of k."""
-            idx = list(index)
-            for j, pos in enumerate(tpos):
-                idx[pos] = (k >> (d - 1 - j)) & 1
-            return tuple(idx)
-
-        self.cycles = self.scales = None
-        src = permutation_sources(m)
-        if src is not None:
-            self.cycles, seen = [], set()
-            for j0 in range(self.dim):
-                if j0 in seen or src[j0] == j0:
-                    continue
-                cycle, j = [j0], int(src[j0])
-                while j != j0:
-                    cycle.append(j)
-                    j = int(src[j])
-                seen.update(cycle)
-                self.cycles.append([sub(j) for j in cycle])
-        elif (np.count_nonzero(m) == np.count_nonzero(np.diag(m))
-              and np.isin(np.diag(m), (1, -1, 1j, -1j)).all()):
-            self.scales = [(sub(k), m[k, k]) for k in range(self.dim) if m[k, k] != 1]
-        else:
-            self.matrix = m
-            self.index = tuple(index)
-            kept = [pos for pos, i in enumerate(index) if isinstance(i, slice)]
-            self.tdims = [kept.index(pos) for pos in tpos]
-            rest = [self.shape[pos] for pos in kept if pos not in tpos]
-            self.blocks = self._blocks(rest, d)
-
-    def _blocks(self, rest: list[int], d: int) -> list[tuple]:
-        """Column blocks of the target-first slice view, cut along the
-        outermost untouched dimension that is long enough."""
-        nblocks = math.prod(rest) * self.dim // self.BLOCK
-        if nblocks <= 1:
-            return [()]
-        for r, size in enumerate(rest):
-            if size >= nblocks:
-                break
-        else:
-            r = int(np.argmax(rest))
-            nblocks = rest[r]
-        width = rest[r] // nblocks
-        lead = (slice(None),) * (d + r)
-        return [lead + (slice(s, s + width),) for s in range(0, rest[r], width)]
+        self.index = tuple(index)
+        kept = [pos for pos, i in enumerate(index) if isinstance(i, slice)]
+        self.tdims = [kept.index(where[a]) for a in targets]
 
     def __call__(self, buf: np.ndarray) -> None:
         """Apply in place to `buf`, a writable C-contiguous amplitude buffer."""
-        t = buf.reshape(self.shape)
-        if self.cycles is not None:
-            for cycle in self.cycles:
-                first = t[cycle[0]].copy()
-                for dst, src in zip(cycle, cycle[1:]):
-                    t[dst] = t[src]
-                t[cycle[-1]] = first
-        elif self.scales is not None:
-            for idx, factor in self.scales:
-                t[idx] *= factor
-        else:
-            view = np.moveaxis(t[self.index], self.tdims, range(len(self.tdims)))
-            for blk in self.blocks:
-                b = view[blk]
-                b[...] = (self.matrix @ b.reshape(self.dim, -1)).reshape(b.shape)
+        view = np.moveaxis(buf.reshape(self.shape)[self.index], self.tdims,
+                           range(len(self.tdims)))
+        view[...] = (self.matrix @ view.reshape(self.dim, -1)).reshape(view.shape)
 
 
 def apply_matrix(state: StateVector, matrix: np.ndarray,
@@ -482,22 +417,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# eigenproblems and polar decomposition
-
-
-def max_eigenpair(h: np.ndarray,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES
-                  ) -> tuple[float, np.ndarray]:
-    """Maximum eigenvalue and a unit eigenvector of a Hermitian matrix."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError("eigensolver input is not square")
-    herm_err = np.abs(h - h.conj().T).max()
-    if herm_err > tolerances.hermiticity:
-        raise ValidationError(f"input not Hermitian (deviation {herm_err:.3e})")
-    vals, vecs = np.linalg.eigh(h)
-    v = vecs[:, -1]
-    return float(vals[-1]), v / np.linalg.norm(v)
+# polar decomposition
 
 
 def polar_unitary(a: np.ndarray,

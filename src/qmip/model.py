@@ -100,6 +100,11 @@ class RegisterLayout:
     def total_qubits(self) -> int:
         return sum(r.qubits for r in self.registers)
 
+    @property
+    def shared_layout(self) -> tuple[tuple[str, int], ...]:
+        """The state layout of the shared state: the prover registers."""
+        return tuple((r.name, r.qubits) for r in self.provers)
+
     def as_state_layout(self) -> tuple[tuple[str, int], ...]:
         return tuple((r.name, r.qubits) for r in self.registers)
 
@@ -385,8 +390,7 @@ def validate(instance: ProtocolInstance) -> list[str]:
                 break
             _circuit_in_registers(c, allowed, layout, f"prover {i} turn {t+1}", problems)
 
-    expected_shared = tuple((r.name, r.qubits) for r in layout.provers)
-    if instance.shared.layout != expected_shared:
+    if instance.shared.layout != layout.shared_layout:
         problems.append("shared state layout does not match the prover registers")
     elif abs(instance.shared.norm() - 1.0) > 1e-9:
         problems.append("shared state is not normalized")
@@ -738,14 +742,13 @@ def _predicate_gates(p: ProjectorOp, target: Qubit,
     return gates
 
 
-def purify_coins(instance: ProtocolInstance,
-                 out_register: str = "XP") -> ProtocolInstance:
+def purify_coins(instance: ProtocolInstance) -> ProtocolInstance:
     """Replace coin branching with its exact unitary purification.
 
     Each coin becomes Hadamards on its record qubits plus CNOT broadcasts into
     the recipients' leading message qubits; conditioned circuits become
     record-controlled circuits; the branch-dependent accept rules become a
-    classically computed predicate on a fresh output qubit. Instances with
+    classically computed predicate on a fresh output qubit, register XP. Instances with
     conditioned mid-protocol accept events (private-coin rewinding protocols)
     are not purifiable in place and are rejected.
     """
@@ -770,8 +773,8 @@ def purify_coins(instance: ProtocolInstance,
             name = f"Q_{c.coin_id}"
             new_regs.append(Register(name, c.flips, "verifier"))
             record_of[c.coin_id] = tuple((name, j) for j in range(c.flips))
-    out_q: Qubit = (out_register, 0)
-    new_regs.append(Register(out_register, 1, "verifier"))
+    out_q: Qubit = ("XP", 0)
+    new_regs.append(Register("XP", 1, "verifier"))
     new_layout = RegisterLayout(tuple(new_regs) + layout.messages + layout.provers)
 
     def sector_controls(when: Condition | None) -> tuple[tuple[Qubit, int], ...]:

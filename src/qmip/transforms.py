@@ -682,10 +682,7 @@ def halve_turns(instance: ProtocolInstance, check: bool = True,
 # cascading to three turns
 
 
-def parallelize_to_three(instance: ProtocolInstance,
-                         epsilon: float | None = None,
-                         delta: float | None = None,
-                         check: bool = True,
+def parallelize_to_three(instance: ProtocolInstance, check: bool = True,
                          config: RunConfig = DEFAULT_RUN_CONFIG
                          ) -> TransformResult:
     """Pad to 2^(l+1)+1 turns and halve l times, ending at three turns."""
@@ -695,12 +692,8 @@ def parallelize_to_three(instance: ProtocolInstance,
         if m < 4:
             raise PreconditionError(f"needs at least 4 turns, got {m}")
         c_in, s_in = _claims(inst)
-        eps = epsilon
-        if eps is None:
-            eps = None if c_in is None else 1.0 - c_in
-        dlt = delta
-        if dlt is None:
-            dlt = None if s_in is None else 1.0 - s_in
+        eps = None if c_in is None else 1.0 - c_in
+        dlt = None if s_in is None else 1.0 - s_in
         warnings = ()
         if eps is not None and dlt is not None and dlt <= 2 * (m - 1) * eps:
             warnings = ("gap condition violated: 1-s must exceed 2(m-1)(1-c); "

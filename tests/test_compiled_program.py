@@ -30,8 +30,7 @@ from qmip.adversary import (resize_prover_registers,
                             strategies_from_assignment)
 from qmip.circuits import Circuit, Gate, apply_gate, cnot, mcx, swap, x, z
 from qmip.config import DEFAULT_RUN_CONFIG
-from qmip.linalg import (MatrixKernel, ProjectorOp, StateVector, random_state,
-                         random_unitary)
+from qmip.linalg import ProjectorOp, StateVector, random_state, random_unitary
 from qmip.model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                         FinalDecision, ProtocolInstance, ProverStrategy,
                         VerifierSpec, VerifierTurn, _compile_branch, flatten,
@@ -276,8 +275,8 @@ def _setup(spec, seed):
     d_p = 2 ** sum(r.qubits for r in layout.provers)
     phi = random_state(d_p, rng)
     strategies = strategies_from_assignment(spec, assignment)
-    inst = ProtocolInstance(spec, strategies, StateVector(
-        phi, tuple((r.name, r.qubits) for r in layout.provers)))
+    inst = ProtocolInstance(spec, strategies,
+                            StateVector(phi, layout.shared_layout))
     assert validate(inst) == []
     return (adversary._Program(spec, DEFAULT_RUN_CONFIG), branches, assignment,
             inst)
@@ -350,14 +349,15 @@ def test_compiled_program_above_the_fusion_bound():
 
 
 @st.composite
-def gates(draw, n):
+def gates(draw, n, kinds=KINDS):
     """A gate on ("Q", 0..n-1): 1-3 targets, 0-5 controls of both polarities,
-    and a permutation, unit diagonal, general diagonal or dense matrix."""
+    and a matrix of one of `kinds`: permutation, unit diagonal, general
+    diagonal or dense."""
     qubits = draw(st.permutations(range(n)))
     n_t = draw(st.integers(1, min(3, n)))
     n_c = draw(st.integers(0, min(5, n - n_t)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    matrix = _matrix(draw(st.sampled_from(KINDS)), 2 ** n_t, rng)
+    matrix = _matrix(draw(st.sampled_from(kinds)), 2 ** n_t, rng)
     controls = tuple((("Q", q), draw(st.integers(0, 1)))
                      for q in qubits[n_t:n_t + n_c])
     return Gate("U", matrix, tuple(("Q", q) for q in qubits[:n_t]), controls)
@@ -371,27 +371,34 @@ def _kernel_against_reference(n, gate, seed):
     assert np.abs(got - want[:, 0]).max() <= TOL
 
 
-# a block of 16 amplitudes cuts every dense product into column blocks
-BLOCKS = [MatrixKernel.BLOCK, 16]
-
-
-@pytest.mark.parametrize("block", BLOCKS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
-def test_kernel_equals_full_matrix_reference(block, data, seed):
+def test_kernel_equals_full_matrix_reference(data, seed):
     n = data.draw(st.integers(1, 10))
-    with mock.patch.object(MatrixKernel, "BLOCK", block):
-        _kernel_against_reference(n, data.draw(gates(n)), seed)
+    _kernel_against_reference(n, data.draw(gates(n)), seed)
 
 
-@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_kernel_equals_full_matrix_reference_16_qubits(block, kind):
+def test_kernel_equals_full_matrix_reference_16_qubits(kind):
     rng = np.random.default_rng(16)
     controls = ((("Q", 12), 1), (("Q", 3), 0), (("Q", 7), 1))
     gate = Gate("U", _matrix(kind, 4, rng), (("Q", 9), ("Q", 0)), controls)
-    with mock.patch.object(MatrixKernel, "BLOCK", block):
-        _kernel_against_reference(16, gate, 17)
+    _kernel_against_reference(16, gate, 17)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_is_exact_on_permutations_and_unit_diagonals(data, seed):
+    """Every output amplitude of a 0/1 permutation or a {1, -1, i, -i}
+    diagonal has one nonzero term, so the product equals the reference bit
+    for bit, up to the sign of a zero."""
+    n = data.draw(st.integers(1, 12))
+    gate = data.draw(gates(n, kinds=("permutation", "diagonal")))
+    state = StateVector(random_state(2 ** n, np.random.default_rng(seed)),
+                        (("Q", n),))
+    want = _Reference(state.layout).apply_gate(state.amplitudes[:, None], gate)
+    got = apply_gate(state, gate).amplitudes
+    assert (got + 0.0).tobytes() == (want[:, 0] + 0.0).tobytes()
 
 
 def _run_against_reference(inst):

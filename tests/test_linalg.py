@@ -9,8 +9,7 @@ import pytest
 from qmip.circuits import (apply_circuit, apply_gate, Circuit, cnot, h,
                            unitary_gate, x)
 from qmip.config import NumericalCheckError, ValidationError
-from qmip.linalg import (StateVector, fidelity,
-                         max_eigenpair, polar_unitary, project_norm_sq,
+from qmip.linalg import (StateVector, fidelity, polar_unitary, project_norm_sq,
                          ProjectorOp, random_density, random_state,
                          random_unitary, reorder_registers, zero_state)
 
@@ -157,41 +156,6 @@ def test_fidelity_triple_inequality_random():
         r, s, x_ = (random_density(d, rng) for _ in range(3))
         lhs = fidelity(r, s) ** 2 + fidelity(s, x_) ** 2
         assert lhs <= 1.0 + fidelity(r, x_) + 1e-9
-
-
-# --- eigenproblems ---------------------------------------------------------
-
-
-def test_max_eigenpair_examples():
-    val, vec = max_eigenpair(np.diag([0.2, 0.7]).astype(complex))
-    assert abs(val - 0.7) < 1e-12
-    assert abs(abs(vec[1]) - 1.0) < 1e-12
-    val, vec = max_eigenpair(np.eye(4, dtype=complex))
-    assert abs(val - 1.0) < 1e-12
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-
-
-def test_max_eigenpair_residual_and_hermiticity():
-    rng = np.random.default_rng(3)
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    hmat = (g + g.conj().T) / 2
-    val, vec = max_eigenpair(hmat)
-    assert np.linalg.norm(hmat @ vec - val * vec) <= 1e-9
-    with pytest.raises(ValidationError, match="Hermitian"):
-        max_eigenpair(g)
-
-
-def test_max_eigenpair_dominates_random_vectors():
-    rng = np.random.default_rng(31)
-    for dim in (4, 16):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        hmat = (g + g.conj().T) / 2
-        val, vec = max_eigenpair(hmat)
-        samples = [random_state(dim, rng) for _ in range(10_000)]
-        best = max(float(np.vdot(v, hmat @ v).real) for v in samples)
-        best = max(best, float(np.vdot(vec, hmat @ vec).real))
-        assert val >= best - 1e-6
-        assert abs(val - float(np.vdot(vec, hmat @ vec).real)) <= 1e-9
 
 
 # --- polar decomposition ----------------------------------------------------
