@@ -369,7 +369,7 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
         if abs(norm - 1.0) > 1e-9:
             raise _err("shared_state", f"amplitudes not normalized "
                                        f"(||psi|| deviates by {abs(norm-1.0):.3e})")
-        shared = StateVector(amps / norm, layout.shared_layout)
+        shared = StateVector(amps, layout.shared_layout)
     elif "circuit" in sv:
         from .circuits import apply_circuit
         from .linalg import zero_state
