@@ -748,9 +748,9 @@ def purify_coins(instance: ProtocolInstance) -> ProtocolInstance:
     Each coin becomes Hadamards on its record qubits plus CNOT broadcasts into
     the recipients' leading message qubits; conditioned circuits become
     record-controlled circuits; the branch-dependent accept rules become a
-    classically computed predicate on a fresh output qubit, register XP. Instances with
-    conditioned mid-protocol accept events (private-coin rewinding protocols)
-    are not purifiable in place and are rejected.
+    classically computed predicate on a fresh output qubit, register XP.
+    Instances with conditioned mid-protocol accept events (private-coin
+    rewinding protocols) are not purifiable in place and are rejected.
     """
     spec = instance.verifier
     layout = spec.layout

@@ -9,8 +9,9 @@ adversary test runs on both sides of the fusion bound: with the module's
 bound (fused segments) and with a bound of 1 (one step per gate).
 
 `model.run`'s in-place slice kernel (`linalg.MatrixKernel`) is checked gate by
-gate against the same reference, and `run` with a snapshot after every turn
-branch by branch, including the snapshots it copies out. Hand-written cases
+gate against the same reference (bit for bit on permutations and unit
+diagonals), and `run` with a snapshot after every turn branch by branch,
+including the snapshots it copies out. Hand-written cases
 take each compile-time path of the lazy qubits in `run` once (bit rewrites,
 classical controls, activations, SWAPs of classical and live qubits,
 projectors fixed by classical bits), and random protocols compare `run` with
