@@ -6,9 +6,8 @@ repetitions), and adversarial audits by see-saw optimization."""
 from .adversary import (AdversaryResult, SeesawConfig, brute_force_value,
                         optimal_shared_state, random_search, seesaw)
 from .circuits import Circuit, Gate, apply_circuit, apply_gate, circuit_matrix
-from .config import (DEFAULT_RUN_CONFIG, DEFAULT_TOLERANCES, BudgetError,
-                     NumericalCheckError, PreconditionError, RunConfig,
-                     Tolerances, ValidationError)
+from .config import (DEFAULT_RUN_CONFIG, BudgetError, NumericalCheckError,
+                     PreconditionError, RunConfig, ValidationError)
 from .linalg import (ProjectorOp, StateVector, fidelity, polar_unitary,
                      project, project_norm_sq, random_density, random_state,
                      random_unitary, reorder_registers, tensor_states,

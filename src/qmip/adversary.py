@@ -267,7 +267,7 @@ def optimal_shared_state(verifier: VerifierSpec,
     """Best a-priori shared state for fixed prover circuits, by eigensolver.
 
     Returns (p_max, state). With check=True the state is re-simulated and
-    must reproduce p_max within 1e-9.
+    must reproduce p_max within `config.probability_tol`.
     """
     program = _Program(verifier, config, provers)
     d_p = program.d_p
@@ -282,7 +282,7 @@ def optimal_shared_state(verifier: VerifierSpec,
     if check:
         resim = run(ProtocolInstance(verifier, tuple(provers), state),
                     config=config).acceptance
-        if abs(resim - p_max) > 1e-9:
+        if abs(resim - p_max) > config.probability_tol:
             raise NumericalCheckError(
                 f"eigenvalue {p_max:.12f} vs re-simulated {resim:.12f}")
     return p_max, state
@@ -304,8 +304,8 @@ class SeesawConfig:
     # entanglement across group boundaries (see parallel repetition audits)
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValidationError("restarts must be >= 1")
+        if self.restarts < 1 or self.max_sweeps < 1:
+            raise ValidationError("restarts and max_sweeps must be >= 1")
         if self.convergence_tol <= 0:
             raise ValidationError("convergence_tol must be > 0")
 
@@ -386,7 +386,7 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
 
     Returns the best restart. The trace holds one value per sweep and is
     non-decreasing; the final value is re-simulated through the plain
-    executor and must agree within 1e-9.
+    executor and must agree within `config.probability_tol`.
     """
     spec = resize_prover_registers(verifier, cfg.prover_dims)
     layout = spec.layout
@@ -435,7 +435,7 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
     shared_state = StateVector(shared, layout.shared_layout)
     inst = ProtocolInstance(spec, strategies, shared_state)
     resim = run(inst, config=config).acceptance
-    if abs(resim - value) > 1e-9:
+    if abs(resim - value) > config.probability_tol:
         raise NumericalCheckError(
             f"see-saw value {value:.12f} vs re-simulated {resim:.12f}")
     return AdversaryResult(resim, strategies, shared_state, tuple(trace),
@@ -465,6 +465,8 @@ def random_search(verifier: VerifierSpec, prover_dims: Sequence[int],
 # ---------------------------------------------------------------------------
 # exhaustive grid oracle
 
+GRID_MAX_EVALS = 200_000   # grid points `brute_force_value` may evaluate
+
 
 def _grid_turn_unitary(theta0: float, theta1: float) -> np.ndarray:
     """Message-bit-controlled RY on the private qubit, then swap the private
@@ -479,7 +481,6 @@ def _grid_turn_unitary(theta0: float, theta1: float) -> np.ndarray:
 
 
 def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
-                      max_evals: int = 200_000,
                       config: RunConfig = DEFAULT_RUN_CONFIG) -> float:
     """Exhaustive grid over a two-angle-per-turn strategy family.
 
@@ -487,9 +488,9 @@ def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
     Each turn's unitary is a message-controlled RY pair followed by a swap;
     the shared state is eigen-optimized exactly at every grid point, so the
     result is a guaranteed lower bound on the true optimum. If the grid would
-    exceed `max_evals`, prover 1's turns are pinned to the canonical angles
-    (0, pi/2), which preserves the lower-bound guarantee. A best value above
-    1 + 1e-9 raises NumericalCheckError.
+    exceed `GRID_MAX_EVALS` points, prover 1's turns are pinned to the
+    canonical angles (0, pi/2), which preserves the lower-bound guarantee. A
+    best value above 1 + `config.probability_tol` raises NumericalCheckError.
     """
     layout = verifier.layout
     if layout.message_qubits != 1 or any(r.qubits != 1 for r in layout.provers):
@@ -502,15 +503,15 @@ def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
 
     free = list(keys)
     pinned: dict[tuple[int, int], tuple[float, float]] = {}
-    if points ** (2 * len(free)) > max_evals:
+    if points ** (2 * len(free)) > GRID_MAX_EVALS:
         for key in keys:
             if key[0] == 1:
                 pinned[key] = (0.0, math.pi / 2)
         free = [k for k in keys if k not in pinned]
-    if points ** (2 * len(free)) > max_evals:
+    if points ** (2 * len(free)) > GRID_MAX_EVALS:
         raise PreconditionError(
             f"grid of {points}^{2*len(free)} points exceeds the exhaustion "
-            f"budget ({max_evals})")
+            f"budget ({GRID_MAX_EVALS})")
 
     basis = np.eye(program.d_p, dtype=np.complex128)
     best = 0.0
@@ -523,6 +524,6 @@ def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
         top = float(np.linalg.eigvalsh(a)[-1])
         if top > best:
             best = top
-    if best > 1.0 + 1e-9:
+    if best > 1.0 + config.probability_tol:
         raise NumericalCheckError(f"grid value {best:.12f} exceeds 1")
     return best

@@ -176,10 +176,10 @@ def circuit_matrix(circuit: Circuit, layout) -> np.ndarray:
 # gate constructors (the fixture-authoring vocabulary)
 
 
-def gate1(name: str, target: Qubit, controls: Sequence[Control] = ()) -> Gate:
+def gate1(name: str, target: Qubit) -> Gate:
     if name not in _SQ:
         raise ValidationError(f"unknown single-qubit gate {name!r}")
-    return Gate(name, _SQ[name], (target,), tuple(controls))
+    return Gate(name, _SQ[name], (target,))
 
 
 def h(target: Qubit) -> Gate:
@@ -244,9 +244,8 @@ def u1(matrix: np.ndarray, target: Qubit, controls: Sequence[Control] = ()) -> G
     return Gate("U", matrix, (target,), tuple(controls))
 
 
-def unitary_gate(matrix: np.ndarray, targets: Sequence[Qubit],
-                 controls: Sequence[Control] = (), name: str = "U") -> Gate:
-    return Gate(name, matrix, tuple(targets), tuple(controls))
+def unitary_gate(matrix: np.ndarray, targets: Sequence[Qubit]) -> Gate:
+    return Gate("U", matrix, tuple(targets))
 
 
 def ry(theta: float) -> np.ndarray:
@@ -261,5 +260,3 @@ def amplitude_rotation(p_one: float) -> np.ndarray:
     a, b = math.sqrt(1.0 - p_one), math.sqrt(p_one)
     return np.array([[a, -b], [b, a]], dtype=np.complex128)
 
-
-GATE_NAMES = ("H", "X", "Y", "Z", "S", "CNOT", "TOFFOLI", "SWAP", "CPHASE", "U")

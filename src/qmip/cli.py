@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import adversary, files, fixtures, transforms
@@ -28,11 +29,9 @@ def _out_dir(args) -> Path:
 
 
 def _run_config(args) -> RunConfig:
-    cfg = DEFAULT_RUN_CONFIG
-    if getattr(args, "max_qubits", None):
-        cfg = RunConfig(max_branches=cfg.max_branches,
-                        max_qubits=args.max_qubits)
-    return cfg
+    if args.max_qubits is None:
+        return DEFAULT_RUN_CONFIG
+    return replace(DEFAULT_RUN_CONFIG, max_qubits=args.max_qubits)
 
 
 def _emit(record: files.RunRecord) -> None:

@@ -1,35 +1,37 @@
 """Tolerances, budgets, and error types shared across the package.
 
-Every numeric tolerance that a caller might reasonably want to tighten or
-loosen lives here rather than being buried as a literal.
+A run's budgets and its probability slack are `RunConfig` fields: the slack
+bounds every probability identity checked with a config in reach (`run`'s
+range check, the passes' identities and premises, the adversary's
+re-simulations). The fixed gates on norms and unitarity are module
+constants, each defined once here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    unitarity: float = 1e-10          # ||U^dag U - I||_max for operator validation
-    hermiticity: float = 1e-10        # ||H - H^dag||_max for eigensolver inputs
-    state_norm: float = 1e-12         # | ||psi|| - 1 | for normalized state vectors
-    probability: float = 1e-9         # slack on probabilities / honest-value identities
-    psd: float = 1e-9                 # eigenvalue floor for density-operator checks
-    trace: float = 1e-9               # | tr(rho) - 1 | for density operators
+NORM_TOL = 1e-9         # | ||psi|| - 1 | of a state promised to be normalized
+UNITARITY_TOL = 1e-10   # ||U^dag U - I||_max of a computed or loaded unitary
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Execution budgets for protocol runs and transforms."""
+    """Execution budgets and the probability slack of protocol runs and
+    transforms."""
 
-    max_branches: int = 256   # coin branches a single run may enumerate
-    max_qubits: int = 22      # total register qubits a run may allocate
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    max_branches: int = 256       # coin branches a single run may enumerate
+    max_qubits: int = 22          # total register qubits a run may allocate
+    probability_tol: float = 1e-9  # slack on probabilities / honest-value identities
 
-
-DEFAULT_TOLERANCES = Tolerances()
-DEFAULT_RUN_CONFIG = RunConfig()
+    def __post_init__(self):
+        for name in ("max_branches", "max_qubits"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.probability_tol) and self.probability_tol >= 0):
+            raise ValidationError(
+                f"probability_tol must be finite and >= 0, got {self.probability_tol!r}")
 
 
 class QmipError(Exception):
@@ -56,3 +58,6 @@ class NumericalCheckError(QmipError):
     """An internal cross-check (re-simulation, identity) failed."""
 
     exit_code = 5
+
+
+DEFAULT_RUN_CONFIG = RunConfig()

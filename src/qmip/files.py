@@ -20,8 +20,8 @@ from typing import Any
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GATE_NAMES, _SQ, _SWAP
-from .config import DEFAULT_TOLERANCES, ValidationError
+from .circuits import Circuit, Gate, _SQ, _SWAP
+from .config import NORM_TOL, UNITARITY_TOL, ValidationError
 from .linalg import ProjectorOp, StateVector
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
@@ -79,9 +79,14 @@ def _qubit_dec(v, path: str) -> tuple[str, int]:
 # gates and circuits
 
 
+_NAMED = {**{n: _SQ[n] for n in ("H", "X", "Y", "Z", "S")}, "SWAP": _SWAP}
+"""The gates saved by name alone, with the matrix each name loads as."""
+
+
 def _gate_enc(g: Gate) -> dict:
     out: dict[str, Any] = {"gate": g.name, "targets": [_qubit_enc(t) for t in g.targets]}
-    if g.name == "U" or g.name not in GATE_NAMES:
+    # a name is saved only with its own matrix: S^dag keeps the name "S"
+    if g.name not in _NAMED or not np.array_equal(g.matrix, _NAMED[g.name]):
         out["gate"] = "U"
         out["matrix"] = _complex_enc(g.matrix)
     if g.controls:
@@ -94,7 +99,7 @@ def _check_unitary(name: str, m: np.ndarray, path: str) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or d & (d - 1):
         raise _err(path, f"gate {name} matrix must be square power-of-two")
     dev = float(np.abs(m.conj().T @ m - np.eye(d)).max())
-    if dev > DEFAULT_TOLERANCES.unitarity:
+    if dev > UNITARITY_TOL:
         raise _err(path, f"gate {name} not unitary (||U^dag U - I|| = {dev:.3e})")
 
 
@@ -113,10 +118,11 @@ def _gate_dec(v, circuits: dict[str, Circuit], path: str) -> list[Gate]:
             circ = circ.controlled(controls)
         return list(circ.gates)
     targets = [_qubit_dec(t, f"{path}.targets") for t in v.get("targets", [])]
-    if name in ("H", "X", "Y", "Z", "S"):
-        if len(targets) != 1:
-            raise _err(path, f"{name} takes one target")
-        return [Gate(name, _SQ[name], tuple(targets), controls)]
+    if name in _NAMED:
+        m = _NAMED[name]
+        if len(m) != 2 ** len(targets):
+            raise _err(path, f"{name} takes {len(m).bit_length() - 1} target(s)")
+        return [Gate(name, m, tuple(targets), controls)]
     if name == "CNOT":
         if len(targets) != 2:
             raise _err(path, "CNOT takes [control, target]")
@@ -127,10 +133,6 @@ def _gate_dec(v, circuits: dict[str, Circuit], path: str) -> list[Gate]:
             raise _err(path, "TOFFOLI takes [control, control, target]")
         return [Gate("X", _SQ["X"], (targets[2],),
                      ((targets[0], 1), (targets[1], 1)) + controls)]
-    if name == "SWAP":
-        if len(targets) != 2:
-            raise _err(path, "SWAP takes two targets")
-        return [Gate("SWAP", _SWAP, tuple(targets), controls)]
     if name == "CPHASE":
         if not targets:
             raise _err(path, "CPHASE needs at least one qubit")
@@ -366,7 +368,7 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
         amps = np.array([_c_dec(z, "shared_state.amplitudes")
                          for z in sv["amplitudes"]], dtype=np.complex128)
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > NORM_TOL:
             raise _err("shared_state", f"amplitudes not normalized "
                                        f"(||psi|| deviates by {abs(norm-1.0):.3e})")
         shared = StateVector(amps, layout.shared_layout)

@@ -87,15 +87,13 @@ def guess() -> ProtocolInstance:
         [[Circuit(())]])
 
 
-def _phase_echo(name, role, theta, m, c_claim, s_claim,
-                honest_first=None) -> ProtocolInstance:
+def _phase_echo(name, role, theta, m, c_claim, s_claim) -> ProtocolInstance:
     """Tilt/phase/untilt game over m turns (m = 2, 3, 5 or 9)."""
     lay = make_layout([("V", 1)], 1, 1, [1])
     tilt = Circuit((_tilt_gate(theta),), label="tilt")
     untilt = Circuit((_tilt_gate(-theta),), label="untilt")
     phase = Circuit((cphase([("V", 0), ("M1", 0)]),), label="mark")
-    hon = honest_first if honest_first is not None else Circuit(
-        (x(("M1", 0)),), label="commit to 1")
+    hon = Circuit((x(("M1", 0)),), label="commit to 1")
     ident = Circuit(())
     if m == 2:
         v_turns = [tilt]

@@ -13,8 +13,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import (DEFAULT_TOLERANCES, NumericalCheckError, Tolerances,
-                     ValidationError)
+from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, UNITARITY_TOL,
+                     NumericalCheckError, ValidationError)
 
 Qubit = tuple[str, int]          # (register name, qubit index within register)
 Layout = tuple[tuple[str, int], ...]   # ordered (register name, qubit count)
@@ -51,9 +51,7 @@ class StateVector:
             )
         if self.normalized:
             err = abs(np.linalg.norm(amps) - 1.0)
-            if err > DEFAULT_TOLERANCES.state_norm * 10**3:
-                # loose gate here; strict checks live with the callers that
-                # promise normalization (file loading, run()).
+            if err > NORM_TOL:
                 raise ValidationError(f"state norm deviates from 1 by {err:.3e}")
 
     @property
@@ -331,11 +329,9 @@ class Slices:
         return out
 
 
-def checked_probability(val: float, what: str,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def checked_probability(val: float, what: str, slack: float) -> float:
     """`val` clipped into [0, 1]; NumericalCheckError if it lies outside by
-    more than the probability tolerance."""
-    slack = tolerances.probability
+    more than `slack`."""
     if not -slack <= val <= 1.0 + slack:
         raise NumericalCheckError(
             f"{what} {val!r} lies outside [0, 1] by more than {slack:g}")
@@ -350,11 +346,13 @@ def project(state: StateVector, p: ProjectorOp) -> np.ndarray:
 
 def project_norm_sq(state: StateVector, p: ProjectorOp) -> float:
     """||P |psi>||^2. For a normalized input it must lie in [0, 1] within the
-    probability tolerance (else NumericalCheckError) and is clipped there."""
+    default probability slack (else NumericalCheckError) and is clipped
+    there."""
     val = Slices(state.n_qubits,
                  projector_slices((p,), state.qubit_position)).mass(state.amplitudes)
     if state.normalized:
-        val = checked_probability(val, "projector mass")
+        val = checked_probability(val, "projector mass",
+                                  DEFAULT_RUN_CONFIG.probability_tol)
     return val
 
 
@@ -362,15 +360,15 @@ def project_norm_sq(state: StateVector, p: ProjectorOp) -> float:
 # density-operator utilities
 
 
-def _check_density(rho: np.ndarray, tol: Tolerances, name: str) -> np.ndarray:
+def _check_density(rho: np.ndarray, name: str) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError(f"{name} is not square")
-    if np.abs(rho - rho.conj().T).max() > tol.hermiticity * 10**2:
+    if np.abs(rho - rho.conj().T).max() > 1e-8:
         raise ValidationError(f"{name} is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol.trace:
+    if abs(np.trace(rho).real - 1.0) > 1e-9:
         raise ValidationError(f"{name} does not have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -tol.psd:
+    if np.linalg.eigvalsh(rho).min() < -1e-9:
         raise ValidationError(f"{name} is not positive semidefinite")
     return rho
 
@@ -390,15 +388,14 @@ def _pure_part(rho: np.ndarray) -> np.ndarray | None:
     return vecs[:, -1]
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray,
-             tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """F(rho, sigma) = tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
     For a pair of pure states the overlap |<phi|psi>| is computed directly;
     the matrix square-root path is kept for mixed inputs.
     """
-    rho = _check_density(rho, tolerances, "rho")
-    sigma = _check_density(sigma, tolerances, "sigma")
+    rho = _check_density(rho, "rho")
+    sigma = _check_density(sigma, "sigma")
     if rho.shape != sigma.shape:
         raise ValidationError(
             f"dimension mismatch: {rho.shape} vs {sigma.shape}")
@@ -420,8 +417,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray,
 # polar decomposition
 
 
-def polar_unitary(a: np.ndarray,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def polar_unitary(a: np.ndarray) -> np.ndarray:
     """The unitary maximizing Re tr(U^dag a): U = V W^dag from a = V S W^dag.
 
     Rank-deficient inputs are allowed; any completion of the SVD basis is a
@@ -434,7 +430,7 @@ def polar_unitary(a: np.ndarray,
     v, _, wh = np.linalg.svd(a)
     u = v @ wh
     err = np.abs(u.conj().T @ u - np.eye(len(u))).max()
-    if err > tolerances.unitarity:
+    if err > UNITARITY_TOL:
         raise ValidationError(f"operator not unitary (||U^dag U - I|| = {err:.3e})")
     return u
 
@@ -452,8 +448,7 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    k = rank or dim
-    g = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real

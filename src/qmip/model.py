@@ -32,8 +32,8 @@ from .circuits import (Circuit, Gate, cnot, h as h_gate, is_swap, mcx,
                        x as x_gate)
 # bench/layers.py traces gate applications under this name
 from .circuits import apply_gate  # noqa: F401
-from .config import (DEFAULT_RUN_CONFIG, BudgetError, PreconditionError,
-                     RunConfig, ValidationError)
+from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, BudgetError,
+                     PreconditionError, RunConfig, ValidationError)
 from .linalg import (MatrixKernel, ProjectorOp, Qubit, Slices, StateVector,
                      checked_probability, permutation_sources,
                      projector_slices)
@@ -122,6 +122,17 @@ class RegisterLayout:
         for r in self.verifier_side + self.messages:
             out.extend((r.name, i) for i in range(r.qubits))
         return out
+
+
+def _fresh(name: str, taken: set[str]) -> str:
+    """The first of name, name2, name3, ... not in `taken`; it is added."""
+    out = name
+    i = 2
+    while out in taken:
+        out = f"{name}{i}"
+        i += 1
+    taken.add(out)
+    return out
 
 
 def make_layout(verifier: Sequence[tuple[str, int]],
@@ -392,7 +403,7 @@ def validate(instance: ProtocolInstance) -> list[str]:
 
     if instance.shared.layout != layout.shared_layout:
         problems.append("shared state layout does not match the prover registers")
-    elif abs(instance.shared.norm() - 1.0) > 1e-9:
+    elif abs(instance.shared.norm() - 1.0) > NORM_TOL:
         problems.append("shared state is not normalized")
 
     if v.output_qubit is not None:
@@ -696,7 +707,8 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
                                     tuple(events), final_prob, br.history))
         acceptance += br.weight * (sum(events) + final_prob)
 
-    acceptance = checked_probability(acceptance, "acceptance", config.tolerances)
+    acceptance = checked_probability(acceptance, "acceptance",
+                                     config.probability_tol)
     return Transcript(acceptance, tuple(records), tuple(snapshots))
 
 
@@ -748,7 +760,8 @@ def purify_coins(instance: ProtocolInstance) -> ProtocolInstance:
     Each coin becomes Hadamards on its record qubits plus CNOT broadcasts into
     the recipients' leading message qubits; conditioned circuits become
     record-controlled circuits; the branch-dependent accept rules become a
-    classically computed predicate on a fresh output qubit, register XP.
+    classically computed predicate on a fresh output qubit, register XP (or
+    the first free name XP2, XP3, ...; likewise for coin records Q_<id>).
     Instances with conditioned mid-protocol accept events (private-coin
     rewinding protocols) are not purifiable in place and are rejected.
     """
@@ -765,16 +778,17 @@ def purify_coins(instance: ProtocolInstance) -> ProtocolInstance:
 
     # assign record registers for coins that lack them
     new_regs = list(layout.verifier_side)
+    taken = {r.name for r in layout.registers}
     record_of: dict[str, tuple[Qubit, ...]] = {}
     for c in coins:
         if c.record is not None:
             record_of[c.coin_id] = c.record
         else:
-            name = f"Q_{c.coin_id}"
+            name = _fresh(f"Q_{c.coin_id}", taken)
             new_regs.append(Register(name, c.flips, "verifier"))
             record_of[c.coin_id] = tuple((name, j) for j in range(c.flips))
-    out_q: Qubit = ("XP", 0)
-    new_regs.append(Register("XP", 1, "verifier"))
+    out_q: Qubit = (_fresh("XP", taken), 0)
+    new_regs.append(Register(out_q[0], 1, "verifier"))
     new_layout = RegisterLayout(tuple(new_regs) + layout.messages + layout.provers)
 
     def sector_controls(when: Condition | None) -> tuple[tuple[Qubit, int], ...]:

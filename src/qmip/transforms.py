@@ -12,7 +12,7 @@ simulation of the coin and preserves acceptance probabilities.
 
 A pass is a construction run by `_run_pass`: the construction builds the
 output and names its formulas and honest-value identity; the runner purifies,
-validates, measures and checks the identity to the probability tolerance
+validates, measures and checks the identity to `RunConfig.probability_tol`
 (1e-9 by default), and writes the report.
 Each pass simulates its input at most once.
 """
@@ -28,15 +28,15 @@ import numpy as np
 from .adversary import optimal_shared_state
 from .circuits import (Circuit, amplitude_rotation, mcx, swap_slices, toffoli,
                        unitary_gate, zero_phase_flip)
-from .config import (DEFAULT_RUN_CONFIG, NumericalCheckError,
+from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, NumericalCheckError,
                      PreconditionError, RunConfig, ValidationError)
 from .linalg import (ProjectorOp, Qubit, StateVector, reorder_registers,
                      tensor_states)
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
                     ProverStrategy, Register, RegisterLayout, Transcript,
-                    VerifierSpec, VerifierTurn, coin_steps, is_public_coin,
-                    purify_coins, run, validate)
+                    VerifierSpec, VerifierTurn, _fresh, coin_steps,
+                    is_public_coin, purify_coins, run, validate)
 
 DIM_CAP_NOTE = ("adversarial values are lower bounds at fixed prover "
                 "dimension; no strategy found exceeding a bound does not "
@@ -169,7 +169,7 @@ def _snapshot_after(tr: Transcript, turn: int) -> StateVector:
             raise PreconditionError(
                 f"snapshot after turn {turn} is branch-dependent; purify coins first")
     st = snaps[0][1]
-    if abs(st.norm() - 1.0) > 1e-9:
+    if abs(st.norm() - 1.0) > NORM_TOL:
         raise NumericalCheckError("snapshot state is not normalized")
     return StateVector(st.amplitudes, st.layout, normalized=True)
 
@@ -221,16 +221,6 @@ def _check_valid(instance: ProtocolInstance, name: str) -> None:
     if problems:
         raise NumericalCheckError(f"{name} produced an invalid instance: "
                                   + "; ".join(problems))
-
-
-def _fresh(name: str, taken: set[str]) -> str:
-    out = name
-    i = 2
-    while out in taken:
-        out = f"{name}{i}"
-        i += 1
-    taken.add(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +288,7 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
             extras.update(b.out_extras(tr))
         if b.expected is not None:
             expected = b.expected(honest_in)
-            if abs(honest_out - expected) > config.tolerances.probability:
+            if abs(honest_out - expected) > config.probability_tol:
                 raise NumericalCheckError(
                     f"{name} honest value {honest_out:.12f} != "
                     f"{b.claimed['completeness']['formula']} = {expected:.12f}")
@@ -480,7 +470,7 @@ def make_perfectly_rewindable(instance: ProtocolInstance,
                                 output_qubit=(x_name, 0))
 
         t_gate = unitary_gate(
-            amplitude_rotation(min(1.0, 1.0 / (2.0 * p))), (b_slot,), name="U")
+            amplitude_rotation(min(1.0, 1.0 / (2.0 * p))), (b_slot,))
         provers = []
         for pr in inst.provers:
             circuits = list(pr.circuits)
@@ -498,7 +488,7 @@ def make_perfectly_rewindable(instance: ProtocolInstance,
         if check:
             p_out, _ = optimal_shared_state(out.verifier, out.provers,
                                             config=config)
-            if abs(p_out - 0.5) > config.tolerances.probability:
+            if abs(p_out - 0.5) > config.probability_tol:
                 raise NumericalCheckError(
                     f"rewindable optimum is {p_out:.12f}, expected 0.5")
 
@@ -547,7 +537,7 @@ def rewind_to_perfect_completeness(instance: ProtocolInstance,
         _, s_in = _claims(inst)
         if check:
             p_opt, _ = optimal_shared_state(spec, inst.provers, config=config)
-            if abs(p_opt - 0.5) > config.tolerances.probability:
+            if abs(p_opt - 0.5) > config.probability_tol:
                 raise PreconditionError(
                     f"requires honest optimum exactly 1/2 (perfectly "
                     f"rewindable), got {p_opt:.12f}")
@@ -867,7 +857,7 @@ def public_coin_to_one_round(instance: ProtocolInstance, check: bool = True,
         full = _regroup_state(snapshot(1), [
             ("V", [r.name for r in layout.verifier_side])] + groups)
         tensor = full.amplitudes.reshape(2 ** n_v, -1)
-        if abs(np.linalg.norm(tensor[0]) - 1.0) > 1e-9:
+        if abs(np.linalg.norm(tensor[0]) - 1.0) > NORM_TOL:
             raise NumericalCheckError(
                 "verifier workspace not clean after the first turn")
         shared = StateVector(tensor[0], full.layout[1:])

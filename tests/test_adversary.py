@@ -11,7 +11,7 @@ from qmip.adversary import (SeesawConfig, brute_force_value,
                             resize_prover_registers, seesaw,
                             strategies_from_assignment)
 from qmip.config import (BudgetError, NumericalCheckError, PreconditionError,
-                         RunConfig)
+                         RunConfig, ValidationError)
 from qmip.linalg import StateVector, random_state
 from qmip.model import ProtocolInstance, run
 from qmip.transforms import make_perfectly_rewindable
@@ -187,22 +187,52 @@ def test_grid_refuses_large_instances():
         brute_force_value(rw.verifier)  # message registers are 2 qubits wide
 
 
-def test_grid_raises_instead_of_clamping(monkeypatch):
+def _scale_acceptance_operator(monkeypatch, factor):
+    """Scale the compiled acceptance operator by `factor`, replacing any
+    earlier scaling."""
+    monkeypatch.undo()
     compiled = adversary._Program.acceptance_operator
 
-    def scaled(factor):
-        def operator(self, assignment, prover_cols):
-            return factor * compiled(self, assignment, prover_cols)
-        return operator
+    def operator(self, assignment, prover_cols):
+        return factor * compiled(self, assignment, prover_cols)
+    monkeypatch.setattr(adversary._Program, "acceptance_operator", operator)
 
-    monkeypatch.setattr(adversary._Program, "acceptance_operator", scaled(1.01))
+
+def test_grid_raises_instead_of_clamping(monkeypatch):
+    _scale_acceptance_operator(monkeypatch, 1.01)
     with pytest.raises(NumericalCheckError, match="exceeds 1"):
         brute_force_value(fixtures.always().verifier, grid=math.pi / 4)
     # within 1e-9 of 1 the value is returned as computed, not clamped
-    monkeypatch.setattr(adversary._Program, "acceptance_operator",
-                        scaled(1.0 + 1e-12))
+    _scale_acceptance_operator(monkeypatch, 1.0 + 1e-12)
     value = brute_force_value(fixtures.always().verifier, grid=math.pi / 4)
     assert 1.0 < value <= 1.0 + 1e-9
+
+
+_RESIMULATED = {
+    "seesaw": lambda cfg: seesaw(fixtures.always().verifier,
+                                 SeesawConfig(prover_dims=(1,), restarts=1),
+                                 config=cfg),
+    "optimal_shared_state": lambda cfg: optimal_shared_state(
+        fixtures.always().verifier, fixtures.always().provers, config=cfg),
+    "brute_force_value": lambda cfg: brute_force_value(
+        fixtures.always().verifier, grid=math.pi / 4, config=cfg),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RESIMULATED))
+def test_adversary_checks_read_the_probability_tolerance(monkeypatch, entry):
+    # ALWAYS accepts with probability 1 under every strategy, so scaling the
+    # compiled operator by 1 + 1e-8 plants an offset of 1e-8 against `run`
+    # (and a value 1e-8 above 1 for the grid)
+    _scale_acceptance_operator(monkeypatch, 1.0 + 1e-8)
+    with pytest.raises(NumericalCheckError):
+        _RESIMULATED[entry](RunConfig())
+    _RESIMULATED[entry](RunConfig(probability_tol=1e-7))
+
+
+def test_seesaw_config_rejects_zero_sweeps():
+    with pytest.raises(ValidationError, match="max_sweeps"):
+        SeesawConfig(prover_dims=(1,), max_sweeps=0)
 
 
 # --- budgets -------------------------------------------------------------------

@@ -76,6 +76,16 @@ def test_audit_consistent_verdict(fdir, capsys):
     assert "no strategy found exceeding" in out
 
 
+@pytest.mark.parametrize("args", [
+    ("audit", "guess.json", "--sweeps", "0", "--restarts", "1", "--dims", "1"),
+    ("simulate", "always.json", "--max-qubits", "0")])
+def test_out_of_range_settings_exit_with_validation_code(fdir, capsys, args):
+    command, name, *flags = args
+    code, _, err = run_cli(capsys, command, str(fdir / name), *flags)
+    assert code == 2
+    assert "must be >= 1" in err
+
+
 def test_audit_grid_method(fdir, capsys):
     code, out, _ = run_cli(capsys, "audit", str(fdir / "always.json"),
                            "--method", "grid")

@@ -1,6 +1,7 @@
 """The compiled executors against a frozen per-gate reference.
 
-Random verifiers (at most 7 qubits, coins, accept events, SWAPs and
+Random verifiers (at most 7 qubits, coins, accept events, the vocabulary
+gates H, X, Y, Z, S, CNOT, SWAP, CPHASE, TOFFOLI and their inverses, and
 permutation, diagonal and dense gates with 0-3 controls) and random prover
 assignments are run three ways: the adversary's compiled program,
 `model.run` of the equivalent strategies, and a per-gate reference kept here
@@ -16,7 +17,8 @@ take each compile-time path of the lazy qubits in `run` once (bit rewrites,
 classical controls, activations, SWAPs of classical and live qubits,
 projectors fixed by classical bits), and random protocols compare `run` with
 `run∘purify_coins`. Over the same random verifiers, `flatten`'s branch count,
-weights and order and the file codec's `load∘save` round trip are properties.
+weights and order and the file codec's `load∘save` round trip are properties,
+and so is `circuit.inverse()` composed with the circuit being the identity.
 """
 
 import itertools
@@ -29,7 +31,9 @@ from hypothesis import given, settings, strategies as st
 from qmip import adversary, files, fixtures, model
 from qmip.adversary import (resize_prover_registers,
                             strategies_from_assignment)
-from qmip.circuits import Circuit, Gate, apply_gate, cnot, mcx, swap, x, z
+from qmip.circuits import (Circuit, Gate, apply_gate, circuit_matrix, cnot,
+                           cphase, h, mcx, s as s_gate, swap, toffoli, x, y,
+                           z)
 from qmip.config import DEFAULT_RUN_CONFIG
 from qmip.linalg import ProjectorOp, StateVector, random_state, random_unitary
 from qmip.model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
@@ -171,6 +175,33 @@ KINDS = ["permutation", "diagonal", "phases", "dense"]
 # --- random protocols ----------------------------------------------------------
 
 
+# the fixture-authoring vocabulary, each with the number of qubits it takes
+NAMED = [(h, 1), (x, 1), (y, 1), (z, 1), (s_gate, 1), (cnot, 2), (swap, 2),
+         (lambda a, b: cphase((a, b)), 2), (toffoli, 3)]
+
+
+@st.composite
+def protocol_gates(draw, pool):
+    """A gate on qubits of `pool`: a vocabulary gate or its inverse, or a
+    permutation, diagonal, phase or dense "U" with 0-3 controls."""
+    qubits = draw(st.permutations(pool))
+    kind = draw(st.sampled_from(KINDS + ["swap", "named"]))
+    if kind == "swap" and len(qubits) >= 2:
+        return swap(qubits[0], qubits[1])
+    if kind == "named":
+        make, arity = draw(st.sampled_from(
+            [entry for entry in NAMED if entry[1] <= len(qubits)]))
+        g = make(*qubits[:arity])
+        return g.dagger() if draw(st.booleans()) else g
+    n_t = draw(st.integers(1, min(2, len(qubits))))
+    n_c = draw(st.integers(0, min(3, len(qubits) - n_t)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    matrix = _matrix(kind, 2 ** n_t, np.random.default_rng(seed))
+    controls = tuple((c, draw(st.integers(0, 1)))
+                     for c in qubits[n_t:n_t + n_c])
+    return Gate("U", matrix, tuple(qubits[:n_t]), controls)
+
+
 @st.composite
 def verifiers(draw, max_qubits=7, purifiable=False):
     """A random verifier. `purifiable` keeps to what `purify_coins` turns
@@ -192,19 +223,6 @@ def verifiers(draw, max_qubits=7, purifiable=False):
     every = [(r.name, i) for r in layout.registers for i in range(r.qubits)]
     coins: list[tuple[str, int]] = []
 
-    def gate():
-        qubits = draw(st.permutations(vm))
-        kind = draw(st.sampled_from(KINDS + ["swap"]))
-        if kind == "swap" and len(qubits) >= 2:
-            return swap(qubits[0], qubits[1])
-        n_t = draw(st.integers(1, min(2, len(qubits))))
-        n_c = draw(st.integers(0, min(3, len(qubits) - n_t)))
-        seed = draw(st.integers(0, 2 ** 32 - 1))
-        matrix = _matrix(kind, 2 ** n_t, np.random.default_rng(seed))
-        controls = tuple((c, draw(st.integers(0, 1)))
-                         for c in qubits[n_t:n_t + n_c])
-        return Gate("U", matrix, tuple(qubits[:n_t]), controls)
-
     def condition():
         if coins and draw(st.booleans()):
             cid, flips = draw(st.sampled_from(coins))
@@ -225,7 +243,7 @@ def verifiers(draw, max_qubits=7, purifiable=False):
         return tuple(projector(pool) for _ in range(draw(st.integers(1, most))))
 
     def apply_step():
-        gates = tuple(gate() for _ in range(draw(st.integers(1, 4))))
+        gates = tuple(draw(protocol_gates(vm)) for _ in range(draw(st.integers(1, 4))))
         return ApplyStep(Circuit(gates), when=condition())
 
     def steps(allow_coins):
@@ -516,6 +534,19 @@ def test_run_equals_run_of_purified(spec, seed):
     tr = run(inst)
     assert abs(sum(rec.weight for rec in tr.branches) - 1.0) <= TOL
     assert abs(run(purify_coins(inst)).acceptance - tr.acceptance) <= 1e-10
+
+
+# --- circuit inverses -----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inverse_composed_with_circuit_is_identity(data):
+    layout = (("A", data.draw(st.integers(1, 3))), ("B", data.draw(st.integers(0, 3))))
+    pool = [(name, i) for name, size in layout for i in range(size)]
+    c = Circuit(tuple(data.draw(st.lists(protocol_gates(pool), min_size=1, max_size=8))))
+    product = circuit_matrix(c.inverse(), layout) @ circuit_matrix(c, layout)
+    assert np.abs(product - np.eye(len(product))).max() <= TOL
 
 
 # --- flatten and the file codec over random protocols ---------------------------

@@ -1,14 +1,16 @@
 """Protocol file format: round-trips, digests, error anchoring."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qmip import fixtures, files
+from qmip.circuits import Circuit, Gate, ry, s as s_gate
 from qmip.config import ValidationError
-from qmip.model import run, validate
+from qmip.model import ApplyStep, VerifierTurn, run, validate
 from qmip.transforms import (halve_turns, make_perfectly_rewindable,
                              rewind_to_perfect_completeness)
 
@@ -178,6 +180,24 @@ def test_named_gate_sugar(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValidationError, match="overlapping"):
         files.load(path)  # the Toffoli reuses a control as target
+
+
+def test_gate_name_is_saved_only_with_its_matrix(tmp_path):
+    # S^dag keeps the name "S" and a relabelled rotation keeps the name "X";
+    # both must load as the matrices they hold
+    odd = (s_gate(("V", 0)).dagger(), Gate("X", ry(0.3), (("V", 1),)),
+           s_gate(("V", 1)))
+    inst = fixtures.guess()
+    turn = VerifierTurn((ApplyStep(Circuit(odd)),))
+    inst = replace(inst, verifier=replace(inst.verifier, turns=(turn,)))
+    path = tmp_path / "named.json"
+    files.save(inst, path)
+    loaded = files.load(path)
+    gates = loaded.verifier.turns[0].steps[0].circuit.gates
+    assert [g.name for g in gates] == ["U", "U", "S"]
+    for saved, read in zip(odd, gates):
+        assert np.array_equal(saved.matrix, read.matrix)
+    assert run(loaded).acceptance == run(inst).acceptance
 
 
 def test_run_record_determinism():

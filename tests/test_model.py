@@ -247,6 +247,39 @@ def _coin_with_rules(rules):
     return ProtocolInstance(spec, (ProverStrategy(1, (Circuit(()),)),), shared)
 
 
+@pytest.mark.parametrize("taken, fresh", [("XP", "XP2"), ("Q_c0", "Q_c02")])
+def test_purify_coins_picks_free_register_names(taken, fresh):
+    # a one-coin 1+1+1-qubit protocol whose verifier register already has
+    # the name purify_coins would give its output or coin record register
+    lay = RegisterLayout((Register(taken, 1, "verifier"),
+                          Register("M1", 1, "message"),
+                          Register("P1", 1, "prover")))
+    v = (taken, 0)
+    spec = VerifierSpec(
+        lay, 2, (VerifierTurn((CoinStep("c0", 1, (1,)),)),),
+        FinalDecision((ApplyStep(Circuit((cnot(("M1", 0), v),))),),
+                      (AcceptRule((ProjectorOp.output_one(v),), when=("c0", "0")),
+                       AcceptRule((ProjectorOp.complement(ProjectorOp.output_one(v)),),
+                                  when=("c0", "1")))))
+    tilt = Gate("U", np.array([[0.8, -0.6], [0.6, 0.8]]), (("M1", 0),))
+    inst = ProtocolInstance(spec, (ProverStrategy(1, (Circuit((tilt,)),)),),
+                            StateVector(np.array([1, 0], dtype=complex), (("P1", 1),)))
+    assert validate(inst) == []
+    purified = purify_coins(inst)
+    assert validate(purified) == []
+    assert fresh in {r.name for r in purified.verifier.layout.registers}
+    assert taken in {r.name for r in purified.verifier.layout.registers}
+    assert abs(run(purified).acceptance - run(inst).acceptance) <= 1e-10
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_qubits", 0), ("max_branches", 0), ("probability_tol", -1e-9),
+    ("probability_tol", float("nan")), ("probability_tol", float("inf"))])
+def test_run_config_rejects_out_of_range_settings(field, value):
+    with pytest.raises(ValidationError, match=field):
+        RunConfig(**{field: value})
+
+
 def test_overlapping_accept_rules_rejected():
     # first match gives 1/2 here, the XOR of purify_coins gives 1
     v0 = (ProjectorOp.output_one(("V", 0)),)

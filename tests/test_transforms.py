@@ -10,8 +10,7 @@ import pytest
 from qmip import files, fixtures, transforms
 from qmip.adversary import SeesawConfig, optimal_shared_state, seesaw
 from qmip.circuits import circuit_matrix
-from qmip.config import (NumericalCheckError, PreconditionError, RunConfig,
-                         Tolerances)
+from qmip.config import NumericalCheckError, PreconditionError, RunConfig
 from qmip.linalg import ProjectorOp, project, zero_state, tensor_states
 from qmip.model import run, validate
 from qmip.transforms import (direct_two_turn, halve_turns,
@@ -142,7 +141,7 @@ def test_pass_checks_read_the_probability_tolerance(monkeypatch, check):
     plant(monkeypatch)
     with pytest.raises(error):
         run_pass(RunConfig())
-    loose = RunConfig(tolerances=Tolerances(probability=1e-7))
+    loose = RunConfig(probability_tol=1e-7)
     assert run_pass(loose).report.output_honest is not None
 
 
