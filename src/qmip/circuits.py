@@ -259,4 +259,3 @@ def amplitude_rotation(p_one: float) -> np.ndarray:
         raise ValidationError(f"amplitude {p_one} outside [0, 1]")
     a, b = math.sqrt(1.0 - p_one), math.sqrt(p_one)
     return np.array([[a, -b], [b, a]], dtype=np.complex128)
-

@@ -267,8 +267,7 @@ def test_purify_coins_picks_free_register_names(taken, fresh):
     assert validate(inst) == []
     purified = purify_coins(inst)
     assert validate(purified) == []
-    assert fresh in {r.name for r in purified.verifier.layout.registers}
-    assert taken in {r.name for r in purified.verifier.layout.registers}
+    assert {taken, fresh} <= {r.name for r in purified.verifier.layout.registers}
     assert abs(run(purified).acceptance - run(inst).acceptance) <= 1e-10
 
 
