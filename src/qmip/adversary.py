@@ -39,6 +39,7 @@ Everything is seeded: restart r uses default_rng([seed, r]).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -50,7 +51,7 @@ from .circuits import _SWAP, Circuit, Gate, ry
 from .config import (DEFAULT_RUN_CONFIG, NumericalCheckError,
                      PreconditionError, RunConfig, ValidationError)
 from .linalg import (ProjectorOp, Qubit, Slices, StateVector, polar_unitary,
-                     projector_slices, random_unitary, zero_state)
+                     projector_slices, random_state, random_unitary)
 from .model import (ProtocolInstance, ProverStrategy, Register,
                     RegisterLayout, VerifierSpec, flatten, require_budget,
                     run)
@@ -68,38 +69,33 @@ Assignment = dict[tuple[int, int], np.ndarray]
 class _Program:
     """The coin branches of one verifier as step lists, compiled once.
 
-    The layout's qubit budget is checked before anything is built. With
-    `provers`, their circuits are inlined as verifier gates; without, each
-    prover turn is a slot: `keys` lists the (prover, turn) slots in sorted
+    The layout's qubit budget is checked before anything is built. The
+    branches are `flatten(spec, provers)`: with `provers`, their circuits
+    are inlined as verifier gates; without, each prover turn is a slot on
+    `layout.slot_qubits(i)`. `keys` lists the (prover, turn) slots in sorted
     order and `dims[key]` is the dimension of a slot's unitary. `d_p` is the
-    dimension of the joint prover space.
+    dimension of the joint prover space, and qubit axes are the layout's
+    `qubit_axes()`.
 
     Steps are ("matrix", M) for a fused segment, ("gate", M, axes) for one
     gate above the fusion bound, ("prover", key, perm) for a prover slot and
-    ("event", mask) for an accept event.
+    ("event", mask) for an accept event. Every evaluation walks steps
+    forward with `_forward`.
     """
 
     def __init__(self, spec: VerifierSpec, config: RunConfig,
                  provers: Sequence[ProverStrategy] | None = None):
         layout = spec.layout
         require_budget(layout, config)
-        if provers is None:
-            branches = flatten(verifier=spec, config=config)
-        else:
-            branches = flatten(ProtocolInstance(spec, tuple(provers),
-                                                zero_state(layout.shared_layout)),
-                               config=config)
+        branches = flatten(spec, provers, config=config)
         self.n = layout.total_qubits
         self.dim = 2 ** self.n
-        self.pos: dict[Qubit, int] = {}
-        for r in layout.registers:
-            for i in range(r.qubits):
-                self.pos[(r.name, i)] = len(self.pos)
+        self.pos = layout.qubit_axes()
         self.d_p = 2 ** sum(r.qubits for r in layout.provers)
         self.keys = sorted({op.prover_key for br in branches for op in br.ops
                             if op.kind == "prover"})
-        self.dims = {key: 2 ** (layout.provers[key[0] - 1].qubits
-                                + layout.message_qubits) for key in self.keys}
+        self.dims = {key: 2 ** len(layout.slot_qubits(key[0]))
+                     for key in self.keys}
         perms: dict[tuple[Qubit, ...], np.ndarray] = {}
         self.branches = []
         for br in branches:
@@ -164,7 +160,7 @@ class _Program:
         return cols[perm].reshape(d, -1)
 
     def _act(self, step: tuple, cols: np.ndarray, assignment: Assignment | None,
-             transpose: bool = False) -> np.ndarray:
+             transpose: bool) -> np.ndarray:
         """A gate, segment or prover step (or its transpose) on the columns."""
         kind = step[0]
         if kind == "matrix":
@@ -181,7 +177,7 @@ class _Program:
 
     def _adjoint(self, step: tuple, cols: np.ndarray,
                  assignment: Assignment) -> np.ndarray:
-        return self._act(step, cols.conj(), assignment, transpose=True).conj()
+        return self._act(step, cols.conj(), assignment, True).conj()
 
     # -- evaluation
 
@@ -191,20 +187,20 @@ class _Program:
         cols[:self.d_p, :] = prover_cols
         return cols
 
-    def _hits(self, steps: Sequence[tuple], accept: np.ndarray,
-              cols: np.ndarray, assignment: Assignment | None) -> list[np.ndarray]:
-        """Run one branch; returns each event's projected columns and finally
-        the accepted columns."""
-        hits = []
+    def _forward(self, steps: Sequence[tuple], cols: np.ndarray,
+                 assignment: Assignment | None,
+                 hits: list[np.ndarray] | None = None) -> np.ndarray:
+        """The columns carried forward through `steps`. An event removes its
+        hit (the projected columns), appended to `hits` when given."""
         for step in steps:
             if step[0] == "event":
                 hit = cols * step[1]
-                hits.append(hit)
+                if hits is not None:
+                    hits.append(hit)
                 cols = cols - hit
             else:
-                cols = self._act(step, cols, assignment)
-        hits.append(cols * accept)
-        return hits
+                cols = self._act(step, cols, assignment, False)
+        return cols
 
     def acceptance_operator(self, assignment: Assignment | None,
                             prover_cols: np.ndarray) -> np.ndarray:
@@ -213,43 +209,34 @@ class _Program:
         init = self._initial_columns(prover_cols)
         a = np.zeros((b, b), dtype=np.complex128)
         for w, steps, accept in self.branches:
-            for v in self._hits(steps, accept, init, assignment):
+            hits: list[np.ndarray] = []
+            final = self._forward(steps, init, assignment, hits)
+            for v in hits + [final * accept]:
                 a += w * (v.conj().T @ v)
         return (a + a.conj().T) / 2.0
 
     def environment(self, prover_col: np.ndarray, assignment: Assignment,
                     key: tuple[int, int]) -> np.ndarray:
         """The environment operator of assignment[key] at the shared state in
-        prover_col, before the polar step."""
+        prover_col, before the polar step.
+
+        Per branch: forward to just before the slot, forward through the
+        tail collecting the event hits, then backward to just after the slot,
+        adding each event's hit back in."""
         init = self._initial_columns(prover_col)
         d = assignment[key].shape[0]
         env = np.zeros((d, d), dtype=np.complex128)
         for w, steps, accept in self.branches:
             idx = next(i for i, s in enumerate(steps)
                        if s[0] == "prover" and s[1] == key)
-            # forward to just before the variable
-            chi = init
-            for step in steps[:idx]:
+            chi = self._forward(steps[:idx], init, assignment)
+            hits: list[np.ndarray] = []
+            mu = self._forward(steps[idx:], chi, assignment, hits) * accept
+            for step in reversed(steps[idx + 1:]):
                 if step[0] == "event":
-                    chi = chi - chi * step[1]
+                    mu = mu - mu * step[1] + hits.pop()
                 else:
-                    chi = self._act(step, chi, assignment)
-            # forward through the tail, stashing event hits
-            phi = self._act(steps[idx], chi, assignment)
-            stash: dict[int, np.ndarray] = {}
-            for j in range(idx + 1, len(steps)):
-                if steps[j][0] == "event":
-                    stash[j] = phi * steps[j][1]
-                    phi = phi - stash[j]
-                else:
-                    phi = self._act(steps[j], phi, assignment)
-            mu = phi * accept
-            # backward to just after the variable, accumulating event terms
-            for j in range(len(steps) - 1, idx, -1):
-                if steps[j][0] == "event":
-                    mu = mu - mu * steps[j][1] + stash[j]
-                else:
-                    mu = self._adjoint(steps[j], mu, assignment)
+                    mu = self._adjoint(step, mu, assignment)
             perm = steps[idx][2]
             env += w * (self._front(mu, perm, d)
                         @ self._front(chi, perm, d).conj().T)
@@ -294,20 +281,34 @@ def optimal_shared_state(verifier: VerifierSpec,
 
 @dataclass(frozen=True)
 class SeesawConfig:
+    """See-saw settings.
+
+    `product_groups` splits the provers into groups that may not share
+    entanglement across group boundaries (see parallel repetition audits):
+    the shared state is a product of one state per group. The groups must
+    be non-empty and, read in order, list the provers 1..k in order, so
+    each group is a run of consecutive prover registers.
+    """
+
     prover_dims: tuple[int, ...]          # qubits of each P_i
     restarts: int = 20
     max_sweeps: int = 60
     convergence_tol: float = 1e-9
     seed: int = 0
     product_groups: tuple[tuple[int, ...], ...] | None = None
-    # product_groups partitions prover indices into groups that may not share
-    # entanglement across group boundaries (see parallel repetition audits)
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_sweeps < 1:
             raise ValidationError("restarts and max_sweeps must be >= 1")
         if self.convergence_tol <= 0:
             raise ValidationError("convergence_tol must be > 0")
+        groups = self.product_groups
+        if groups is not None and (
+                not all(groups) or [i for g in groups for i in g]
+                != list(range(1, len(self.prover_dims) + 1))):
+            raise ValidationError(
+                "product groups must be non-empty and list the provers "
+                "1..k in order")
 
 
 @dataclass(frozen=True)
@@ -338,8 +339,7 @@ def strategies_from_assignment(verifier: VerifierSpec,
     n_turns = verifier.prover_turn_count()
     out = []
     for i in range(1, layout.k + 1):
-        qs = tuple(layout.qubits_of(layout.provers[i - 1].name)
-                   + layout.qubits_of(layout.messages[i - 1].name))
+        qs = layout.slot_qubits(i)
         circuits = tuple(
             Circuit((Gate("U", assignment[(i, t)], qs),), label=f"P{i} turn {t}")
             for t in range(1, n_turns + 1))
@@ -347,37 +347,23 @@ def strategies_from_assignment(verifier: VerifierSpec,
     return tuple(out)
 
 
-def _product_state_update(program: _Program, layout: RegisterLayout,
-                          assignment: Assignment,
-                          groups: Sequence[Sequence[int]],
+def _product_state_update(program: _Program, assignment: Assignment,
                           group_states: list[np.ndarray]) -> np.ndarray:
     """One round of per-group eigen-updates under a product constraint; one
     group of all provers is the unconstrained update.
 
-    Groups must be contiguous in the prover register order. Returns the full
-    product state.
+    The groups are runs of consecutive prover registers, in register order,
+    so their Kronecker product is in the order of the prover space. Returns
+    the full product state.
     """
-    reg_dims = [2 ** r.qubits for r in layout.provers]
-    for gi, group in enumerate(groups):
-        dims = [reg_dims[i - 1] for i in group]
-        d_g = int(np.prod(dims))
-        basis = np.eye(d_g, dtype=np.complex128)
-        factors = []
-        for gj, _ in enumerate(groups):
-            if gj == gi:
-                factors.append(basis)
-            else:
-                factors.append(group_states[gj][:, None])
-        cols = factors[0]
-        for f in factors[1:]:
-            cols = np.kron(cols, f)
+    for gi in range(len(group_states)):
+        cols = functools.reduce(np.kron, [
+            np.eye(len(st), dtype=np.complex128) if gj == gi else st[:, None]
+            for gj, st in enumerate(group_states)])
         a = program.acceptance_operator(assignment, cols)
         _, vecs = np.linalg.eigh(a)
         group_states[gi] = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
-    full = group_states[0]
-    for st in group_states[1:]:
-        full = np.kron(full, st)
-    return full
+    return functools.reduce(np.kron, group_states)
 
 
 def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
@@ -390,10 +376,7 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
     """
     spec = resize_prover_registers(verifier, cfg.prover_dims)
     layout = spec.layout
-    groups = (cfg.product_groups if cfg.product_groups is not None
-              else (tuple(range(1, layout.k + 1)),))
-    if sorted(i for g in groups for i in g) != list(range(1, layout.k + 1)):
-        raise ValidationError("product groups must partition the provers")
+    groups = cfg.product_groups or (tuple(range(1, layout.k + 1)),)
     program = _Program(spec, config)
     keys = sorted(program.keys, key=lambda k: (k[1], k[0]))
 
@@ -403,18 +386,14 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
         rng = np.random.default_rng([cfg.seed, r])
         assignment: Assignment = {k: random_unitary(program.dims[k], rng)
                                   for k in keys}
-        group_states = []
-        for g in groups:
-            d_g = int(np.prod([2 ** layout.provers[i - 1].qubits for i in g]))
-            v = rng.standard_normal(d_g) + 1j * rng.standard_normal(d_g)
-            group_states.append(v / np.linalg.norm(v))
+        group_states = [random_state(2 ** sum(cfg.prover_dims[i - 1] for i in g),
+                                     rng) for g in groups]
         shared = None
         trace: list[float] = []
         converged = False
         prev = -1.0
         for _ in range(cfg.max_sweeps):
-            shared = _product_state_update(program, layout, assignment,
-                                           groups, group_states)
+            shared = _product_state_update(program, assignment, group_states)
             for key in keys:
                 assignment[key] = polar_unitary(
                     program.environment(shared[:, None], assignment, key))
@@ -455,8 +434,7 @@ def random_search(verifier: VerifierSpec, prover_dims: Sequence[int],
     for _ in range(samples):
         assignment = {k: random_unitary(program.dims[k], rng)
                       for k in program.keys}
-        v = rng.standard_normal(program.d_p) + 1j * rng.standard_normal(program.d_p)
-        v /= np.linalg.norm(v)
+        v = random_state(program.d_p, rng)
         best = max(best, float(
             program.acceptance_operator(assignment, v[:, None])[0, 0].real))
     return best
@@ -466,6 +444,7 @@ def random_search(verifier: VerifierSpec, prover_dims: Sequence[int],
 # exhaustive grid oracle
 
 GRID_MAX_EVALS = 200_000   # grid points `brute_force_value` may evaluate
+GRID_STEP = math.pi / 64   # `brute_force_value`'s default angle step
 
 
 def _grid_turn_unitary(theta0: float, theta1: float) -> np.ndarray:
@@ -480,7 +459,7 @@ def _grid_turn_unitary(theta0: float, theta1: float) -> np.ndarray:
     return _SWAP @ c
 
 
-def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
+def brute_force_value(verifier: VerifierSpec, grid: float = GRID_STEP,
                       config: RunConfig = DEFAULT_RUN_CONFIG) -> float:
     """Exhaustive grid over a two-angle-per-turn strategy family.
 
@@ -490,8 +469,11 @@ def brute_force_value(verifier: VerifierSpec, grid: float = math.pi / 64,
     result is a guaranteed lower bound on the true optimum. If the grid would
     exceed `GRID_MAX_EVALS` points, prover 1's turns are pinned to the
     canonical angles (0, pi/2), which preserves the lower-bound guarantee. A
-    best value above 1 + `config.probability_tol` raises NumericalCheckError.
+    best value above 1 + `config.probability_tol` raises NumericalCheckError;
+    a `grid` that is not finite and > 0 raises ValidationError.
     """
+    if not (math.isfinite(grid) and grid > 0):
+        raise ValidationError(f"grid must be finite and > 0, got {grid!r}")
     layout = verifier.layout
     if layout.message_qubits != 1 or any(r.qubits != 1 for r in layout.provers):
         raise PreconditionError(

@@ -247,12 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="search for cheating strategies")
     p.add_argument("file")
     p.add_argument("--method", choices=("seesaw", "grid"), default="seesaw")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--sweeps", type=int, default=60)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--restarts", type=int, default=adversary.SeesawConfig.restarts)
+    p.add_argument("--sweeps", type=int, default=adversary.SeesawConfig.max_sweeps)
+    p.add_argument("--tol", type=float,
+                   default=adversary.SeesawConfig.convergence_tol)
     p.add_argument("--dims", default=None,
                    help="comma-separated prover qubit counts")
-    p.add_argument("--grid-resolution", type=float, default=3.141592653589793 / 64)
+    p.add_argument("--grid-resolution", type=float, default=adversary.GRID_STEP)
     p.add_argument("--out-strategy", default=None)
     common(p)
     p.set_defaults(fn=cmd_audit)

@@ -117,6 +117,16 @@ class RegisterLayout:
     def qubits_of(self, name: str) -> list[Qubit]:
         return [(name, i) for i in range(self.register(name).qubits)]
 
+    def slot_qubits(self, i: int) -> tuple[Qubit, ...]:
+        """The qubits prover i's turns act on: P_i, then M_i."""
+        return tuple(self.qubits_of(self.provers[i - 1].name)
+                     + self.qubits_of(self.messages[i - 1].name))
+
+    def qubit_axes(self) -> dict[Qubit, int]:
+        """Each qubit's big-endian position in the full state."""
+        qubits = [(r.name, j) for r in self.registers for j in range(r.qubits)]
+        return {q: a for a, q in enumerate(qubits)}
+
     def verifier_message_qubits(self) -> list[Qubit]:
         out: list[Qubit] = []
         for r in self.verifier_side + self.messages:
@@ -461,14 +471,13 @@ def _accept_for(final: FinalDecision, history: dict[str, str]
     raise ValidationError(f"no accept rule matches branch {history}")
 
 
-def flatten(instance: ProtocolInstance | None = None, *,
-            verifier: VerifierSpec | None = None,
-            config: RunConfig = DEFAULT_RUN_CONFIG) -> tuple[FlatBranch, ...]:
+def flatten(spec: VerifierSpec, provers: Sequence[ProverStrategy] | None = None,
+            *, config: RunConfig = DEFAULT_RUN_CONFIG) -> tuple[FlatBranch, ...]:
     """Expand a protocol into per-coin-branch op lists.
 
-    With an instance, prover turns are inlined as gates. With only a verifier,
-    prover turns become placeholder ops (kind "prover") so an optimizer can
-    substitute its own matrices; placeholder targets are (P_i ++ M_i) qubits.
+    With `provers`, their turns are inlined as gates. Without, each prover
+    turn is a placeholder op (kind "prover") so an optimizer can substitute
+    its own matrices; its targets are `layout.slot_qubits(i)`.
 
     A branch is one outcome of every coin in the verifier's turns, and its
     weight is 2^-(total flips). Branches come in `itertools.product` order
@@ -476,9 +485,6 @@ def flatten(instance: ProtocolInstance | None = None, *,
     condition only sees the coins drawn before its step, so a condition on a
     later coin never holds.
     """
-    if (instance is None) == (verifier is None):
-        raise ValidationError("pass exactly one of instance / verifier")
-    spec = instance.verifier if instance else verifier
     layout = spec.layout
     m = spec.m
     coins = [s for t in spec.turns for s in t.steps if isinstance(s, CoinStep)]
@@ -487,11 +493,8 @@ def flatten(instance: ProtocolInstance | None = None, *,
         raise BudgetError(
             f"coin branching exceeds the configured budget ({config.max_branches})")
 
-    prover_circ: dict[tuple[int, int], Circuit] = {}
-    if instance is not None:
-        for p in instance.provers:
-            for t, c in enumerate(p.circuits):
-                prover_circ[(p.index, t + 1)] = c
+    circuits = {(p.index, t + 1): c for p in provers or ()
+                for t, c in enumerate(p.circuits)}
 
     # (turn, prover ops, verifier steps); turn None is the final decision,
     # whose coin steps validate() rejects and flatten skips
@@ -504,12 +507,11 @@ def flatten(instance: ProtocolInstance | None = None, *,
             continue
         ops: list[FlatOp] = []
         for i in range(1, layout.k + 1):
-            if instance is not None:
-                ops += [FlatOp("gate", gate=g) for g in prover_circ[(i, pt)]]
+            if provers is not None:
+                ops += [FlatOp("gate", gate=g) for g in circuits[(i, pt)]]
             else:
-                qs = tuple(layout.qubits_of(layout.provers[i - 1].name)
-                           + layout.qubits_of(layout.messages[i - 1].name))
-                ops.append(FlatOp("prover", prover_key=(i, pt), qubits=qs))
+                ops.append(FlatOp("prover", prover_key=(i, pt),
+                                  qubits=layout.slot_qubits(i)))
         blocks.append((t, ops, ()))
     blocks.append((None, [], [s for s in spec.final.steps
                               if not isinstance(s, CoinStep)]))
@@ -674,10 +676,9 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
 
     state_layout = layout.as_state_layout()
     n = layout.total_qubits
-    axis = {q: i for i, q in enumerate(
-        (name, j) for name, size in state_layout for j in range(size))}
+    axis = layout.qubit_axes()
     classical = dict.fromkeys(range(n - instance.shared.n_qubits), 0)
-    branches = flatten(instance, config=config)
+    branches = flatten(instance.verifier, instance.provers, config=config)
 
     records: list[BranchRecord] = []
     snapshots: list[tuple[int, str, StateVector]] = []

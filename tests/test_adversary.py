@@ -235,6 +235,16 @@ def test_seesaw_config_rejects_zero_sweeps():
         SeesawConfig(prover_dims=(1,), max_sweeps=0)
 
 
+@pytest.mark.parametrize("dims, groups", [((1, 2), ((2,), (1,))),
+                                          ((1, 2), ((1,), (), (2,))),
+                                          ((1, 1, 1), ((1, 3), (2,)))])
+def test_seesaw_config_rejects_product_groups_out_of_register_order(dims, groups):
+    # the product of the group states is read in prover-register order, so
+    # these would optimize over states that are product across another cut
+    with pytest.raises(ValidationError, match="product groups"):
+        SeesawConfig(prover_dims=dims, product_groups=groups)
+
+
 # --- budgets -------------------------------------------------------------------
 
 

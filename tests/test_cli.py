@@ -77,13 +77,16 @@ def test_audit_consistent_verdict(fdir, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ("audit", "guess.json", "--sweeps", "0", "--restarts", "1", "--dims", "1"),
-    ("simulate", "always.json", "--max-qubits", "0")])
+    ("must be >= 1", "audit", "guess.json", "--sweeps", "0", "--restarts", "1",
+     "--dims", "1"),
+    ("must be >= 1", "simulate", "always.json", "--max-qubits", "0"),
+    *(("must be finite and > 0", "audit", "always.json", "--method", "grid",
+       f"--grid-resolution={value}") for value in ("0", "-0.1", "nan"))])
 def test_out_of_range_settings_exit_with_validation_code(fdir, capsys, args):
-    command, name, *flags = args
+    message, command, name, *flags = args
     code, _, err = run_cli(capsys, command, str(fdir / name), *flags)
     assert code == 2
-    assert "must be >= 1" in err
+    assert message in err
 
 
 def test_audit_grid_method(fdir, capsys):

@@ -7,7 +7,10 @@ assignments are run three ways: the adversary's compiled program,
 `model.run` of the equivalent strategies, and a per-gate reference kept here
 as a test oracle (`Gate.full_matrix()` plus one tensordot per gate). Every
 adversary test runs on both sides of the fusion bound: with the module's
-bound (fused segments) and with a bound of 1 (one step per gate).
+bound (fused segments) and with a bound of 1 (one step per gate). Provers
+inlined by `flatten` and the same provers as slot matrices over
+`RegisterLayout.slot_qubits` give one acceptance operator, and the layout's
+qubit axes are `StateVector`'s big-endian positions.
 
 `model.run`'s in-place slice kernel (`linalg.MatrixKernel`) is checked gate by
 gate against the same reference (bit for bit on permutations and unit
@@ -35,7 +38,8 @@ from qmip.circuits import (Circuit, Gate, apply_gate, circuit_matrix, cnot,
                            cphase, h, mcx, s as s_gate, swap, toffoli, x, y,
                            z)
 from qmip.config import DEFAULT_RUN_CONFIG
-from qmip.linalg import ProjectorOp, StateVector, random_state, random_unitary
+from qmip.linalg import (ProjectorOp, StateVector, random_state, random_unitary,
+                         zero_state)
 from qmip.model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                         FinalDecision, ProtocolInstance, ProverStrategy,
                         VerifierSpec, VerifierTurn, _compile_branch, flatten,
@@ -283,7 +287,7 @@ def verifiers(draw, max_qubits=7, purifiable=False):
 def _setup(spec, seed):
     """A program, a random assignment and a random shared state for `spec`."""
     layout = spec.layout
-    branches = flatten(verifier=spec)
+    branches = flatten(spec)
     rng = np.random.default_rng(seed)
     keys = sorted({op.prover_key for br in branches for op in br.ops
                    if op.kind == "prover"})
@@ -364,6 +368,52 @@ def test_compiled_program_above_the_fusion_bound():
         assert np.abs(got - want).max() <= TOL
 
 
+# --- the prover-slot convention ------------------------------------------------
+
+
+def _slot_layout(qubits):
+    """The (register, qubit count) layout whose qubit order is `qubits`."""
+    names = list(dict.fromkeys(name for name, _ in qubits))
+    layout = tuple((name, sum(1 for n, _ in qubits if n == name)) for name in names)
+    assert [(n, j) for n, size in layout for j in range(size)] == list(qubits)
+    return layout
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inlined_provers_equal_their_slot_matrices(data):
+    """Provers inlined by `flatten` and the same provers as slot matrices,
+    each the circuit's matrix over `slot_qubits(i)` in that order, give one
+    acceptance operator."""
+    spec = data.draw(verifiers())
+    layout = spec.layout
+    provers, assignment = [], {}
+    for i in range(1, layout.k + 1):
+        slot = layout.slot_qubits(i)
+        circuits = tuple(
+            Circuit(tuple(data.draw(st.lists(protocol_gates(list(slot)), max_size=3))))
+            for _ in range(spec.prover_turn_count()))
+        provers.append(ProverStrategy(i, circuits))
+        for t, c in enumerate(circuits, start=1):
+            assignment[(i, t)] = circuit_matrix(c, _slot_layout(slot))
+    eye = np.eye(2 ** sum(r.qubits for r in layout.provers), dtype=np.complex128)
+    inlined = adversary._Program(spec, DEFAULT_RUN_CONFIG, provers
+                                 ).acceptance_operator(None, eye)
+    slots = adversary._Program(spec, DEFAULT_RUN_CONFIG
+                               ).acceptance_operator(assignment, eye)
+    assert np.abs(inlined - slots).max() <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=verifiers())
+def test_layout_axes_are_state_vector_positions(spec):
+    layout = spec.layout
+    state = zero_state(layout.as_state_layout())
+    axes = layout.qubit_axes()
+    assert sorted(axes.values()) == list(range(layout.total_qubits))
+    assert axes == {q: state.qubit_position(q) for q in axes}
+
+
 # --- model.run's in-place kernel ----------------------------------------------
 
 
@@ -428,7 +478,8 @@ def _run_against_reference(inst):
     ref = _Reference(inst.verifier.layout.as_state_layout())
     init = np.zeros((ref.dim, 1), dtype=np.complex128)
     init[:inst.shared.dim, 0] = inst.shared.amplitudes
-    acceptance, records, snapshots = ref.run(flatten(inst), init)
+    acceptance, records, snapshots = ref.run(
+        flatten(inst.verifier, inst.provers), init)
     assert abs(tr.acceptance - acceptance) <= TOL
     for rec, (events, final) in zip(tr.branches, records, strict=True):
         assert np.abs(np.subtract(rec.event_probs, events)).max(initial=0) <= TOL
@@ -558,7 +609,7 @@ def test_flatten_branch_invariants(spec):
     coins = [(s.coin_id, s.flips) for t in spec.turns for s in t.steps
              if isinstance(s, CoinStep)]
     flips = sum(f for _, f in coins)
-    branches = flatten(verifier=spec)
+    branches = flatten(spec)
     assert len(branches) == 2 ** flips
     assert all(br.weight == 2.0 ** -flips for br in branches)
     # coin ids c0, c1 sort in coin order, so sorted histories list the

@@ -114,9 +114,11 @@ def test_coin_budget_checked_before_any_branch_is_built(monkeypatch):
 
     monkeypatch.setattr(model, "FlatBranch", counting_branch)
     with pytest.raises(BudgetError, match=r"exceeds the configured budget \(1\)"):
-        model.flatten(inst, config=RunConfig(max_branches=1))
+        model.flatten(inst.verifier, inst.provers,
+                      config=RunConfig(max_branches=1))
     assert built == []
-    assert len(model.flatten(inst, config=RunConfig(max_branches=2))) == 2
+    assert len(model.flatten(inst.verifier, inst.provers,
+                              config=RunConfig(max_branches=2))) == 2
 
 
 def test_qubit_budget():

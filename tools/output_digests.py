@@ -1,0 +1,167 @@
+"""Digest every output a refactor must leave unchanged, as one JSON object.
+
+Run it on two trees and diff the outputs: a refactor is neutral when the two
+objects are equal key for key.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/output_digests.py > after.json
+
+Point PYTHONPATH at another checkout's `src` to digest that tree; the
+fixtures are read next to the package, so each tree is compared on its own
+committed fixtures. Each key is a label and each value is a sha256, a
+`repr`'d float or an error's class and message:
+
+* the 16 fixtures `fixtures.generate_all` writes and its manifest;
+* every `PASSES` entry on every committed fixture, with check=True and with
+  check=False, with the other arguments `qmip transform` passes by default:
+  the output file and the report;
+* every `run_pipeline` stage of five_turn_yes, sound_yes, five_turn_no and
+  sound_no, and the final output;
+* `run` acceptance on every committed fixture;
+* `optimal_shared_state` (value and state) and `random_search` on every
+  committed fixture, and `brute_force_value` on the fixtures it accepts;
+* see-saw values, traces, restart values, states and strategies on the
+  verifier of the rewound sound_no (the benchmark's audit, seeds 0-3) and on
+  chsh with and without product groups.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from qmip import adversary, files, fixtures, model, transforms
+
+PIPELINE_INPUTS = ("five_turn_yes", "sound_yes", "five_turn_no", "sound_no")
+
+
+def _sha(data: bytes | str) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data
+                          ).hexdigest()
+
+
+def _error(e: Exception) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
+def _save_sha(instance, directory: Path) -> str:
+    return _sha(files.save(instance, directory / "out.json"))
+
+
+def _array_sha(a: np.ndarray) -> str:
+    return _sha(np.ascontiguousarray(a, dtype=np.complex128).tobytes())
+
+
+def _seesaw(out: dict, label: str, verifier, cfg) -> None:
+    try:
+        res = adversary.seesaw(verifier, cfg)
+    except Exception as e:
+        out[label] = _error(e)
+        return
+    out[f"{label} value"] = repr(res.value)
+    out[f"{label} trace"] = repr(res.trace)
+    out[f"{label} restart values"] = repr(res.restart_values)
+    out[f"{label} converged"] = repr(res.converged)
+    out[f"{label} state"] = _array_sha(res.shared.amplitudes)
+    out[f"{label} strategies"] = _sha(b"".join(
+        _array_sha(g.matrix).encode() for p in res.strategies
+        for c in p.circuits for g in c))
+
+
+def digests(work: Path) -> dict[str, str]:
+    out: dict[str, str] = {}
+    fix = fixtures.fixtures_dir()
+    names = sorted(json.loads((fix / "manifest.json").read_text())["entries"])
+    loaded = {n: files.load(fix / f"{n}.json") for n in names}
+
+    generated = work / "generated"
+    fixtures.generate_all(generated)
+    for path in sorted(generated.iterdir()):
+        out[f"generate_all {path.name}"] = _sha(path.read_bytes())
+
+    for n in names:
+        out[f"run {n}"] = repr(model.run(loaded[n]).acceptance)
+
+    for pass_name, fn in sorted(transforms.PASSES.items()):
+        for n in names:
+            for check in (True, False):
+                label = f"pass {pass_name} {n} check={check}"
+                # the arguments `qmip transform` passes by default
+                kw = {}
+                if pass_name in ("seq-rep", "par-rep"):
+                    kw["n"] = 2
+                if pass_name == "rewindable" and not check:
+                    kw["p_max"] = loaded[n].meta.claimed_completeness
+                try:
+                    res = fn(loaded[n], check=check, **kw)
+                except Exception as e:
+                    out[label] = _error(e)
+                    continue
+                out[f"{label} output"] = _save_sha(res.instance, work)
+                out[f"{label} report"] = _sha(repr(res.report))
+
+    for n in PIPELINE_INPUTS:
+        try:
+            res = transforms.run_pipeline(loaded[n])
+        except Exception as e:
+            out[f"pipeline {n}"] = _error(e)
+            continue
+        for stage in res.stages:
+            label = f"pipeline {n} {stage.report.name}"
+            out[f"{label} output"] = _save_sha(stage.instance, work)
+            out[f"{label} report"] = _sha(repr(stage.report))
+        out[f"pipeline {n} final"] = _save_sha(res.instance, work)
+
+    for n in names:
+        inst = loaded[n]
+        dims = tuple(r.qubits for r in inst.verifier.layout.provers)
+        try:
+            value, state = adversary.optimal_shared_state(inst.verifier,
+                                                          inst.provers)
+            out[f"optimal_shared_state {n} value"] = repr(value)
+            out[f"optimal_shared_state {n} state"] = _array_sha(state.amplitudes)
+        except Exception as e:
+            out[f"optimal_shared_state {n}"] = _error(e)
+        try:
+            out[f"random_search {n}"] = repr(adversary.random_search(
+                inst.verifier, dims, samples=8, seed=1))
+        except Exception as e:
+            out[f"random_search {n}"] = _error(e)
+        try:
+            out[f"brute_force_value {n}"] = repr(
+                adversary.brute_force_value(inst.verifier))
+        except Exception as e:
+            out[f"brute_force_value {n}"] = _error(e)
+
+    rwd = transforms.make_perfectly_rewindable(loaded["sound_no"], p_max=1.0,
+                                               check=False)
+    audit = transforms.rewind_to_perfect_completeness(rwd.instance,
+                                                      check=False).instance
+    for seed in range(4):
+        _seesaw(out, f"seesaw audit seed={seed}", audit.verifier,
+                adversary.SeesawConfig(prover_dims=(2,), convergence_tol=1e-7,
+                                       max_sweeps=60, restarts=1, seed=seed))
+    for groups in (None, ((1,), (2,))):
+        _seesaw(out, f"seesaw chsh groups={groups}", loaded["chsh"].verifier,
+                adversary.SeesawConfig(prover_dims=(1, 1), restarts=4, seed=0,
+                                       product_groups=groups))
+    return out
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = digests(Path(tmp))
+    print(json.dumps(out, sort_keys=True, indent=1))
+    print(f"{len(out)} outputs in {time.perf_counter() - t0:.1f} s",
+          file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
