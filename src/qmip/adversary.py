@@ -10,17 +10,27 @@ Two engines:
 * `seesaw`: alternating best-response ascent. Each prover-turn unitary is
   relaxed through the bilinear form Re<phi| (tail) (U x I) (head) |psi> whose
   exact maximizer over unitaries is the polar factor of the environment
-  operator E (assembled by one forward and one backward pass per coin branch,
-  with environment operators averaged across branches). The shared state is
-  re-optimized by the eigensolver. Both moves are exact maximizations of the
-  surrogate, so the per-sweep value trace is non-decreasing.
+  operator E (assembled by a forward and a backward pass through the tail of
+  each coin branch, with environment operators averaged across branches).
+  One sweep updates the turns in (turn, prover) order and walks each branch
+  forward once: the columns reaching one slot are carried on to the next,
+  and the sweep's value comes from walking on past the last slot. The shared
+  state is re-optimized by the eigensolver. Both moves are exact
+  maximizations of the surrogate, so the per-sweep value trace is
+  non-decreasing.
 
 Both engines, `random_search` and `brute_force_value` execute a `_Program`:
 every coin branch compiled once per call into a short list of steps. A
 maximal run of verifier gates between prover slots and events is one step;
 while the state has at most `FUSE_MAX_DIM` amplitudes it is one dense matrix
-over the whole state, built once, and above that it stays one step per gate
-with the gate's matrix and axes precomputed. A prover slot holds a row
+M, built once, and above that it stays one step per gate with the gate's
+matrix and axes precomputed. M spans the leading s axes, where s - 1 is the
+last axis its gates touch, and acts as kron(M, I): registers are ordered
+verifier, messages, provers, so a segment of verifier gates between prover
+slots spans V and M only (32x32 instead of 128x128 on the 7-qubit `sound_no`
+audit), while a segment that holds inlined prover gates spans the whole
+state. A branch's leading segment keeps only the columns its initial vectors
+|0>_(V,M) (x) prover columns occupy. A prover slot holds a row
 permutation that brings its qubits to the front, so the slot's unitary is one
 matmul; the same permutation gives the environment contraction. Events and
 accept rules are 0/1 masks over the basis, cut by `linalg.projector_slices`
@@ -57,9 +67,15 @@ from .model import (ProtocolInstance, ProverStrategy, Register,
                     run)
 
 FUSE_MAX_DIM = 256
-"""Largest state dimension 2^n whose verifier segments fuse into one matrix."""
+"""Largest state dimension 2^n whose verifier segments fuse into one matrix.
+
+A fused matrix spans only the leading axes its gates touch, so it has at most
+2^n rows."""
 
 Assignment = dict[tuple[int, int], np.ndarray]
+_Walk = tuple[int, np.ndarray, Sequence[np.ndarray]]
+"""A branch walked forward to a step index: the columns there and the event
+hits so far."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +93,11 @@ class _Program:
     dimension of the joint prover space, and qubit axes are the layout's
     `qubit_axes()`.
 
-    Steps are ("matrix", M) for a fused segment, ("gate", M, axes) for one
-    gate above the fusion bound, ("prover", key, perm) for a prover slot and
-    ("event", mask) for an accept event. Every evaluation walks steps
-    forward with `_forward`.
+    Steps are ("matrix", M) for a fused segment on the leading log2(len(M))
+    axes (with fewer columns on a branch's leading segment), ("gate", M,
+    axes) for one gate above the fusion bound, ("prover", key, perm) for a
+    prover slot and ("event", mask) for an accept event. Every evaluation
+    walks steps forward with `_forward`.
     """
 
     def __init__(self, spec: VerifierSpec, config: RunConfig,
@@ -123,12 +140,15 @@ class _Program:
                  for g in gates]
         if not steps or self.dim > FUSE_MAX_DIM:
             return steps
-        # a branch starts from |0>_(V,M) (x) prover columns, so its leading
-        # segment only needs the columns of the first d_p basis states
-        fused = np.eye(self.dim, self.d_p if first else self.dim,
-                       dtype=np.complex128)
+        # the gates act on the leading s axes only, so the segment is
+        # kron(M, I) with M of dimension 2^s; a branch starts from
+        # |0>_(V,M) (x) prover columns, so its leading segment only needs the
+        # rows those columns occupy, the first max(1, 2^s d_p / 2^n)
+        s = 1 + max(a for _, _, axes in steps for a in axes)
+        fused = np.eye(2 ** s, max(1, 2 ** s * self.d_p // self.dim) if first
+                       else 2 ** s, dtype=np.complex128)
         for _, m, axes in steps:
-            fused = self._gate(fused, m, axes)
+            fused = self._gate(fused, m, axes, s)
         return [("matrix", fused)]
 
     def _front_perm(self, qubits: Sequence[Qubit]) -> np.ndarray:
@@ -145,15 +165,17 @@ class _Program:
 
     # -- kernels
 
-    def _gate(self, cols: np.ndarray, matrix: np.ndarray,
-              axes: Sequence[int]) -> np.ndarray:
+    @staticmethod
+    def _gate(cols: np.ndarray, matrix: np.ndarray, axes: Sequence[int],
+              n: int) -> np.ndarray:
+        """`matrix` on `axes` of the leading n axes of each column."""
         d = len(axes)
         b = cols.shape[1]
-        tensor = cols.reshape([2] * self.n + [b])
+        tensor = cols.reshape([2] * n + [b])
         m = matrix.reshape([2] * (2 * d))
         out = np.tensordot(m, tensor, axes=(list(range(d, 2 * d)), axes))
         out = np.moveaxis(out, list(range(d)), axes)
-        return np.ascontiguousarray(out.reshape(self.dim, b))
+        return np.ascontiguousarray(out.reshape(cols.shape))
 
     @staticmethod
     def _front(cols: np.ndarray, perm: np.ndarray, d: int) -> np.ndarray:
@@ -165,9 +187,11 @@ class _Program:
         kind = step[0]
         if kind == "matrix":
             m = step[1].T if transpose else step[1]
-            return m @ cols[:m.shape[1]]
+            lead = cols.reshape(step[1].shape[0], -1)
+            return (m @ lead[:m.shape[1]]).reshape(cols.shape)
         if kind == "gate":
-            return self._gate(cols, step[1].T if transpose else step[1], step[2])
+            return self._gate(cols, step[1].T if transpose else step[1],
+                              step[2], self.n)
         u = assignment[step[1]]
         perm = step[2]
         out = np.empty_like(cols)
@@ -202,34 +226,41 @@ class _Program:
                 cols = self._act(step, cols, assignment, False)
         return cols
 
-    def acceptance_operator(self, assignment: Assignment | None,
-                            prover_cols: np.ndarray) -> np.ndarray:
-        """A with <Phi|A|Phi> = acceptance, restricted to span(prover_cols)."""
-        b = prover_cols.shape[1]
-        init = self._initial_columns(prover_cols)
+    def _acceptance(self, walks: Sequence[_Walk],
+                    assignment: Assignment | None) -> np.ndarray:
+        """The acceptance operator over the columns of `walks`, each branch
+        walked on from where its walk stopped."""
+        b = walks[0][1].shape[1]
         a = np.zeros((b, b), dtype=np.complex128)
-        for w, steps, accept in self.branches:
-            hits: list[np.ndarray] = []
-            final = self._forward(steps, init, assignment, hits)
+        for (w, steps, accept), (start, cols, done) in zip(self.branches, walks):
+            hits = list(done)
+            final = self._forward(steps[start:], cols, assignment, hits)
             for v in hits + [final * accept]:
                 a += w * (v.conj().T @ v)
         return (a + a.conj().T) / 2.0
 
-    def environment(self, prover_col: np.ndarray, assignment: Assignment,
-                    key: tuple[int, int]) -> np.ndarray:
-        """The environment operator of assignment[key] at the shared state in
-        prover_col, before the polar step.
+    def acceptance_operator(self, assignment: Assignment | None,
+                            prover_cols: np.ndarray) -> np.ndarray:
+        """A with <Phi|A|Phi> = acceptance, restricted to span(prover_cols)."""
+        init = self._initial_columns(prover_cols)
+        return self._acceptance([(0, init, ())] * len(self.branches), assignment)
 
-        Per branch: forward to just before the slot, forward through the
-        tail collecting the event hits, then backward to just after the slot,
-        adding each event's hit back in."""
-        init = self._initial_columns(prover_col)
+    def _environment(self, walks: list[_Walk], assignment: Assignment,
+                     key: tuple[int, int]) -> np.ndarray:
+        """The environment operator of assignment[key], before the polar step.
+
+        Per branch: carry the walk on to just before the slot (it must not
+        have passed it), forward through the tail collecting the event hits,
+        then backward to just after the slot, adding each event's hit back
+        in."""
         d = assignment[key].shape[0]
         env = np.zeros((d, d), dtype=np.complex128)
-        for w, steps, accept in self.branches:
-            idx = next(i for i, s in enumerate(steps)
-                       if s[0] == "prover" and s[1] == key)
-            chi = self._forward(steps[:idx], init, assignment)
+        for j, (w, steps, accept) in enumerate(self.branches):
+            start, chi, done = walks[j]
+            idx = next(i for i in range(start, len(steps))
+                       if steps[i][0] == "prover" and steps[i][1] == key)
+            chi = self._forward(steps[start:idx], chi, assignment, done)
+            walks[j] = (idx, chi, done)
             hits: list[np.ndarray] = []
             mu = self._forward(steps[idx:], chi, assignment, hits) * accept
             for step in reversed(steps[idx + 1:]):
@@ -241,6 +272,32 @@ class _Program:
             env += w * (self._front(mu, perm, d)
                         @ self._front(chi, perm, d).conj().T)
         return env
+
+    def environment(self, prover_col: np.ndarray, assignment: Assignment,
+                    key: tuple[int, int]) -> np.ndarray:
+        """The environment operator of assignment[key] at the shared state in
+        prover_col, before the polar step."""
+        init = self._initial_columns(prover_col)
+        return self._environment([(0, init, []) for _ in self.branches],
+                                 assignment, key)
+
+    def sweep(self, prover_col: np.ndarray, assignment: Assignment,
+              keys: Sequence[tuple[int, int]]) -> float:
+        """One see-saw sweep over `keys` at the shared state in prover_col.
+
+        Each key in turn is set to the polar factor of its `environment`;
+        then the acceptance of the updated assignment is returned, as
+        `acceptance_operator` computes it. The keys must be in the order in
+        which the branches reach their slots, (turn, prover). Each branch is
+        walked forward once: its columns and event hits are carried from one
+        slot to the next, and the rest of it is walked after the last key.
+        """
+        init = self._initial_columns(prover_col)
+        walks: list[_Walk] = [(0, init, []) for _ in self.branches]
+        for key in keys:
+            assignment[key] = polar_unitary(
+                self._environment(walks, assignment, key))
+        return float(self._acceptance(walks, assignment)[0, 0].real)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +451,7 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
         prev = -1.0
         for _ in range(cfg.max_sweeps):
             shared = _product_state_update(program, assignment, group_states)
-            for key in keys:
-                assignment[key] = polar_unitary(
-                    program.environment(shared[:, None], assignment, key))
-            value = float(program.acceptance_operator(
-                assignment, shared[:, None])[0, 0].real)
+            value = program.sweep(shared[:, None], assignment, keys)
             trace.append(value)
             if value - prev < cfg.convergence_tol:
                 converged = True
@@ -470,17 +523,22 @@ def brute_force_value(verifier: VerifierSpec, grid: float = GRID_STEP,
     exceed `GRID_MAX_EVALS` points, prover 1's turns are pinned to the
     canonical angles (0, pi/2), which preserves the lower-bound guarantee. A
     best value above 1 + `config.probability_tol` raises NumericalCheckError;
-    a `grid` that is not finite and > 0 raises ValidationError.
+    a `grid` that is not finite and > 0, or that rounds to fewer than 2
+    points per angle (a step above 4*pi/3), raises ValidationError.
     """
     if not (math.isfinite(grid) and grid > 0):
         raise ValidationError(f"grid must be finite and > 0, got {grid!r}")
+    points = int(round(2 * math.pi / grid))
+    if points < 2:
+        raise ValidationError(
+            f"grid {grid!r} gives {points} point(s) per angle; it must give "
+            f"at least 2 (grid <= 4*pi/3)")
     layout = verifier.layout
     if layout.message_qubits != 1 or any(r.qubits != 1 for r in layout.provers):
         raise PreconditionError(
             "grid search needs 1-qubit private and message registers per prover turn")
     program = _Program(verifier, config)
     keys = program.keys
-    points = max(2, int(round(2 * math.pi / grid)))
     angles = [2 * math.pi * j / points for j in range(points)]
 
     free = list(keys)

@@ -771,11 +771,11 @@ def purify_coins(instance: ProtocolInstance) -> ProtocolInstance:
     coins = coin_steps(spec)
     if not coins:
         return instance
-    for turn in spec.turns:
-        for step in turn.steps:
-            if isinstance(step, AcceptNowStep) and step.when is not None:
-                raise PreconditionError(
-                    "cannot purify a protocol with coin-conditioned accept events")
+    for steps in [t.steps for t in spec.turns] + [spec.final.steps]:
+        if any(isinstance(s, AcceptNowStep) and s.when is not None
+               for s in steps):
+            raise PreconditionError(
+                "cannot purify a protocol with coin-conditioned accept events")
 
     # assign record registers for coins that lack them
     new_regs = list(layout.verifier_side)

@@ -187,6 +187,13 @@ def test_grid_refuses_large_instances():
         brute_force_value(rw.verifier)  # message registers are 2 qubits wide
 
 
+@pytest.mark.parametrize("grid", [4.2, 10.0, 1e9])
+def test_grid_rejects_steps_with_fewer_than_two_points(grid):
+    # 2*pi/grid rounds to 1 or 0 above 4*pi/3
+    with pytest.raises(ValidationError, match="at least 2"):
+        brute_force_value(fixtures.always().verifier, grid=grid)
+
+
 def _scale_acceptance_operator(monkeypatch, factor):
     """Scale the compiled acceptance operator by `factor`, replacing any
     earlier scaling."""
@@ -196,6 +203,15 @@ def _scale_acceptance_operator(monkeypatch, factor):
     def operator(self, assignment, prover_cols):
         return factor * compiled(self, assignment, prover_cols)
     monkeypatch.setattr(adversary._Program, "acceptance_operator", operator)
+
+
+def _scale_sweep_value(monkeypatch, factor):
+    """Scale the value each see-saw sweep returns by `factor`."""
+    compiled = adversary._Program.sweep
+
+    def sweep(self, prover_col, assignment, keys):
+        return factor * compiled(self, prover_col, assignment, keys)
+    monkeypatch.setattr(adversary._Program, "sweep", sweep)
 
 
 def test_grid_raises_instead_of_clamping(monkeypatch):
@@ -222,9 +238,10 @@ _RESIMULATED = {
 @pytest.mark.parametrize("entry", sorted(_RESIMULATED))
 def test_adversary_checks_read_the_probability_tolerance(monkeypatch, entry):
     # ALWAYS accepts with probability 1 under every strategy, so scaling the
-    # compiled operator by 1 + 1e-8 plants an offset of 1e-8 against `run`
-    # (and a value 1e-8 above 1 for the grid)
-    _scale_acceptance_operator(monkeypatch, 1.0 + 1e-8)
+    # compiled operator (the see-saw's sweep value) by 1 + 1e-8 plants an
+    # offset of 1e-8 against `run` (and a value 1e-8 above 1 for the grid)
+    plant = _scale_sweep_value if entry == "seesaw" else _scale_acceptance_operator
+    plant(monkeypatch, 1.0 + 1e-8)
     with pytest.raises(NumericalCheckError):
         _RESIMULATED[entry](RunConfig())
     _RESIMULATED[entry](RunConfig(probability_tol=1e-7))

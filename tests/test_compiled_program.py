@@ -32,18 +32,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmip import adversary, files, fixtures, model
-from qmip.adversary import (resize_prover_registers,
+from qmip.adversary import (SeesawConfig, resize_prover_registers, seesaw,
                             strategies_from_assignment)
 from qmip.circuits import (Circuit, Gate, apply_gate, circuit_matrix, cnot,
                            cphase, h, mcx, s as s_gate, swap, toffoli, x, y,
                            z)
 from qmip.config import DEFAULT_RUN_CONFIG
-from qmip.linalg import (ProjectorOp, StateVector, random_state, random_unitary,
-                         zero_state)
+from qmip.linalg import (ProjectorOp, StateVector, polar_unitary, random_state,
+                         random_unitary, zero_state)
 from qmip.model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                         FinalDecision, ProtocolInstance, ProverStrategy,
                         VerifierSpec, VerifierTurn, _compile_branch, flatten,
                         make_layout, purify_coins, run, validate)
+from qmip.transforms import (make_perfectly_rewindable,
+                             rewind_to_perfect_completeness)
 
 TOL = 1e-12
 FUSE_BOUNDS = [adversary.FUSE_MAX_DIM, 1]
@@ -366,6 +368,53 @@ def test_compiled_program_above_the_fusion_bound():
         got = program.environment(phi, assignment, key)
         want = ref.environment(branches, init, assignment, key)
         assert np.abs(got - want).max() <= TOL
+
+
+@pytest.mark.parametrize("fuse_max_dim", FUSE_BOUNDS)
+@settings(max_examples=40, deadline=None)
+@given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_equals_per_key_updates(fuse_max_dim, spec, seed):
+    """One sweep gives the assignment and value of the per-key path: the
+    polar factor of a fresh `environment` for each key in (turn, prover)
+    order, then `acceptance_operator`."""
+    with mock.patch.object(adversary, "FUSE_MAX_DIM", fuse_max_dim):
+        program, _, assignment, inst = _setup(spec, seed)
+        phi = inst.shared.amplitudes[:, None]
+        keys = sorted(assignment, key=lambda k: (k[1], k[0]))
+        want = dict(assignment)
+        for key in keys:
+            want[key] = polar_unitary(program.environment(phi, want, key))
+        value = program.acceptance_operator(want, phi)[0, 0].real
+        got = dict(assignment)
+        assert abs(program.sweep(phi, got, keys) - value) <= TOL
+        for key in keys:
+            assert np.abs(got[key] - want[key]).max() <= TOL
+
+
+def _audit_verifier():
+    """The verifier of the rewound sound_no, 5 verifier and message qubits."""
+    rwd = make_perfectly_rewindable(fixtures.sound_no(), p_max=1.0, check=False)
+    return rewind_to_perfect_completeness(rwd.instance,
+                                          check=False).instance.verifier
+
+
+def test_fused_segments_stay_on_the_verifier_axes():
+    spec = resize_prover_registers(_audit_verifier(), (2,))
+    assert len(spec.layout.verifier_message_qubits()) == 5
+    program = adversary._Program(spec, DEFAULT_RUN_CONFIG)
+    fused = [s[1] for _, steps, _ in program.branches for s in steps
+             if s[0] == "matrix"]
+    assert fused and all(m.shape[0] <= 2 ** 5 for m in fused)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fusion_leaves_the_first_audit_sweep_unchanged(seed):
+    # later sweeps may move by rounding: the environments are rank deficient
+    cfg = SeesawConfig(prover_dims=(2,), restarts=1, max_sweeps=1, seed=seed)
+    fused = seesaw(_audit_verifier(), cfg).trace
+    with mock.patch.object(adversary, "FUSE_MAX_DIM", 1):
+        per_gate = seesaw(_audit_verifier(), cfg).trace
+    assert abs(fused[0] - per_gate[0]) <= TOL
 
 
 # --- the prover-slot convention ------------------------------------------------

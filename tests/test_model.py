@@ -11,11 +11,11 @@ from qmip.circuits import Circuit, Gate, cnot, h, x
 from qmip.config import (BudgetError, NumericalCheckError, RunConfig,
                          ValidationError)
 from qmip.linalg import ProjectorOp, StateVector
-from qmip.model import (AcceptRule, ApplyStep, CoinStep, FinalDecision,
-                        ProtocolInstance, ProverStrategy, Register,
-                        RegisterLayout, VerifierSpec, VerifierTurn,
-                        is_public_coin, make_layout,
-                        purify_coins, run, turn_owner, validate)
+from qmip.model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
+                        FinalDecision, ProtocolInstance, ProverStrategy,
+                        Register, RegisterLayout, VerifierSpec, VerifierTurn,
+                        is_public_coin, make_layout, purify_coins, run,
+                        turn_owner, validate)
 from qmip.transforms import (direct_two_turn, halve_turns, run_pipeline,
                              to_public_coin_3turn)
 
@@ -247,6 +247,18 @@ def _coin_with_rules(rules):
                         FinalDecision((), tuple(rules)))
     shared = StateVector(np.array([1, 0], dtype=complex), (("P1", 1),))
     return ProtocolInstance(spec, (ProverStrategy(1, (Circuit(()),)),), shared)
+
+
+def test_purify_rejects_conditioned_accept_events_in_the_final_block():
+    from qmip.config import PreconditionError
+    inst = _coin_with_rules([AcceptRule((ProjectorOp.all_zero(()),))])
+    spec = inst.verifier
+    event = AcceptNowStep((ProjectorOp.output_one(("M1", 0)),), when=("c", "1"))
+    inst = replace(inst, verifier=replace(
+        spec, final=replace(spec.final, steps=(event,))))
+    assert validate(inst) == []
+    with pytest.raises(PreconditionError, match="accept events"):
+        purify_coins(inst)
 
 
 @pytest.mark.parametrize("taken, fresh", [("XP", "XP2"), ("Q_c0", "Q_c02")])
