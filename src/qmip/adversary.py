@@ -12,30 +12,37 @@ Two engines:
   exact maximizer over unitaries is the polar factor of the environment
   operator E (assembled by a forward and a backward pass through the tail of
   each coin branch, with environment operators averaged across branches).
-  One sweep updates the turns in (turn, prover) order and walks each branch
-  forward once: the columns reaching one slot are carried on to the next,
-  and the sweep's value comes from walking on past the last slot. The shared
-  state is re-optimized by the eigensolver. Both moves are exact
-  maximizations of the surrogate, so the per-sweep value trace is
-  non-decreasing.
+  One sweep updates the shared state, then the turns in (turn, prover)
+  order, and walks each branch forward once. It carries the first product
+  group's eigen-update columns (the d_p basis without product groups): at
+  each slot it takes the shared state's column from them, and past the last
+  slot they give the acceptance operator A over those columns, hence the
+  sweep's value and the next sweep's first eigen-update. The shared state is
+  re-optimized by the eigensolver. Both moves are exact maximizations of the
+  surrogate, so the per-sweep value trace is non-decreasing.
 
 Both engines, `random_search` and `brute_force_value` execute a `_Program`:
-every coin branch compiled once per call into a short list of steps. A
-maximal run of verifier gates between prover slots and events is one step;
-while the state has at most `FUSE_MAX_DIM` amplitudes it is one dense matrix
-M, built once, and above that it stays one step per gate with the gate's
-matrix and axes precomputed. M spans the leading s axes, where s - 1 is the
-last axis its gates touch, and acts as kron(M, I): registers are ordered
-verifier, messages, provers, so a segment of verifier gates between prover
-slots spans V and M only (32x32 instead of 128x128 on the 7-qubit `sound_no`
-audit), while a segment that holds inlined prover gates spans the whole
-state. A branch's leading segment keeps only the columns its initial vectors
-|0>_(V,M) (x) prover columns occupy. A prover slot holds a row
-permutation that brings its qubits to the front, so the slot's unitary is one
-matmul; the same permutation gives the environment contraction. Events and
-accept rules are 0/1 masks over the basis, cut by `linalg.projector_slices`
-as in `model.run`. Backward passes apply adjoints as
-conj(M^T conj(x)), so no daggered copy of a step is built or stored.
+every coin branch compiled once per call into a short list of steps. While
+the state has at most `FUSE_MAX_DIM` amplitudes, a branch is dense stretches
+alternating with prover slots. A stretch is every verifier gate and accept
+event between two slots (and the accept rule in the last one) as one stacked
+matrix F = [G; H] on the leading axes they touch, acting as kron(F, I): G
+carries the state on with the events' rows zeroed and H holds the rows the
+events and the accept rule bank. Forward is one product F x, the acceptance
+operator is the gram of the banked rows, and backward is F^dag [mu; h].
+Registers are ordered verifier, messages, provers, so a stretch between
+prover slots spans V and M only (at most 32 columns on the 7-qubit rewound
+`sound_no` audit), while one holding inlined prover gates spans the whole
+state; a branch's first stretch keeps only the columns its initial vectors
+|0>_(V,M) (x) prover columns occupy. A slot is one matmul on the contiguous
+run of axes from its first to its last qubit, with the slot-order unitary
+permuted into axis order (identity on any register in between) once per
+key update. Above the bound a branch keeps one step per verifier gate, a
+0/1 mask (`linalg.projector_slices`, as in `model.run`) per event and for the
+accept rule, and slots that gather their qubits to the front by a row
+permutation. In both regimes a branch ends at its last step that banks
+anything, so no step that cannot change its acceptance is walked or
+back-propagated; those steps contributed exact zeros.
 
 The environment operators of the see-saw audits are often rank deficient
 (rank 1-2 for the 16x16 operators of the rewound `sound_no` audit), so their
@@ -60,22 +67,220 @@ import numpy as np
 from .circuits import _SWAP, Circuit, Gate, ry
 from .config import (DEFAULT_RUN_CONFIG, NumericalCheckError,
                      PreconditionError, RunConfig, ValidationError)
-from .linalg import (ProjectorOp, Qubit, Slices, StateVector, polar_unitary,
+from .linalg import (ProjectorOp, Slices, StateVector, polar_unitary,
                      projector_slices, random_state, random_unitary)
 from .model import (ProtocolInstance, ProverStrategy, Register,
                     RegisterLayout, VerifierSpec, flatten, require_budget,
                     run)
 
 FUSE_MAX_DIM = 256
-"""Largest state dimension 2^n whose verifier segments fuse into one matrix.
+"""Largest state dimension 2^n whose branches compile into dense stretches
+and span slots. Above it a branch keeps one step per verifier gate, 0/1
+event masks and gather slots.
 
-A fused matrix spans only the leading axes its gates touch, so it has at most
-2^n rows."""
+A stretch matrix acts on the leading axes its gates and projectors touch, so
+it has at most 2^n columns."""
 
 Assignment = dict[tuple[int, int], np.ndarray]
-_Walk = tuple[int, np.ndarray, Sequence[np.ndarray]]
-"""A branch walked forward to a step index: the columns there and the event
-hits so far."""
+_Operators = dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+"""Each slot's matrix in the form its step applies, and that matrix's
+adjoint."""
+_Walk = tuple[int, np.ndarray, list[np.ndarray]]
+"""A branch walked forward to a step index: the columns there and the rows
+banked so far."""
+
+
+def _gate(cols: np.ndarray, matrix: np.ndarray, axes: Sequence[int],
+          n: int) -> np.ndarray:
+    """`matrix` on `axes` of the leading n axes of each column."""
+    d = len(axes)
+    b = cols.shape[1]
+    tensor = cols.reshape([2] * n + [b])
+    m = matrix.reshape([2] * (2 * d))
+    out = np.tensordot(m, tensor, axes=(list(range(d, 2 * d)), axes))
+    out = np.moveaxis(out, list(range(d)), axes)
+    return np.ascontiguousarray(out.reshape(cols.shape))
+
+
+# ---------------------------------------------------------------------------
+# compiled steps. `forward(cols, ops)` returns the columns carried on (None
+# after a branch's last step) and the rows the step banks (None if it banks
+# nothing). `backward(mu, banked, ops)` takes the adjoint columns after the
+# step and the rows it banked going forward, and returns the adjoint columns
+# before it. A branch's last step banks and carries nothing on, so going
+# back through it is its `gram`, F^dag F on the columns reaching it.
+
+
+class _Gate:
+    """One verifier gate on the full width."""
+
+    banks = False
+
+    def __init__(self, matrix: np.ndarray, axes: Sequence[int], n: int):
+        self.m = matrix
+        self.mh = np.ascontiguousarray(matrix.conj().T)
+        self.axes = axes
+        self.n = n
+
+    def forward(self, cols, ops):
+        return _gate(cols, self.m, self.axes, self.n), None
+
+    def backward(self, mu, banked, ops):
+        return _gate(mu, self.mh, self.axes, self.n)
+
+
+class _Event:
+    """An accept event or rule as a 0/1 mask over the basis: the masked
+    columns are banked, the rest carried on unless the branch ends here."""
+
+    banks = True
+
+    def __init__(self, mask: np.ndarray, last: bool = False):
+        self.mask = mask
+        self.last = last
+
+    def final(self) -> "_Event":
+        return _Event(self.mask, last=True)
+
+    def forward(self, cols, ops):
+        hit = cols * self.mask
+        return (None if self.last else cols - hit), hit
+
+    def backward(self, mu, banked, ops):
+        return mu - mu * self.mask + banked
+
+    def gram(self, cols):
+        return cols * self.mask
+
+
+class _Stretch:
+    """The verifier gates, events and (last stretch only) accept rule
+    between two slots as one matrix F = [G; H] on the leading log2(lead)
+    axes, acting as kron(F, I). G, the first `keep` rows, carries the state
+    on with each event's rows zeroed; H holds the nonzero rows that the
+    events and the accept rule bank. A branch's last stretch is H alone, and
+    its first has only the columns its initial vectors |0>_(V,M) (x) prover
+    columns occupy."""
+
+    def __init__(self, f: np.ndarray, keep: int, lead: int):
+        self.f = f
+        self.fh = np.ascontiguousarray(f.conj().T)
+        self.keep = keep
+        self.lead = lead
+        self.banks = len(f) > keep
+        self.fhf = None if keep else self.fh @ f
+
+    def final(self) -> "_Stretch":
+        return _Stretch(self.f[self.keep:], 0, self.lead)
+
+    def forward(self, cols, ops):
+        y = self.f @ cols.reshape(self.lead, -1)[:self.f.shape[1]]
+        return (y[:self.keep].reshape(cols.shape) if self.keep else None,
+                y[self.keep:] if self.banks else None)
+
+    def backward(self, mu, banked, ops):
+        z = mu.reshape(self.lead, -1)
+        if banked is not None:
+            z = np.concatenate((z, banked))
+        return (self.fh @ z).reshape(mu.shape)
+
+    def gram(self, cols):
+        return (self.fhf @ cols.reshape(self.lead, -1)).reshape(cols.shape)
+
+
+class _GatherSlot:
+    """A prover slot as a row permutation that brings its qubits, in slot
+    order, to the front, so the slot's unitary is one matmul."""
+
+    banks = False
+
+    def __init__(self, axes: Sequence[int], n: int, key: tuple[int, int]):
+        self.key = key
+        self.d = 2 ** len(axes)
+        rest = [a for a in range(n) if a not in axes]
+        self.perm = np.arange(2 ** n).reshape([2] * n).transpose(
+            list(axes) + rest).reshape(-1)
+
+    @staticmethod
+    def operator(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return u, u.conj().T
+
+    def _front(self, cols: np.ndarray) -> np.ndarray:
+        return cols[self.perm].reshape(self.d, -1)
+
+    def _apply(self, m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        out = np.empty_like(cols)
+        out[self.perm] = (m @ self._front(cols)).reshape(cols.shape)
+        return out
+
+    def forward(self, cols, ops):
+        return self._apply(ops[self.key][0], cols), None
+
+    def backward(self, mu, banked, ops):
+        return self._apply(ops[self.key][1], mu)
+
+    def outer(self, mu: np.ndarray, chi: np.ndarray) -> np.ndarray:
+        """mu chi^dag summed over the qubits outside the slot."""
+        return self._front(mu) @ self._front(chi).conj().T
+
+    @staticmethod
+    def environment(e: np.ndarray) -> np.ndarray:
+        """A sum of `outer` products in slot order."""
+        return e
+
+
+_ZERO = np.zeros(1, dtype=np.complex128)
+
+
+class _SpanSlot:
+    """A prover slot as one matmul on the contiguous run of axes from its
+    first to its last qubit. Its operator is the slot-order unitary permuted
+    into axis order, with identity on the registers in between."""
+
+    banks = False
+
+    def __init__(self, axes: Sequence[int], n: int, key: tuple[int, int]):
+        self.key = key
+        lo, hi = min(axes), max(axes)
+        self.outer_dim = 2 ** lo
+        self.span = 2 ** (hi + 1 - lo)
+        d = 2 ** len(axes)
+        between = [a for a in range(lo, hi + 1) if a not in axes]
+        # index[i, k]: the span basis index of slot basis i, between basis k
+        index = np.arange(self.span).reshape([2] * (hi + 1 - lo)).transpose(
+            [a - lo for a in list(axes) + between]).reshape(d, -1)
+        # the flat span-operator index of slot entry (i, j) for each k
+        self.flat = index[:, None, :] * self.span + index[None, :, :]
+        # where each span-operator entry comes from in u.ravel(), d*d
+        # (an appended 0) where the between bases differ
+        self.source = np.full(self.span ** 2, d * d)
+        self.source[self.flat] = np.arange(d * d).reshape(d, d, 1)
+        self.source = self.source.reshape(self.span, self.span)
+
+    def operator(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = np.concatenate((u.reshape(-1), _ZERO)).take(self.source)
+        return m, m.conj().T
+
+    def _front(self, cols: np.ndarray) -> np.ndarray:
+        return cols.reshape(self.outer_dim, self.span, -1).transpose(
+            1, 0, 2).reshape(self.span, -1)
+
+    def forward(self, cols, ops):
+        return np.matmul(ops[self.key][0], cols.reshape(
+            self.outer_dim, self.span, -1)).reshape(cols.shape), None
+
+    def backward(self, mu, banked, ops):
+        return np.matmul(ops[self.key][1], mu.reshape(
+            self.outer_dim, self.span, -1)).reshape(mu.shape)
+
+    def outer(self, mu: np.ndarray, chi: np.ndarray) -> np.ndarray:
+        """mu chi^dag summed over the axes outside the span."""
+        return self._front(mu) @ self._front(chi).conj().T
+
+    def environment(self, e: np.ndarray) -> np.ndarray:
+        """A sum of `outer` products in slot order: traced over the
+        registers in between."""
+        return e.take(self.flat).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +294,19 @@ class _Program:
     branches are `flatten(spec, provers)`: with `provers`, their circuits
     are inlined as verifier gates; without, each prover turn is a slot on
     `layout.slot_qubits(i)`. `keys` lists the (prover, turn) slots in sorted
-    order and `dims[key]` is the dimension of a slot's unitary. `d_p` is the
-    dimension of the joint prover space, and qubit axes are the layout's
-    `qubit_axes()`.
+    order, `slots[key]` is a slot's step and `dims[key]` the dimension of
+    its unitary. `d_p` is the dimension of the joint prover space, and qubit
+    axes are the layout's `qubit_axes()`. Every branch has the weight
+    `weight`, 2^-(coin flips); a power of two, so the sums over branches are
+    scaled once, exactly.
 
-    Steps are ("matrix", M) for a fused segment on the leading log2(len(M))
-    axes (with fewer columns on a branch's leading segment), ("gate", M,
-    axes) for one gate above the fusion bound, ("prover", key, perm) for a
-    prover slot and ("event", mask) for an accept event. Every evaluation
-    walks steps forward with `_forward`.
+    While 2^n <= `FUSE_MAX_DIM` a branch is stretches (`_Stretch`)
+    alternating with span slots (`_SpanSlot`); above it, one `_Gate` per
+    verifier gate, an `_Event` per accept event and for the accept rule,
+    and gather slots (`_GatherSlot`). Each branch ends at its last step that
+    banks anything: later steps cannot change its acceptance, and a branch
+    that banks nothing is dropped. Every evaluation walks steps forward with
+    `_forward`.
     """
 
     def __init__(self, spec: VerifierSpec, config: RunConfig,
@@ -109,195 +318,190 @@ class _Program:
         self.dim = 2 ** self.n
         self.pos = layout.qubit_axes()
         self.d_p = 2 ** sum(r.qubits for r in layout.provers)
+        self.fused = self.dim <= FUSE_MAX_DIM
+        self.weight = branches[0].weight
         self.keys = sorted({op.prover_key for br in branches for op in br.ops
                             if op.kind == "prover"})
         self.dims = {key: 2 ** len(layout.slot_qubits(key[0]))
                      for key in self.keys}
-        perms: dict[tuple[Qubit, ...], np.ndarray] = {}
-        self.branches = []
+        slot = _SpanSlot if self.fused else _GatherSlot
+        self.slots = {key: slot([self.pos[q] for q in layout.slot_qubits(key[0])],
+                                self.n, key) for key in self.keys}
+        self.branches: list[tuple] = []
         for br in branches:
-            steps: list[tuple] = []
-            segment: list[Gate] = []
+            # verifier gates and banked projectors, split at the slots
+            parts: list = [[]]
             for op in br.ops:
-                if op.kind == "gate":
-                    segment.append(op.gate)
-                elif op.kind != "turn":
-                    steps += self._segment(segment, first=not steps)
-                    segment = []
-                    if op.kind == "prover":
-                        if op.qubits not in perms:
-                            perms[op.qubits] = self._front_perm(op.qubits)
-                        steps.append(("prover", op.prover_key, perms[op.qubits]))
-                    else:
-                        steps.append(("event", self._mask(op.projectors)))
-            steps += self._segment(segment, first=not steps)
-            self.branches.append((br.weight, tuple(steps), self._mask(br.accept)))
+                if op.kind == "prover":
+                    parts += [self.slots[op.prover_key], []]
+                elif op.kind == "gate":
+                    parts[-1].append(op.gate)
+                elif op.kind == "event":
+                    parts[-1].append(op.projectors)
+            parts[-1].append(br.accept)
+            steps: list = []
+            for j, part in enumerate(parts):
+                steps += [part] if j % 2 else self._verifier_steps(part, j == 0)
+            last = max((j for j, step in enumerate(steps) if step.banks),
+                       default=None)
+            if last is not None:
+                steps[last:] = [steps[last].final()]
+                self.branches.append(tuple(steps))
 
     # -- compilation
 
-    def _segment(self, gates: Sequence[Gate], first: bool) -> list[tuple]:
-        steps = [("gate", g.full_matrix(), [self.pos[q] for q in g.qubits()])
-                 for g in gates]
-        if not steps or self.dim > FUSE_MAX_DIM:
+    def _mask(self, projectors: Sequence[ProjectorOp], n: int) -> np.ndarray:
+        """The conjunction of commuting diagonal projectors on the leading n
+        axes, a 0/1 vector."""
+        return Slices(n, projector_slices(projectors, self.pos.__getitem__)
+                      ).kept(np.ones(2 ** n))
+
+    def _verifier_steps(self, items: Sequence, first: bool) -> list:
+        """The steps of gates and banked projector conjunctions between two
+        slots; `first` when no slot precedes them."""
+        if not self.fused:
+            steps: list = []
+            for item in items:
+                if isinstance(item, Gate):
+                    steps.append(_Gate(item.full_matrix(),
+                                       [self.pos[q] for q in item.qubits()],
+                                       self.n))
+                elif (mask := self._mask(item, self.n)).any():
+                    steps.append(_Event(mask[:, None]))
             return steps
-        # the gates act on the leading s axes only, so the segment is
-        # kron(M, I) with M of dimension 2^s; a branch starts from
-        # |0>_(V,M) (x) prover columns, so its leading segment only needs the
-        # rows those columns occupy, the first max(1, 2^s d_p / 2^n)
-        s = 1 + max(a for _, _, axes in steps for a in axes)
-        fused = np.eye(2 ** s, max(1, 2 ** s * self.d_p // self.dim) if first
-                       else 2 ** s, dtype=np.complex128)
-        for _, m, axes in steps:
-            fused = self._gate(fused, m, axes, s)
-        return [("matrix", fused)]
-
-    def _front_perm(self, qubits: Sequence[Qubit]) -> np.ndarray:
-        """Row order with `qubits` as the leading bits, the rest in place."""
-        axes = [self.pos[q] for q in qubits]
-        rest = [a for a in range(self.n) if a not in axes]
-        index = np.arange(self.dim).reshape([2] * self.n)
-        return index.transpose(axes + rest).reshape(-1)
-
-    def _mask(self, projectors: Sequence[ProjectorOp]) -> np.ndarray:
-        """The conjunction of commuting diagonal projectors, a (dim, 1) column."""
-        return Slices(self.n, projector_slices(projectors, self.pos.__getitem__)
-                      ).kept(np.ones((self.dim, 1)))
-
-    # -- kernels
-
-    @staticmethod
-    def _gate(cols: np.ndarray, matrix: np.ndarray, axes: Sequence[int],
-              n: int) -> np.ndarray:
-        """`matrix` on `axes` of the leading n axes of each column."""
-        d = len(axes)
-        b = cols.shape[1]
-        tensor = cols.reshape([2] * n + [b])
-        m = matrix.reshape([2] * (2 * d))
-        out = np.tensordot(m, tensor, axes=(list(range(d, 2 * d)), axes))
-        out = np.moveaxis(out, list(range(d)), axes)
-        return np.ascontiguousarray(out.reshape(cols.shape))
-
-    @staticmethod
-    def _front(cols: np.ndarray, perm: np.ndarray, d: int) -> np.ndarray:
-        return cols[perm].reshape(d, -1)
-
-    def _act(self, step: tuple, cols: np.ndarray, assignment: Assignment | None,
-             transpose: bool) -> np.ndarray:
-        """A gate, segment or prover step (or its transpose) on the columns."""
-        kind = step[0]
-        if kind == "matrix":
-            m = step[1].T if transpose else step[1]
-            lead = cols.reshape(step[1].shape[0], -1)
-            return (m @ lead[:m.shape[1]]).reshape(cols.shape)
-        if kind == "gate":
-            return self._gate(cols, step[1].T if transpose else step[1],
-                              step[2], self.n)
-        u = assignment[step[1]]
-        perm = step[2]
-        out = np.empty_like(cols)
-        out[perm] = ((u.T if transpose else u) @ self._front(cols, perm, u.shape[0])
-                     ).reshape(cols.shape)
-        return out
-
-    def _adjoint(self, step: tuple, cols: np.ndarray,
-                 assignment: Assignment) -> np.ndarray:
-        return self._act(step, cols.conj(), assignment, True).conj()
+        if not items:
+            return []
+        s = 1 + max((self.pos[q] for item in items for q in (
+            item.qubits() if isinstance(item, Gate)
+            else [q for p in item for q in p.target_qubits()])), default=-1)
+        lead = 2 ** s
+        # a branch starts from |0>_(V,M) (x) prover columns, which occupy
+        # the first max(1, 2^s d_p / 2^n) rows of the leading s axes
+        t = np.eye(lead, max(1, lead * self.d_p // self.dim) if first
+                   else lead, dtype=np.complex128)
+        banked = []
+        for item in items:
+            if isinstance(item, Gate):
+                t = _gate(t, item.full_matrix(),
+                          [self.pos[q] for q in item.qubits()], s)
+            else:
+                mask = self._mask(item, s) != 0
+                hit = t[mask]
+                banked.append(hit[(hit != 0).any(axis=1)])
+                t[mask] = 0
+        return [_Stretch(np.concatenate([t] + banked), lead, lead)]
 
     # -- evaluation
 
-    def _initial_columns(self, prover_cols: np.ndarray) -> np.ndarray:
-        """|0...0>_(V,M) (x) each column of prover_cols."""
-        cols = np.zeros((self.dim, prover_cols.shape[1]), dtype=np.complex128)
-        cols[:self.d_p, :] = prover_cols
-        return cols
+    def _walks(self, prover_cols: np.ndarray) -> list[_Walk]:
+        """Every branch at its start: |0...0>_(V,M) (x) each column of
+        prover_cols, nothing banked."""
+        init = np.zeros((self.dim, prover_cols.shape[1]), dtype=np.complex128)
+        init[:self.d_p, :] = prover_cols
+        return [(0, init, []) for _ in self.branches]
 
-    def _forward(self, steps: Sequence[tuple], cols: np.ndarray,
-                 assignment: Assignment | None,
-                 hits: list[np.ndarray] | None = None) -> np.ndarray:
-        """The columns carried forward through `steps`. An event removes its
-        hit (the projected columns), appended to `hits` when given."""
+    def _operators(self, assignment: Assignment | None) -> _Operators:
+        return {key: self.slots[key].operator(u)
+                for key, u in (assignment or {}).items()}
+
+    @staticmethod
+    def _forward(steps: Sequence, cols: np.ndarray, ops: _Operators,
+                 banked: list[np.ndarray]) -> np.ndarray:
+        """The columns carried forward through `steps`; the rows each step
+        banks are appended to `banked`."""
         for step in steps:
-            if step[0] == "event":
-                hit = cols * step[1]
-                if hits is not None:
-                    hits.append(hit)
-                cols = cols - hit
-            else:
-                cols = self._act(step, cols, assignment, False)
+            cols, rows = step.forward(cols, ops)
+            if rows is not None:
+                banked.append(rows)
         return cols
 
-    def _acceptance(self, walks: Sequence[_Walk],
-                    assignment: Assignment | None) -> np.ndarray:
-        """The acceptance operator over the columns of `walks`, each branch
-        walked on from where its walk stopped."""
-        b = walks[0][1].shape[1]
+    def _acceptance(self, walks: Sequence[_Walk], ops: _Operators,
+                    b: int) -> np.ndarray:
+        """The acceptance operator over the b columns of `walks`, each
+        branch walked on from where its walk stopped: the gram of the rows
+        every step banks."""
         a = np.zeros((b, b), dtype=np.complex128)
-        for (w, steps, accept), (start, cols, done) in zip(self.branches, walks):
-            hits = list(done)
-            final = self._forward(steps[start:], cols, assignment, hits)
-            for v in hits + [final * accept]:
-                a += w * (v.conj().T @ v)
-        return (a + a.conj().T) / 2.0
+        for steps, (start, cols, done) in zip(self.branches, walks):
+            banked = list(done)
+            self._forward(steps[start:], cols, ops, banked)
+            for v in banked:
+                v = v.reshape(-1, b)
+                a += v.conj().T @ v
+        return self.weight * (a + a.conj().T) / 2.0
 
     def acceptance_operator(self, assignment: Assignment | None,
                             prover_cols: np.ndarray) -> np.ndarray:
         """A with <Phi|A|Phi> = acceptance, restricted to span(prover_cols)."""
-        init = self._initial_columns(prover_cols)
-        return self._acceptance([(0, init, ())] * len(self.branches), assignment)
+        return self._acceptance(self._walks(prover_cols),
+                                self._operators(assignment),
+                                prover_cols.shape[1])
 
-    def _environment(self, walks: list[_Walk], assignment: Assignment,
-                     key: tuple[int, int]) -> np.ndarray:
-        """The environment operator of assignment[key], before the polar step.
+    def _environment(self, walks: list[_Walk], ops: _Operators,
+                     key: tuple[int, int],
+                     coeffs: np.ndarray | None) -> np.ndarray:
+        """The environment operator of slot `key`, before the polar step.
 
-        Per branch: carry the walk on to just before the slot (it must not
-        have passed it), forward through the tail collecting the event hits,
-        then backward to just after the slot, adding each event's hit back
-        in."""
-        d = assignment[key].shape[0]
-        env = np.zeros((d, d), dtype=np.complex128)
-        for j, (w, steps, accept) in enumerate(self.branches):
+        Per branch: carry the walk, on all its columns, on to just before
+        the slot (it must not have passed it). Take the shared state's
+        column x = chi @ coeffs (chi itself when coeffs is None), walk it
+        forward through the slot and the tail, keeping what each step banks,
+        then back to just after the slot. A branch whose slot lies past its
+        last banking step adds nothing."""
+        slot = self.slots[key]
+        e = None
+        for j, steps in enumerate(self.branches):
+            if slot not in steps:
+                continue
             start, chi, done = walks[j]
-            idx = next(i for i in range(start, len(steps))
-                       if steps[i][0] == "prover" and steps[i][1] == key)
-            chi = self._forward(steps[start:idx], chi, assignment, done)
+            idx = steps.index(slot, start)
+            chi = self._forward(steps[start:idx], chi, ops, done)
             walks[j] = (idx, chi, done)
-            hits: list[np.ndarray] = []
-            mu = self._forward(steps[idx:], chi, assignment, hits) * accept
-            for step in reversed(steps[idx + 1:]):
-                if step[0] == "event":
-                    mu = mu - mu * step[1] + hits.pop()
-                else:
-                    mu = self._adjoint(step, mu, assignment)
-            perm = steps[idx][2]
-            env += w * (self._front(mu, perm, d)
-                        @ self._front(chi, perm, d).conj().T)
-        return env
+            x = chi if coeffs is None else chi @ coeffs
+            tail = steps[idx + 1:-1]
+            cols, banked = slot.forward(x, ops)[0], []
+            for step in tail:
+                cols, rows = step.forward(cols, ops)
+                banked.append(rows)
+            mu = steps[-1].gram(cols)
+            for step, rows in zip(reversed(tail), reversed(banked)):
+                mu = step.backward(mu, rows, ops)
+            outer = slot.outer(mu, x)
+            e = outer if e is None else e + outer
+        if e is None:
+            return np.zeros((self.dims[key],) * 2, dtype=np.complex128)
+        return self.weight * slot.environment(e)
 
     def environment(self, prover_col: np.ndarray, assignment: Assignment,
                     key: tuple[int, int]) -> np.ndarray:
         """The environment operator of assignment[key] at the shared state in
         prover_col, before the polar step."""
-        init = self._initial_columns(prover_col)
-        return self._environment([(0, init, []) for _ in self.branches],
-                                 assignment, key)
+        return self._environment(self._walks(prover_col),
+                                 self._operators(assignment), key, None)
 
-    def sweep(self, prover_col: np.ndarray, assignment: Assignment,
-              keys: Sequence[tuple[int, int]]) -> float:
-        """One see-saw sweep over `keys` at the shared state in prover_col.
+    def sweep(self, cols: np.ndarray, coeffs: np.ndarray,
+              assignment: Assignment, keys: Sequence[tuple[int, int]]
+              ) -> tuple[float, np.ndarray]:
+        """One see-saw sweep over `keys` at the shared state cols @ coeffs.
 
-        Each key in turn is set to the polar factor of its `environment`;
-        then the acceptance of the updated assignment is returned, as
-        `acceptance_operator` computes it. The keys must be in the order in
-        which the branches reach their slots, (turn, prover). Each branch is
-        walked forward once: its columns and event hits are carried from one
-        slot to the next, and the rest of it is walked after the last key.
+        Each key in turn is set to the polar factor of its `environment`.
+        Returns the acceptance of the updated assignment and A =
+        `acceptance_operator(assignment, cols)`, so value = coeffs^dag A
+        coeffs; with the first product group's update columns as `cols`, A
+        is that group's next eigen-update operator. The keys must be in the
+        order in which the branches reach their slots, (turn, prover). Each
+        branch is walked forward once on all the columns: they are carried
+        from one slot to the next, with the rows banked so far, and the rest
+        of it is walked after the last key.
         """
-        init = self._initial_columns(prover_col)
-        walks: list[_Walk] = [(0, init, []) for _ in self.branches]
+        ops = self._operators(assignment)
+        walks = self._walks(cols)
+        c = coeffs[:, None]
         for key in keys:
             assignment[key] = polar_unitary(
-                self._environment(walks, assignment, key))
-        return float(self._acceptance(walks, assignment)[0, 0].real)
+                self._environment(walks, ops, key, c))
+            ops[key] = self.slots[key].operator(assignment[key])
+        a = self._acceptance(walks, ops, cols.shape[1])
+        return float((c.conj().T @ a @ c)[0, 0].real), a
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +608,28 @@ def strategies_from_assignment(verifier: VerifierSpec,
     return tuple(out)
 
 
-def _product_state_update(program: _Program, assignment: Assignment,
-                          group_states: list[np.ndarray]) -> np.ndarray:
-    """One round of per-group eigen-updates under a product constraint; one
-    group of all provers is the unconstrained update.
+def _group_columns(group_states: Sequence[np.ndarray], gi: int) -> np.ndarray:
+    """The Kronecker product of the group states with the identity in place
+    of group gi: the columns of group gi's eigen-update."""
+    return functools.reduce(np.kron, [
+        np.eye(len(st), dtype=np.complex128) if gj == gi else st[:, None]
+        for gj, st in enumerate(group_states)])
 
-    The groups are runs of consecutive prover registers, in register order,
-    so their Kronecker product is in the order of the prover space. Returns
-    the full product state.
-    """
-    for gi in range(len(group_states)):
-        cols = functools.reduce(np.kron, [
-            np.eye(len(st), dtype=np.complex128) if gj == gi else st[:, None]
-            for gj, st in enumerate(group_states)])
-        a = program.acceptance_operator(assignment, cols)
-        _, vecs = np.linalg.eigh(a)
-        group_states[gi] = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
-    return functools.reduce(np.kron, group_states)
+
+def _top_eigenvector(a: np.ndarray) -> np.ndarray:
+    _, vecs = np.linalg.eigh(a)
+    return vecs[:, -1] / np.linalg.norm(vecs[:, -1])
+
+
+def _product_state_update(program: _Program, assignment: Assignment,
+                          group_states: list[np.ndarray]) -> None:
+    """The eigen-updates of groups 2..G under a product constraint, in
+    order. The groups are runs of consecutive prover registers, in register
+    order, so their Kronecker product is in the order of the prover space.
+    The first group's operator comes from the previous sweep."""
+    for gi in range(1, len(group_states)):
+        group_states[gi] = _top_eigenvector(program.acceptance_operator(
+            assignment, _group_columns(group_states, gi)))
 
 
 def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
@@ -429,7 +638,10 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
 
     Returns the best restart. The trace holds one value per sweep and is
     non-decreasing; the final value is re-simulated through the plain
-    executor and must agree within `config.probability_tol`.
+    executor and must agree within `config.probability_tol`. A sweep
+    updates the shared state group by group, then every turn; the first
+    group's eigen-update reads the operator the previous sweep returned (one
+    group of all provers is the unconstrained update).
     """
     spec = resize_prover_registers(verifier, cfg.prover_dims)
     layout = spec.layout
@@ -445,18 +657,24 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
                                   for k in keys}
         group_states = [random_state(2 ** sum(cfg.prover_dims[i - 1] for i in g),
                                      rng) for g in groups]
-        shared = None
+        a = None
         trace: list[float] = []
         converged = False
         prev = -1.0
         for _ in range(cfg.max_sweeps):
-            shared = _product_state_update(program, assignment, group_states)
-            value = program.sweep(shared[:, None], assignment, keys)
+            if a is None:
+                a = program.acceptance_operator(
+                    assignment, _group_columns(group_states, 0))
+            group_states[0] = _top_eigenvector(a)
+            _product_state_update(program, assignment, group_states)
+            value, a = program.sweep(_group_columns(group_states, 0),
+                                     group_states[0], assignment, keys)
             trace.append(value)
             if value - prev < cfg.convergence_tol:
                 converged = True
                 break
             prev = value
+        shared = functools.reduce(np.kron, group_states)
         restart_values.append(trace[-1])
         cand = (trace[-1], -r, assignment, shared, trace, converged)
         if best is None or cand[:2] > best[:2]:

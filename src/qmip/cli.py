@@ -15,7 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import adversary, files, fixtures, transforms
-from .config import DEFAULT_RUN_CONFIG, QmipError, RunConfig
+from .config import (DEFAULT_RUN_CONFIG, QmipError, RunConfig,
+                     ValidationError)
 from .model import run
 
 VERDICT_SLACK = 1e-6
@@ -112,6 +113,18 @@ def cmd_transform(args) -> int:
     return 0
 
 
+def _prover_dims(text: str) -> tuple[int, ...]:
+    """The prover qubit counts of `--dims`, comma separated."""
+    dims = []
+    for entry in text.split(","):
+        try:
+            dims.append(int(entry))
+        except ValueError:
+            raise ValidationError(
+                f"--dims entry {entry!r} is not an integer") from None
+    return tuple(dims)
+
+
 def cmd_audit(args) -> int:
     t0 = time.time()
     inst = files.load(args.file)
@@ -125,9 +138,8 @@ def cmd_audit(args) -> int:
                        "grid_resolution": args.grid_resolution}
         trace_note = ""
     else:
-        dims = (tuple(int(d) for d in args.dims.split(","))
-                if args.dims else tuple(r.qubits for r in
-                                        inst.verifier.layout.provers))
+        dims = (_prover_dims(args.dims) if args.dims else
+                tuple(r.qubits for r in inst.verifier.layout.provers))
         res = adversary.seesaw(
             inst.verifier,
             adversary.SeesawConfig(prover_dims=dims, restarts=args.restarts,

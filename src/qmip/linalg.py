@@ -245,12 +245,13 @@ class MatrixKernel:
         self.shape, index, where = _merged(n, dict(controls), targets)
         self.index = tuple(index)
         kept = [pos for pos, i in enumerate(index) if isinstance(i, slice)]
-        self.tdims = [kept.index(where[a]) for a in targets]
+        tdims = [kept.index(where[a]) for a in targets]
+        # the slice's axes with the targets first, as np.moveaxis orders them
+        self.order = tdims + [a for a in range(len(kept)) if a not in tdims]
 
     def __call__(self, buf: np.ndarray) -> None:
         """Apply in place to `buf`, a writable C-contiguous amplitude buffer."""
-        view = np.moveaxis(buf.reshape(self.shape)[self.index], self.tdims,
-                           range(len(self.tdims)))
+        view = buf.reshape(self.shape)[self.index].transpose(self.order)
         view[...] = (self.matrix @ view.reshape(self.dim, -1)).reshape(view.shape)
 
 

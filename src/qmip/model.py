@@ -289,6 +289,16 @@ def _projector_qubits_exist(p: ProjectorOp, layout: RegisterLayout, where: str,
             problems.append(f"{where}: projector qubit index {idx} out of range for {reg}")
 
 
+def _projector_off_provers(p: ProjectorOp, layout: RegisterLayout, where: str,
+                           problems: list[str]) -> None:
+    """The verifier measures only its own and the message registers."""
+    read = sorted({reg for reg, _ in p.target_qubits()}
+                  & {r.name for r in layout.provers})
+    if read:
+        problems.append(f"{where}: projector reads prover register "
+                        f"{', '.join(read)}")
+
+
 def _circuit_in_registers(c: Circuit, allowed: set[str], layout: RegisterLayout,
                           where: str, problems: list[str]) -> None:
     for qreg, qidx in c.qubits():
@@ -365,6 +375,7 @@ def validate(instance: ProtocolInstance) -> list[str]:
                 check_condition(step.when, loc)
                 for p in step.projectors:
                     _projector_qubits_exist(p, layout, loc, problems)
+                    _projector_off_provers(p, layout, loc, problems)
 
     if not v.final.accept:
         problems.append("final decision has no accept rules")
@@ -381,6 +392,7 @@ def validate(instance: ProtocolInstance) -> list[str]:
         check_condition(rule.when, "final accept rule")
         for p in rule.projectors:
             _projector_qubits_exist(p, layout, "final accept rule", problems)
+            _projector_off_provers(p, layout, "final accept rule", problems)
     if not has_default:
         keyed = {}
         for rule in v.final.accept:

@@ -209,8 +209,9 @@ def _scale_sweep_value(monkeypatch, factor):
     """Scale the value each see-saw sweep returns by `factor`."""
     compiled = adversary._Program.sweep
 
-    def sweep(self, prover_col, assignment, keys):
-        return factor * compiled(self, prover_col, assignment, keys)
+    def sweep(self, cols, coeffs, assignment, keys):
+        value, a = compiled(self, cols, coeffs, assignment, keys)
+        return factor * value, a
     monkeypatch.setattr(adversary._Program, "sweep", sweep)
 
 

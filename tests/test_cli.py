@@ -84,7 +84,9 @@ def test_audit_consistent_verdict(fdir, capsys):
        f"--grid-resolution={value}") for value in ("0", "-0.1", "nan")),
     # a step above 4*pi/3 rounds to fewer than 2 points per angle
     ("at least 2", "audit", "always.json", "--method", "grid",
-     "--grid-resolution=10")])
+     "--grid-resolution=10"),
+    *(("--dims entry", "audit", "guess.json", f"--dims={value}")
+      for value in ("1.5", ","))])
 def test_out_of_range_settings_exit_with_validation_code(fdir, capsys, args):
     message, command, name, *flags = args
     code, _, err = run_cli(capsys, command, str(fdir / name), *flags)

@@ -7,7 +7,8 @@ assignments are run three ways: the adversary's compiled program,
 `model.run` of the equivalent strategies, and a per-gate reference kept here
 as a test oracle (`Gate.full_matrix()` plus one tensordot per gate). Every
 adversary test runs on both sides of the fusion bound: with the module's
-bound (fused segments) and with a bound of 1 (one step per gate). Provers
+bound (dense stretches and span slots) and with a bound of 1 (one step per
+gate, gather slots). Provers
 inlined by `flatten` and the same provers as slot matrices over
 `RegisterLayout.slot_qubits` give one acceptance operator, and the layout's
 qubit axes are `StateVector`'s big-endian positions.
@@ -210,10 +211,11 @@ def protocol_gates(draw, pool):
 
 @st.composite
 def verifiers(draw, max_qubits=7, purifiable=False):
-    """A random verifier. `purifiable` keeps to what `purify_coins` turns
-    into an equivalent unitary protocol: unconditioned accept events, coins
-    without a record (each gets a fresh record register) and one projector
-    on verifier and message qubits per accept rule."""
+    """A random verifier. Its events and accept rules read verifier and
+    message qubits only, as `validate` requires. `purifiable` keeps to what
+    `purify_coins` turns into an equivalent unitary protocol: unconditioned
+    accept events, coins without a record (each gets a fresh record
+    register) and one projector per accept rule."""
     k = draw(st.integers(1, 2))
     q = draw(st.integers(1, 2))
     p_sizes = [draw(st.integers(1, 2)) for _ in range(k)]
@@ -226,7 +228,6 @@ def verifiers(draw, max_qubits=7, purifiable=False):
     layout = make_layout([("V", n_v)], q, k, p_sizes)
     m = draw(st.integers(1, 4))
     vm = layout.verifier_message_qubits()
-    every = [(r.name, i) for r in layout.registers for i in range(r.qubits)]
     coins: list[tuple[str, int]] = []
 
     def condition():
@@ -245,8 +246,8 @@ def verifiers(draw, max_qubits=7, purifiable=False):
                 draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)))
         return ProjectorOp.complement(projector(pool, depth + 1))
 
-    def projectors(pool=every, most=2):
-        return tuple(projector(pool) for _ in range(draw(st.integers(1, most))))
+    def projectors(most=2):
+        return tuple(projector(vm) for _ in range(draw(st.integers(1, most))))
 
     def apply_step():
         gates = tuple(draw(protocol_gates(vm)) for _ in range(draw(st.integers(1, 4))))
@@ -276,12 +277,11 @@ def verifiers(draw, max_qubits=7, purifiable=False):
     final_steps = steps(allow_coins=False)
     # one default rule, or one rule per outcome of one coin (rules may not
     # overlap)
-    # a purified accept rule is a verifier circuit reading its qubits
-    pool, most = (vm, 1) if purifiable else (every, 2)
-    rules = [AcceptRule(projectors(pool, most))]
+    most = 1 if purifiable else 2
+    rules = [AcceptRule(projectors(most))]
     if coins and draw(st.booleans()):
         cid, flips = draw(st.sampled_from(coins))
-        rules = [AcceptRule(projectors(pool, most), when=(cid, "".join(bits)))
+        rules = [AcceptRule(projectors(most), when=(cid, "".join(bits)))
                  for bits in itertools.product("01", repeat=flips)]
     return VerifierSpec(layout, m, turns, FinalDecision(final_steps, tuple(rules)))
 
@@ -356,8 +356,8 @@ def test_compiled_program_above_the_fusion_bound():
     spec = resize_prover_registers(fixtures.chsh().verifier, (2, 2))
     assert 2 ** spec.layout.total_qubits > adversary.FUSE_MAX_DIM
     program, branches, assignment, inst = _setup(spec, 11)
-    assert not any(s[0] == "matrix" for _, steps, _ in program.branches
-                   for s in steps)
+    assert not any(isinstance(s, adversary._Stretch)
+                   for steps in program.branches for s in steps)
     phi = inst.shared.amplitudes[:, None]
     value = program.acceptance_operator(assignment, phi)[0, 0].real
     assert abs(value - run(inst).acceptance) <= TOL
@@ -386,9 +386,62 @@ def test_sweep_equals_per_key_updates(fuse_max_dim, spec, seed):
             want[key] = polar_unitary(program.environment(phi, want, key))
         value = program.acceptance_operator(want, phi)[0, 0].real
         got = dict(assignment)
-        assert abs(program.sweep(phi, got, keys) - value) <= TOL
+        assert abs(program.sweep(phi, np.ones(1), got, keys)[0] - value) <= TOL
         for key in keys:
             assert np.abs(got[key] - want[key]).max() <= TOL
+
+
+@pytest.mark.parametrize("fuse_max_dim", FUSE_BOUNDS)
+@settings(max_examples=40, deadline=None)
+@given(spec=verifiers(), split=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_returns_the_next_eigen_update_operator(fuse_max_dim, spec,
+                                                      split, seed):
+    """The sweep carries the first product group's update columns, kron(I,
+    s_2, ...) (the d_p basis for one group), and returns the acceptance
+    operator over them at the updated assignment, with the value it gives at
+    the group state."""
+    with mock.patch.object(adversary, "FUSE_MAX_DIM", fuse_max_dim):
+        program, _, assignment, _ = _setup(spec, seed)
+        rng = np.random.default_rng(seed)
+        sizes = [r.qubits for r in spec.layout.provers]
+        groups = [sizes[:1], sizes[1:]] if split and len(sizes) == 2 else [sizes]
+        states = [random_state(2 ** sum(g), rng) for g in groups]
+        cols = adversary._group_columns(states, 0)
+        keys = sorted(assignment, key=lambda k: (k[1], k[0]))
+        value, a = program.sweep(cols, states[0], assignment, keys)
+        assert np.abs(a - program.acceptance_operator(assignment, cols)).max() <= TOL
+        shared = (cols @ states[0])[:, None]
+        assert abs(value - program.acceptance_operator(assignment, shared)[0, 0].real) <= TOL
+
+
+@pytest.mark.parametrize("fuse_max_dim", FUSE_BOUNDS)
+def test_branch_ends_at_its_last_banking_step(fuse_max_dim):
+    """Coin outcome 1 has an empty accept rule and a prover turn after its
+    last event: its compiled branch ends at that event, and the environments
+    still equal the reference's."""
+    layout = make_layout([("V", 2)], 1, 1, [1])
+    event = AcceptNowStep((ProjectorOp.output_one(V0),), when=("c", "1"))
+    turn = VerifierTurn((CoinStep("c", 1, ()),
+                         ApplyStep(Circuit((h(V0), cnot(M, V1)))), event))
+    spec = VerifierSpec(layout, 3, (turn,), FinalDecision(
+        (ApplyStep(Circuit((cnot(M, V0),))),),
+        (AcceptRule((ProjectorOp.output_one(V0),), when=("c", "0")),
+         AcceptRule((ProjectorOp.never(),), when=("c", "1")))))
+    with mock.patch.object(adversary, "FUSE_MAX_DIM", fuse_max_dim):
+        program, branches, assignment, inst = _setup(spec, 5)
+        kept, cut = program.branches
+        slot = program.slots[(1, 2)]
+        assert slot in kept and slot not in cut
+        assert isinstance(cut[-1], adversary._Event if fuse_max_dim == 1
+                          else adversary._Stretch)
+        ref = _Reference(spec.layout.as_state_layout())
+        phi = inst.shared.amplitudes[:, None]
+        init = np.zeros((ref.dim, 1), dtype=np.complex128)
+        init[:len(phi)] = phi
+        for key in assignment:
+            got = program.environment(phi, assignment, key)
+            want = ref.environment(branches, init, assignment, key)
+            assert np.abs(got - want).max() <= TOL
 
 
 def _audit_verifier():
@@ -402,9 +455,9 @@ def test_fused_segments_stay_on_the_verifier_axes():
     spec = resize_prover_registers(_audit_verifier(), (2,))
     assert len(spec.layout.verifier_message_qubits()) == 5
     program = adversary._Program(spec, DEFAULT_RUN_CONFIG)
-    fused = [s[1] for _, steps, _ in program.branches for s in steps
-             if s[0] == "matrix"]
-    assert fused and all(m.shape[0] <= 2 ** 5 for m in fused)
+    stretches = [s.f for steps in program.branches for s in steps
+                 if isinstance(s, adversary._Stretch)]
+    assert stretches and all(f.shape[1] <= 2 ** 5 for f in stretches)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -550,7 +603,7 @@ def test_run_equals_reference(spec, seed):
 
 # --- lazy qubits: each compile-time path of `model._compile_branch` -----------
 
-V0, V1, V2, M, P0, P1 = ("V", 0), ("V", 1), ("V", 2), ("M1", 0), ("P1", 0), ("P1", 1)
+V0, V1, V2, M, P0 = ("V", 0), ("V", 1), ("V", 2), ("M1", 0), ("P1", 0)
 _H = _matrix("dense", 2, np.random.default_rng(5))
 _PHASES = _matrix("phases", 2, np.random.default_rng(6))
 _ONE, _ZERO = ProjectorOp.output_one, ProjectorOp.all_zero
@@ -577,7 +630,7 @@ LAZY_CASES = {
     "event-constant-false": ([], _ONE(V0), _ZERO([V0, M]), 0, 0, [0], 1),
     "event-constant-true": ([x(V1)], _ONE(V1), _ONE(M), 0, 0, [1], 1),
     "complement-constant-true": ([], _NOT(_ONE(V1)), _ONE(M), 0, 0, [1], 1),
-    "complement-partly-classical": ([], _NOT(_ZERO([V0, M])), _ONE(P1),
+    "complement-partly-classical": ([], _NOT(_ZERO([V0, M])), _ONE(M),
                                     0, 0, [1], 1),
     "accept-constant-true": ([x(V2)], None, _NOT(_ZERO([V0, V2])), 0, 0, [], 1),
     "accept-constant-false": ([], None, _NOT(_ZERO([V0, V2])), 0, 0, [], 0),

@@ -149,7 +149,7 @@ def test_qubit_budget_counts_layout_qubits(monkeypatch):
     send = Circuit((h(("V", 0)), cnot(("V", 0), ("M1", 0))))
     spec = VerifierSpec(
         layout, 2, (VerifierTurn((ApplyStep(send),)),),
-        FinalDecision((), (AcceptRule((ProjectorOp.output_one(("P1", 0)),)),)))
+        FinalDecision((), (AcceptRule((ProjectorOp.output_one(("M1", 0)),)),)))
     copy = ProverStrategy(1, (Circuit((cnot(("M1", 0), ("P1", 0)),)),))
     shared = StateVector(np.array([1, 0, 0, 0], dtype=complex), (("P1", 2),))
     inst = ProtocolInstance(spec, (copy,), shared)
@@ -259,6 +259,22 @@ def test_purify_rejects_conditioned_accept_events_in_the_final_block():
     assert validate(inst) == []
     with pytest.raises(PreconditionError, match="accept events"):
         purify_coins(inst)
+
+
+@pytest.mark.parametrize("where", ["event", "accept"])
+def test_validate_rejects_projectors_on_prover_registers(where):
+    # the verifier measures its own and the message registers only; run
+    # would evaluate such a projector, but purify_coins would turn it into a
+    # verifier gate on P1
+    on_p1 = (ProjectorOp.output_one(("P1", 0)),)
+    inst = _coin_with_rules([AcceptRule((ProjectorOp.all_zero(()),))])
+    spec = inst.verifier
+    final = (FinalDecision((AcceptNowStep(on_p1),), spec.final.accept)
+             if where == "event" else FinalDecision((), (AcceptRule(on_p1),)))
+    inst = replace(inst, verifier=replace(spec, final=final))
+    assert any("reads prover register P1" in p for p in validate(inst))
+    with pytest.raises(ValidationError, match="reads prover register P1"):
+        run(inst)
 
 
 @pytest.mark.parametrize("taken, fresh", [("XP", "XP2"), ("Q_c0", "Q_c02")])

@@ -7,8 +7,14 @@ objects are equal key for key.
 
 Point PYTHONPATH at another checkout's `src` to digest that tree; the
 fixtures are read next to the package, so each tree is compared on its own
-committed fixtures. Each key is a label and each value is a sha256, a
-`repr`'d float or an error's class and message:
+committed fixtures. Compare two such outputs with
+
+    PYTHONPATH=src python tools/output_digests.py --compare before.json after.json
+
+which lists every key that differs, is missing on one side or holds an
+error, with the largest |difference| for keys holding a float or a list of
+floats, and exits 1 if any key differs. Each key is a label and each value
+is a sha256, a `repr`'d float or an error's class and message:
 
 * the 16 fixtures `fixtures.generate_all` writes and its manifest;
 * every `PASSES` entry on every committed fixture, with check=True and with
@@ -26,6 +32,7 @@ committed fixtures. Each key is a label and each value is a sha256, a
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import sys
@@ -153,7 +160,49 @@ def digests(work: Path) -> dict[str, str]:
     return out
 
 
-def main() -> int:
+def _floats(value: str) -> list[float] | None:
+    """The float, or the floats of a tuple or list, that `value` is the
+    repr of; None for a digest or an error."""
+    try:
+        parsed = ast.literal_eval(value)
+    except (ValueError, SyntaxError):
+        return None
+    items = parsed if isinstance(parsed, (list, tuple)) else [parsed]
+    if all(isinstance(v, float) for v in items):
+        return list(items)
+    return None
+
+
+def compare(before: dict[str, str], after: dict[str, str]) -> list[str]:
+    """One line per key that differs between two digest objects."""
+    lines = []
+    for key in sorted(before.keys() | after.keys()):
+        old, new = before.get(key), after.get(key)
+        if old == new:
+            continue
+        if old is None or new is None:
+            lines.append(f"{key}: only {'after' if old is None else 'before'}")
+            continue
+        a, b = _floats(old), _floats(new)
+        if a is not None and b is not None and len(a) == len(b):
+            delta = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+            lines.append(f"{key}: max |delta| {delta:.3g}")
+        elif a is not None and b is not None:
+            lines.append(f"{key}: {len(a)} values before, {len(b)} after")
+        else:
+            lines.append(f"{key}: differs")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--compare"] and len(argv) == 3:
+        before, after = (json.loads(Path(f).read_text()) for f in argv[1:])
+        lines = compare(before, after)
+        print("\n".join(lines + [f"{len(lines)} of {len(after)} keys differ"]))
+        return 1 if lines else 0
+    if argv:
+        print(__doc__, file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         out = digests(Path(tmp))
@@ -164,4 +213,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
