@@ -561,8 +561,9 @@ class SeesawConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_sweeps < 1:
             raise ValidationError("restarts and max_sweeps must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValidationError("convergence_tol must be > 0")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
+            raise ValidationError(
+                f"convergence_tol must be finite and > 0, got {self.convergence_tol!r}")
         groups = self.product_groups
         if groups is not None and (
                 not all(groups) or [i for g in groups for i in g]

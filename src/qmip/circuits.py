@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import ValidationError
-from .linalg import Qubit, StateVector, apply_matrix
+from .linalg import Qubit, StateVector, apply_matrix, permutation_sources
 
 Control = tuple[Qubit, int]
 
@@ -34,6 +35,7 @@ _SWAP = np.array(
      [0, 0, 1, 0],
      [0, 1, 0, 0],
      [0, 0, 0, 1]], dtype=np.complex128)
+_SWAP_SOURCES = (0, 2, 1, 3)   # permutation_sources(_SWAP)
 
 MAX_GATE_SPAN = 12  # controls + targets; keeps single-gate matrices small
 
@@ -67,6 +69,14 @@ class Gate:
         seen = set(self.targets) | {q for q, _ in self.controls}
         if len(seen) != span:
             raise ValidationError(f"gate {self.name}: overlapping targets/controls")
+
+    @cached_property
+    def permutation(self) -> tuple[int, ...] | None:
+        """For a 0/1 permutation matrix, the column each row takes (see
+        `permutation_sources`); None for any other matrix. Computed once per
+        gate: the gate is frozen and its matrix read-only."""
+        src = permutation_sources(self.matrix)
+        return None if src is None else tuple(src.tolist())
 
     def qubits(self) -> tuple[Qubit, ...]:
         return tuple(q for q, _ in self.controls) + self.targets
@@ -108,8 +118,10 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 def is_swap(gate: Gate) -> bool:
     """An uncontrolled SWAP: a relabelling of two qubits that moves no data
-    in the executor."""
-    return not gate.controls and np.array_equal(gate.matrix, _SWAP)
+    in the executor: exactly the matrix `_SWAP`, read from the gate's
+    cached permutation once the shape fits."""
+    return (not gate.controls and gate.matrix.shape == (4, 4)
+            and gate.permutation == _SWAP_SOURCES)
 
 
 @dataclass(frozen=True)

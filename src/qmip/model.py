@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Collection, Sequence
 
 import numpy as np
@@ -35,8 +36,7 @@ from .circuits import apply_gate  # noqa: F401
 from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, BudgetError,
                      PreconditionError, RunConfig, ValidationError)
 from .linalg import (MatrixKernel, ProjectorOp, Qubit, Slices, StateVector,
-                     checked_probability, permutation_sources,
-                     projector_slices)
+                     checked_probability, projector_slices)
 
 # ---------------------------------------------------------------------------
 # registers
@@ -57,7 +57,12 @@ class Register:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Canonically ordered registers: verifier side, then M_1..M_k, then P_1..P_k."""
+    """Canonically ordered registers: verifier side, then M_1..M_k, then P_1..P_k.
+
+    The derived facts (registers by role, k, total qubits, the shared-state
+    layout and the register-by-name index) are computed on first use and
+    kept: the layout is frozen and its registers a tuple of frozen records.
+    """
 
     registers: tuple[Register, ...]
 
@@ -76,19 +81,19 @@ class RegisterLayout:
         if not self.messages:
             raise ValidationError("need at least one prover")
 
-    @property
+    @cached_property
     def verifier_side(self) -> tuple[Register, ...]:
         return tuple(r for r in self.registers if r.role == "verifier")
 
-    @property
+    @cached_property
     def messages(self) -> tuple[Register, ...]:
         return tuple(r for r in self.registers if r.role == "message")
 
-    @property
+    @cached_property
     def provers(self) -> tuple[Register, ...]:
         return tuple(r for r in self.registers if r.role == "prover")
 
-    @property
+    @cached_property
     def k(self) -> int:
         return len(self.provers)
 
@@ -96,11 +101,11 @@ class RegisterLayout:
     def message_qubits(self) -> int:
         return self.messages[0].qubits
 
-    @property
+    @cached_property
     def total_qubits(self) -> int:
         return sum(r.qubits for r in self.registers)
 
-    @property
+    @cached_property
     def shared_layout(self) -> tuple[tuple[str, int], ...]:
         """The state layout of the shared state: the prover registers."""
         return tuple((r.name, r.qubits) for r in self.provers)
@@ -108,11 +113,15 @@ class RegisterLayout:
     def as_state_layout(self) -> tuple[tuple[str, int], ...]:
         return tuple((r.name, r.qubits) for r in self.registers)
 
+    @cached_property
+    def _by_name(self) -> dict[str, Register]:
+        return {r.name: r for r in self.registers}
+
     def register(self, name: str) -> Register:
-        for r in self.registers:
-            if r.name == name:
-                return r
-        raise ValidationError(f"unknown register {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ValidationError(f"unknown register {name!r}") from None
 
     def qubits_of(self, name: str) -> list[Qubit]:
         return [(name, i) for i in range(self.register(name).qubits)]
@@ -161,10 +170,23 @@ def make_layout(verifier: Sequence[tuple[str, int]],
 Condition = tuple[str, str]  # (coin id, outcome bits); None means unconditional
 
 
+def _frozen(obj, field_name: str, item=None) -> None:
+    """Make a sequence field of a frozen record a tuple (of `item(x)` when
+    given); None stays None. No field can then hold a list that changes
+    after `validate` has checked it."""
+    val = getattr(obj, field_name)
+    if val is not None:
+        object.__setattr__(obj, field_name,
+                           tuple(val) if item is None else tuple(map(item, val)))
+
+
 @dataclass(frozen=True)
 class ApplyStep:
     circuit: Circuit
     when: Condition | None = None
+
+    def __post_init__(self):
+        _frozen(self, "when")
 
 
 @dataclass(frozen=True)
@@ -180,6 +202,7 @@ class CoinStep:
         if self.record is not None and len(self.record) != self.flips:
             raise ValidationError("coin record width must equal flip count")
         object.__setattr__(self, "recipients", tuple(sorted(set(self.recipients))))
+        _frozen(self, "record", tuple)
 
 
 @dataclass(frozen=True)
@@ -191,6 +214,10 @@ class AcceptNowStep:
     projectors: tuple[ProjectorOp, ...]
     when: Condition | None = None
 
+    def __post_init__(self):
+        _frozen(self, "projectors")
+        _frozen(self, "when")
+
 
 Step = ApplyStep | CoinStep | AcceptNowStep
 
@@ -200,16 +227,27 @@ class AcceptRule:
     projectors: tuple[ProjectorOp, ...]
     when: Condition | None = None
 
+    def __post_init__(self):
+        _frozen(self, "projectors")
+        _frozen(self, "when")
+
 
 @dataclass(frozen=True)
 class VerifierTurn:
     steps: tuple[Step, ...]
+
+    def __post_init__(self):
+        _frozen(self, "steps")
 
 
 @dataclass(frozen=True)
 class FinalDecision:
     steps: tuple[Step, ...]
     accept: tuple[AcceptRule, ...]
+
+    def __post_init__(self):
+        _frozen(self, "steps")
+        _frozen(self, "accept")
 
 
 @dataclass(frozen=True)
@@ -219,6 +257,10 @@ class VerifierSpec:
     turns: tuple[VerifierTurn, ...]
     final: FinalDecision
     output_qubit: Qubit | None = None
+
+    def __post_init__(self):
+        _frozen(self, "turns")
+        _frozen(self, "output_qubit")
 
     @property
     def k(self) -> int:
@@ -241,6 +283,9 @@ class ProverStrategy:
     index: int                       # 1-based
     circuits: tuple[Circuit, ...]    # one per prover turn, in order
 
+    def __post_init__(self):
+        _frozen(self, "circuits")
+
 
 @dataclass(frozen=True)
 class InstanceMeta:
@@ -250,13 +295,30 @@ class InstanceMeta:
     claimed_soundness: float | None = None
     notes: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        _frozen(self, "notes")
+
 
 @dataclass(frozen=True)
 class ProtocolInstance:
+    """A verifier, its provers' strategies, their shared state and meta.
+
+    Every field is a frozen record (sequence fields are made tuples) or a
+    read-only array, so `validate`'s finding is memoised on the instance;
+    `dataclasses.replace` builds a new instance, which is checked afresh.
+    """
+
     verifier: VerifierSpec
     provers: tuple[ProverStrategy, ...]
     shared: StateVector
     meta: InstanceMeta = field(default_factory=InstanceMeta)
+
+    def __post_init__(self):
+        _frozen(self, "provers")
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_problems_of(self))
 
     @property
     def k(self) -> int:
@@ -312,7 +374,15 @@ def _circuit_in_registers(c: Circuit, allowed: set[str], layout: RegisterLayout,
 
 
 def validate(instance: ProtocolInstance) -> list[str]:
-    """Structural invariants as data: an empty list means well-formed."""
+    """Structural invariants as data: an empty list means well-formed.
+
+    The check runs once per instance and its finding is kept on it (see
+    `ProtocolInstance`); each call returns a new list."""
+    return list(instance._problems)
+
+
+def _problems_of(instance: ProtocolInstance) -> list[str]:
+    """The body of `validate`."""
     problems: list[str] = []
     v = instance.verifier
     layout = v.layout
@@ -508,14 +578,28 @@ def flatten(spec: VerifierSpec, provers: Sequence[ProverStrategy] | None = None,
     circuits = {(p.index, t + 1): c for p in provers or ()
                 for t, c in enumerate(p.circuits)}
 
-    # (turn, prover ops, verifier steps); turn None is the final decision,
-    # whose coin steps validate() rejects and flatten skips
-    blocks: list[tuple[int | None, list[FlatOp], Sequence[Step]]] = []
+    def step_ops(step: Step) -> list:
+        """The ops of a verifier step, built once and shared by the
+        branches: for a coin, one row of X ops per register it writes."""
+        if isinstance(step, CoinStep):
+            regs = [step.record] if step.record is not None else []
+            regs += [[(layout.messages[i - 1].name, j)
+                      for j in range(step.flips)] for i in step.recipients]
+            return [[FlatOp("gate", gate=x_gate(q)) for q in qs] for qs in regs]
+        if isinstance(step, ApplyStep):
+            return [FlatOp("gate", gate=g) for g in step.circuit]
+        return [FlatOp("event", projectors=step.projectors)]
+
+    # (ops before the steps, verifier steps with their ops, ops after); the
+    # final decision has no turn op, and validate() rejects its coin steps,
+    # which flatten skips
+    blocks: list[tuple[list[FlatOp], list[tuple[Step, list]], list[FlatOp]]] = []
     for t in range(1, m + 1):
         # owners alternate, so turn t is its owner's ((t + 1) // 2)-th
         pt = (t + 1) // 2
         if turn_owner(m, t) == "V":
-            blocks.append((t, [], spec.turns[pt - 1].steps))
+            blocks.append(([], [(s, step_ops(s)) for s in spec.turns[pt - 1].steps],
+                           [FlatOp("turn", turn=t)]))
             continue
         ops: list[FlatOp] = []
         for i in range(1, layout.k + 1):
@@ -524,9 +608,9 @@ def flatten(spec: VerifierSpec, provers: Sequence[ProverStrategy] | None = None,
             else:
                 ops.append(FlatOp("prover", prover_key=(i, pt),
                                   qubits=layout.slot_qubits(i)))
-        blocks.append((t, ops, ()))
-    blocks.append((None, [], [s for s in spec.final.steps
-                              if not isinstance(s, CoinStep)]))
+        blocks.append((ops, [], [FlatOp("turn", turn=t)]))
+    blocks.append(([], [(s, step_ops(s)) for s in spec.final.steps
+                        if not isinstance(s, CoinStep)], []))
 
     outcomes = [["".join(b) for b in itertools.product("01", repeat=c.flips)]
                 for c in coins]
@@ -535,24 +619,16 @@ def flatten(spec: VerifierSpec, provers: Sequence[ProverStrategy] | None = None,
         bits_of = iter(drawn)
         history: dict[str, str] = {}
         ops = []
-        for t, prover_ops, steps in blocks:
-            ops += prover_ops
-            for step in steps:
+        for before, steps, after in blocks:
+            ops += before
+            for step, sops in steps:
                 if isinstance(step, CoinStep):
                     bits = history[step.coin_id] = next(bits_of)
-                    regs = [step.record] if step.record is not None else []
-                    regs += [[(layout.messages[i - 1].name, j)
-                              for j in range(step.flips)] for i in step.recipients]
-                    ops += [FlatOp("gate", gate=x_gate(q)) for qs in regs
-                            for q, b in zip(qs, bits) if b == "1"]
-                elif not _matches(step.when, history):
-                    continue
-                elif isinstance(step, ApplyStep):
-                    ops += [FlatOp("gate", gate=g) for g in step.circuit]
-                else:
-                    ops.append(FlatOp("event", projectors=step.projectors))
-            if t is not None:
-                ops.append(FlatOp("turn", turn=t))
+                    ops += [op for row in sops
+                            for op, b in zip(row, bits) if b == "1"]
+                elif _matches(step.when, history):
+                    ops += sops
+            ops += after
         branches.append(FlatBranch(tuple(sorted(history.items())), 2.0 ** -flips,
                                    tuple(ops), _accept_for(spec.final, history)))
     return tuple(branches)
@@ -594,7 +670,8 @@ def require_budget(layout: RegisterLayout, config: RunConfig) -> None:
 
 
 def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
-                    classical: dict[int, int]) -> tuple[list[tuple], Slices]:
+                    classical: dict[int, int], snapshot_turns: Collection[int]
+                    ) -> tuple[list[tuple], Slices]:
     """A flattened branch compiled against the state buffer: its steps and
     its accept projector.
 
@@ -611,19 +688,19 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
     disagree with a classical bit are dropped, and the classical pairs of
     the rest removed.
 
-    The other steps are ("gate", MatrixKernel), ("event", Slices) and
-    ("turn", turn, index, perm): the full state in the layout's order has
-    the live buffer, with its axes permuted by perm, at `index`.
+    The other steps are ("gate", MatrixKernel), ("event", Slices) and, for
+    each turn in `snapshot_turns`, ("turn", turn, index, perm): the full
+    state in the layout's order has the live buffer, with its axes permuted
+    by perm, at `index`.
     """
     phys = list(range(n))       # logical axis -> full-state axis
     bits = dict(classical)      # full-state axis -> bit, for classical axes
-
-    def at(a: int) -> int:
-        """The buffer axis of the live full-state axis a."""
-        return sum(1 for b in range(a) if b not in bits)
+    # full-state axis -> its buffer axis (when live); changes only at a grow
+    at = list(itertools.accumulate((a not in bits for a in range(n)),
+                                   initial=0))
 
     def slices(projectors: Sequence[ProjectorOp]) -> Slices:
-        kept = [tuple((at(a), b) for a, b in s if a not in bits)
+        kept = [tuple((at[a], b) for a, b in s if a not in bits)
                 for s in projector_slices(projectors, lambda q: phys[axis[q]])
                 if all(bits.get(a, b) == b for a, b in s)]
         return Slices(n - len(bits), kept)
@@ -641,26 +718,25 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
                 continue
             controls = [(a, b) for a, b in controls if a not in bits]
             targets = [phys[axis[q]] for q in g.targets]
-            src = None
-            if not controls and all(t in bits for t in targets):
-                src = permutation_sources(g.matrix)
-            if src is not None:
-                k = int("".join(str(bits[t]) for t in targets), 2)
-                j = int(np.flatnonzero(src == k)[0])
+            if (not controls and all(t in bits for t in targets)
+                    and g.permutation is not None):
+                j = g.permutation.index(int("".join(str(bits[t]) for t in targets), 2))
                 for i, t in enumerate(reversed(targets)):
                     bits[t] = (j >> i) & 1
                 continue
             for t in targets:
                 if t in bits:
-                    steps.append(("grow", 2 ** at(t), bits.pop(t)))
+                    steps.append(("grow", 2 ** at[t], bits.pop(t)))
+                    for a in range(t + 1, n):
+                        at[a] += 1
             steps.append(("gate", MatrixKernel(
-                g.matrix, [at(t) for t in targets],
-                tuple((at(a), b) for a, b in controls), n - len(bits))))
+                g.matrix, [at[t] for t in targets],
+                tuple((at[a], b) for a, b in controls), n - len(bits))))
         elif op.kind == "event":
             steps.append(("event", slices(op.projectors)))
-        elif op.kind == "turn":
+        elif op.kind == "turn" and op.turn in snapshot_turns:
             index = tuple(bits.get(a, slice(None)) for a in phys)
-            perm = [at(a) for a in phys if a not in bits]
+            perm = [at[a] for a in phys if a not in bits]
             steps.append(("turn", op.turn, index, perm))
     return steps, slices(br.accept)
 
@@ -680,7 +756,15 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     control or a permutation of classical bits is resolved at compile time).
     The budget still counts the layout's qubits. After each turn in
     `snapshot_turns`, every branch's state is expanded into a full state in
-    the layout's qubit order.
+    the layout's qubit order; no other turn is compiled into a step.
+
+    Set-up facts that cannot change are computed once and kept on frozen
+    objects: the instance's validity (`validate`), a layout's registers by
+    role and name, and each gate's permutation (`Gate.permutation`, read by
+    the SWAP and bit-rewrite tests). They are sound to keep because every
+    record is a frozen dataclass whose sequence fields are tuples and every
+    array is read-only. Nothing compiled outlives the call: kernels, slices
+    and buffers are built per branch and dropped.
     """
     require_valid(instance)
     layout = instance.verifier.layout
@@ -696,7 +780,7 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     snapshots: list[tuple[int, str, StateVector]] = []
     acceptance = 0.0
     for br in branches:
-        steps, accept = _compile_branch(br, axis, n, classical)
+        steps, accept = _compile_branch(br, axis, n, classical, snapshot_turns)
         buf = instance.shared.amplitudes.copy()
         events: list[float] = []
         for step in steps:
@@ -709,7 +793,7 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
             elif step[0] == "event":
                 events.append(step[1].mass(buf))
                 step[1].clear(buf)
-            elif step[1] in snapshot_turns:
+            else:
                 full = np.zeros(2 ** n, dtype=buf.dtype)
                 full.reshape([2] * n)[step[2]] = (
                     buf.reshape([2] * len(step[3])).transpose(step[3]))

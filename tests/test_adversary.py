@@ -253,6 +253,13 @@ def test_seesaw_config_rejects_zero_sweeps():
         SeesawConfig(prover_dims=(1,), max_sweeps=0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_seesaw_config_rejects_a_tolerance_that_is_not_finite(tol):
+    # a NaN tolerance would never stop a restart: `gain < nan` is False
+    with pytest.raises(ValidationError, match="convergence_tol must be finite"):
+        SeesawConfig(prover_dims=(1,), convergence_tol=tol)
+
+
 @pytest.mark.parametrize("dims, groups", [((1, 2), ((2,), (1,))),
                                           ((1, 2), ((1,), (), (2,))),
                                           ((1, 1, 1), ((1, 3), (2,)))])

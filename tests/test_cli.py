@@ -86,7 +86,10 @@ def test_audit_consistent_verdict(fdir, capsys):
     ("at least 2", "audit", "always.json", "--method", "grid",
      "--grid-resolution=10"),
     *(("--dims entry", "audit", "guess.json", f"--dims={value}")
-      for value in ("1.5", ","))])
+      for value in ("1.5", ",")),
+    *(("convergence_tol must be finite and > 0", "audit", "guess.json",
+       f"--tol={value}", "--restarts", "1", "--sweeps", "3", "--dims", "1")
+      for value in ("nan", "inf"))])
 def test_out_of_range_settings_exit_with_validation_code(fdir, capsys, args):
     message, command, name, *flags = args
     code, _, err = run_cli(capsys, command, str(fdir / name), *flags)

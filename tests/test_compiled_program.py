@@ -20,9 +20,13 @@ including the snapshots it copies out. Hand-written cases
 take each compile-time path of the lazy qubits in `run` once (bit rewrites,
 classical controls, activations, SWAPs of classical and live qubits,
 projectors fixed by classical bits), and random protocols compare `run` with
-`run∘purify_coins`. Over the same random verifiers, `flatten`'s branch count,
-weights and order and the file codec's `load∘save` round trip are properties,
-and so is `circuit.inverse()` composed with the circuit being the identity.
+`run∘purify_coins`. `run` compiles snapshot steps for the requested turns
+only, and the gate classification its compile reads once per gate
+(`Gate.permutation`, `is_swap`) equals the plain reductions on random and
+named gates and their inverses. Over the same random verifiers, `flatten`'s
+branch count, weights and order and the file codec's `load∘save` round trip
+are properties, and so is `circuit.inverse()` composed with the circuit being
+the identity.
 """
 
 import itertools
@@ -36,11 +40,12 @@ from qmip import adversary, files, fixtures, model
 from qmip.adversary import (SeesawConfig, resize_prover_registers, seesaw,
                             strategies_from_assignment)
 from qmip.circuits import (Circuit, Gate, apply_gate, circuit_matrix, cnot,
-                           cphase, h, mcx, s as s_gate, swap, toffoli, x, y,
-                           z)
+                           cphase, h, is_swap, mcx, s as s_gate, swap, toffoli,
+                           x, y, z)
 from qmip.config import DEFAULT_RUN_CONFIG
-from qmip.linalg import (ProjectorOp, StateVector, polar_unitary, random_state,
-                         random_unitary, zero_state)
+from qmip.linalg import (ProjectorOp, StateVector, permutation_sources,
+                         polar_unitary, random_state, random_unitary,
+                         zero_state)
 from qmip.model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                         FinalDecision, ProtocolInstance, ProverStrategy,
                         VerifierSpec, VerifierTurn, _compile_branch, flatten,
@@ -663,6 +668,71 @@ def test_lazy_paths_equal_reference(case):
     assert [len(s[1].views) for s in steps if s[0] == "event"] == event_slices
     assert len(final.views) == accept_slices
     assert [t for t, _, _ in tr.snapshots] == [1, 2, 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1),
+       requested=st.sets(st.integers(0, 5)))
+def test_only_requested_turns_are_compiled(spec, seed, requested):
+    # `run` compiles a ("turn", ...) step for the requested turns only;
+    # snapshots change neither the acceptance nor any branch record, and a
+    # snapshot is the state that requesting every turn gives for that turn
+    inst = _setup(spec, seed)[3]
+    compiled = []
+
+    def spy(*args):
+        compiled.append(_compile_branch(*args))
+        return compiled[-1]
+
+    with mock.patch.object(model, "_compile_branch", spy):
+        tr = run(inst, snapshot_turns=requested)
+    wanted = sorted(requested & set(range(1, inst.m + 1)))
+    for steps, _ in compiled:
+        assert [s[1] for s in steps if s[0] == "turn"] == wanted
+    plain = run(inst)
+    assert tr.acceptance == plain.acceptance and tr.branches == plain.branches
+    every = run(inst, snapshot_turns=range(1, inst.m + 1))
+    assert [(t, key) for t, key, _ in tr.snapshots] == [
+        (t, key) for t, key, _ in every.snapshots if t in requested]
+    for (_, _, got), (_, _, want) in zip(
+            tr.snapshots, [s for s in every.snapshots if s[0] in requested]):
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+def _permutation_reference(m):
+    """`permutation_sources` as three reductions, without its early reject."""
+    if (((m == 0) | (m == 1)).all() and (m.sum(axis=0) == 1).all()
+            and (m.sum(axis=1) == 1).all()):
+        return tuple(m.real.argmax(axis=1).tolist())
+    return None
+
+
+def _gate_classification_matches_reference(gate):
+    for g in (gate, gate.dagger()):
+        src = permutation_sources(g.matrix)
+        assert (None if src is None else tuple(src.tolist())) \
+            == _permutation_reference(g.matrix) == g.permutation
+        assert g.permutation is g.permutation
+        assert is_swap(g) == (not g.controls
+                              and np.array_equal(g.matrix, swap(V0, V1).matrix))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_gate_classification_equals_reference(data):
+    pool = [("Q", i) for i in range(5)]
+    _gate_classification_matches_reference(data.draw(protocol_gates(pool)))
+
+
+@pytest.mark.parametrize("matrix", [
+    np.eye(4), np.eye(4)[[0, 2, 1, 3]], np.eye(4)[[2, 0, 1, 3]],
+    [[1, 1], [0, 0]], [[0, 1j], [1, 0]], [[0, 2], [1, 0]], [[0, 1], [1, 1e-300]],
+    [[np.nan, 0], [0, 1]], [[0, 1 + 1e-16j], [1, 0]], np.eye(2) * -1,
+    np.ones((4, 4)) / 2])
+@pytest.mark.parametrize("controls", [(), ((("Q", 9), 1),)])
+def test_gate_classification_on_near_permutations(matrix, controls):
+    targets = [("Q", i) for i in range(int(np.log2(len(matrix))))]
+    _gate_classification_matches_reference(Gate("U", matrix, targets, controls))
 
 
 def test_snapshot_is_not_changed_by_later_gates():

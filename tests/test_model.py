@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmip import fixtures, model
+from qmip import files, fixtures, model
 from qmip.circuits import Circuit, Gate, cnot, h, x
 from qmip.config import (BudgetError, NumericalCheckError, RunConfig,
                          ValidationError)
@@ -31,6 +31,82 @@ def test_validate_prover_locality():
     bad[1] = ProverStrategy(2, (Circuit((x(("M1", 0)),)),))
     problems = validate(inst.with_provers(bad))
     assert any("prover 2 acts outside (P2, M2)" in p for p in problems)
+
+
+# --- validity memoised on the instance ----------------------------------------
+
+
+def test_validate_returns_a_new_list_each_call():
+    good, bad = fixtures.chsh(), fixtures.chsh().with_provers(())
+    for inst in (good, bad):
+        first = validate(inst)
+        first.append("changed by the caller")
+        assert validate(inst) == first[:-1]
+        assert validate(inst) is not validate(inst)
+    assert validate(good) == [] and validate(bad) != []
+
+
+@pytest.mark.parametrize("broken", ["provers", "shared", "meta", "verifier"])
+def test_replaced_instance_is_checked_afresh(broken):
+    inst = fixtures.chsh()
+    assert validate(inst) == []
+    field_value = {
+        "provers": inst.provers[:1],
+        "shared": StateVector(np.array([1, 0, 0, 0, 0, 0, 0, 0]),
+                              (("P1", 1), ("P2", 2))),
+        "meta": replace(inst.meta, claimed_soundness=1.5),
+        "verifier": replace(inst.verifier, m=3)}[broken]
+    bad = replace(inst, **{broken: field_value})
+    assert validate(bad) != []
+    with pytest.raises(ValidationError):
+        run(bad)
+    assert validate(inst) == []
+
+
+def test_list_fields_are_frozen_at_construction():
+    # a list handed in and changed afterwards cannot change what was checked
+    inst = fixtures.chsh()
+    provers = list(inst.provers)
+    notes = ["a note"]
+    made = ProtocolInstance(inst.verifier, provers, inst.shared,
+                            replace(inst.meta, notes=notes))
+    assert validate(made) == []
+    provers.pop()
+    notes.append("another")
+    assert made.provers == inst.provers and made.meta.notes == ("a note",)
+    assert validate(made) == []
+    turn = VerifierTurn([ApplyStep(Circuit(), when=["c", "0"])])
+    assert isinstance(turn.steps, tuple) and turn.steps[0].when == ("c", "0")
+
+
+def test_load_then_run_validates_once(monkeypatch):
+    calls = []
+    body = model._problems_of
+
+    def counted(instance):
+        calls.append(instance)
+        return body(instance)
+
+    monkeypatch.setattr(model, "_problems_of", counted)
+    inst = files.load(fixtures.fixtures_dir() / "chsh.json")
+    run(inst)
+    run(inst, snapshot_turns=(1,))
+    assert calls == [inst]
+
+
+def test_layout_facts_are_computed_once():
+    layout = make_layout([("V", 2), ("W", 1)], 1, 2, [1, 3])
+    by_role = {role: tuple(r for r in layout.registers if r.role == role)
+               for role in ("verifier", "message", "prover")}
+    assert layout.verifier_side == by_role["verifier"]
+    assert layout.messages == by_role["message"]
+    assert layout.provers == by_role["prover"]
+    assert layout.provers is layout.provers
+    assert (layout.k, layout.total_qubits) == (2, 9)
+    assert layout.shared_layout == (("P1", 1), ("P2", 3))
+    assert layout.register("P2") is by_role["prover"][1]
+    with pytest.raises(ValidationError, match="unknown register 'P3'"):
+        layout.register("P3")
 
 
 def test_validate_unequal_message_sizes():
