@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
+from stat import S_ISREG
 from typing import Any
 
 import numpy as np
@@ -40,22 +42,41 @@ def _err(path: str, msg: str) -> ValidationError:
     return ValidationError(f"{path}: {msg}")
 
 
+_MALFORMED = (AttributeError, LookupError, TypeError, ValueError)
+"""What reading a JSON value of the wrong shape or type raises."""
+
+
+def _malformed(path: str, e: Exception) -> ValidationError:
+    return _err(path, f"malformed entry ({type(e).__name__}: {e})")
+
+
 # ---------------------------------------------------------------------------
 # complex / matrix encoding
 
 
 def _complex_enc(a) -> list:
-    """The complex array `a` as nested lists of [re, im] pairs."""
-    a = np.asarray(a)
+    """The complex array `a` as nested lists of [re, im] pairs, with equal
+    entries as one shared pair object, which `_json_pairs` renders once."""
     # + 0.0 writes a zero component as 0.0 whatever its sign, so saved bytes
-    # do not depend on how a kernel reached the zero
-    return (np.stack((a.real, a.imag), -1) + 0.0).tolist()
+    # do not depend on how a kernel reached the zero and equal entries are
+    # equal bit for bit; NaNs stay distinct (equal_nan=False)
+    a = np.asarray(a) + 0.0
+    vals, inv = np.unique(a.ravel(), return_inverse=True, equal_nan=False)
+    pairs = np.stack((vals.real, vals.imag), -1).tolist()
+    out = list(map(pairs.__getitem__, inv.tolist()))
+    for n in reversed(a.shape[1:]):
+        out = [out[i:i + n] for i in range(0, len(out), n)]
+    return out
 
 
 def _c_dec(v, path: str) -> complex:
     if not (isinstance(v, list) and len(v) == 2):
         raise _err(path, "complex numbers are [re, im] pairs")
-    return complex(float(v[0]), float(v[1]))
+    try:
+        return complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError):
+        raise _err(path, f"complex numbers are pairs of numbers, not {v!r}"
+                   ) from None
 
 
 def _mat_dec(v, path: str) -> np.ndarray:
@@ -72,7 +93,10 @@ def _qubit_enc(q) -> list:
 def _qubit_dec(v, path: str) -> tuple[str, int]:
     if not (isinstance(v, list) and len(v) == 2):
         raise _err(path, "qubits are [register, index] pairs")
-    return (str(v[0]), int(v[1]))
+    try:
+        return (str(v[0]), int(v[1]))
+    except (TypeError, ValueError):
+        raise _err(path, f"qubit indices are integers, not {v[1]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +109,10 @@ _NAMED = {**{n: _SQ[n] for n in ("H", "X", "Y", "Z", "S")}, "SWAP": _SWAP}
 
 def _gate_enc(g: Gate) -> dict:
     out: dict[str, Any] = {"gate": g.name, "targets": [_qubit_enc(t) for t in g.targets]}
+    named = _NAMED.get(g.name)
     # a name is saved only with its own matrix: S^dag keeps the name "S"
-    if g.name not in _NAMED or not np.array_equal(g.matrix, _NAMED[g.name]):
+    if named is None or (g.matrix is not named
+                         and not np.array_equal(g.matrix, named)):
         out["gate"] = "U"
         out["matrix"] = _complex_enc(g.matrix)
     if g.controls:
@@ -106,46 +132,51 @@ def _check_unitary(name: str, m: np.ndarray, path: str) -> None:
 def _gate_dec(v, circuits: dict[str, Circuit], path: str) -> list[Gate]:
     if not isinstance(v, dict) or "gate" not in v:
         raise _err(path, "gate entries are objects with a 'gate' field")
-    name = v["gate"]
-    controls = tuple((_qubit_dec(c[0], f"{path}.controls"), int(c[1]) & 1)
-                     for c in v.get("controls", []))
-    if name == "CIRCUIT":
-        ref = v.get("ref")
-        if ref not in circuits:
-            raise _err(path, f"unknown circuit reference {ref!r}")
-        circ = circuits[ref]
-        if controls:
-            circ = circ.controlled(controls)
-        return list(circ.gates)
-    targets = [_qubit_dec(t, f"{path}.targets") for t in v.get("targets", [])]
-    if name in _NAMED:
-        m = _NAMED[name]
-        if len(m) != 2 ** len(targets):
-            raise _err(path, f"{name} takes {len(m).bit_length() - 1} target(s)")
-        return [Gate(name, m, tuple(targets), controls)]
-    if name == "CNOT":
-        if len(targets) != 2:
-            raise _err(path, "CNOT takes [control, target]")
-        return [Gate("X", _SQ["X"], (targets[1],),
-                     ((targets[0], 1),) + controls)]
-    if name == "TOFFOLI":
-        if len(targets) != 3:
-            raise _err(path, "TOFFOLI takes [control, control, target]")
-        return [Gate("X", _SQ["X"], (targets[2],),
-                     ((targets[0], 1), (targets[1], 1)) + controls)]
-    if name == "CPHASE":
-        if not targets:
-            raise _err(path, "CPHASE needs at least one qubit")
-        return [Gate("Z", _SQ["Z"], (targets[-1],),
-                     tuple((q, 1) for q in targets[:-1]) + controls)]
-    if name == "U":
-        m = _mat_dec(v.get("matrix"), f"{path}.matrix")
-        if m.shape[0] != 2 ** len(targets):
-            raise _err(path, f"matrix of size {m.shape[0]} does not fit "
-                             f"{len(targets)} targets")
-        _check_unitary("U", m, path)
-        return [Gate("U", m, tuple(targets), controls)]
-    raise _err(path, f"unknown gate {name!r}")
+    try:
+        name = v["gate"]
+        controls = tuple((_qubit_dec(c[0], f"{path}.controls"), int(c[1]) & 1)
+                         for c in v.get("controls", []))
+        if name == "CIRCUIT":
+            ref = v.get("ref")
+            if ref not in circuits:
+                raise _err(path, f"unknown circuit reference {ref!r}")
+            circ = circuits[ref]
+            if controls:
+                circ = circ.controlled(controls)
+            return list(circ.gates)
+        targets = [_qubit_dec(t, f"{path}.targets")
+                   for t in v.get("targets", [])]
+        if name in _NAMED:
+            m = _NAMED[name]
+            if len(m) != 2 ** len(targets):
+                raise _err(path, f"{name} takes "
+                                 f"{len(m).bit_length() - 1} target(s)")
+            return [Gate(name, m, tuple(targets), controls)]
+        if name == "CNOT":
+            if len(targets) != 2:
+                raise _err(path, "CNOT takes [control, target]")
+            return [Gate("X", _SQ["X"], (targets[1],),
+                         ((targets[0], 1),) + controls)]
+        if name == "TOFFOLI":
+            if len(targets) != 3:
+                raise _err(path, "TOFFOLI takes [control, control, target]")
+            return [Gate("X", _SQ["X"], (targets[2],),
+                         ((targets[0], 1), (targets[1], 1)) + controls)]
+        if name == "CPHASE":
+            if not targets:
+                raise _err(path, "CPHASE needs at least one qubit")
+            return [Gate("Z", _SQ["Z"], (targets[-1],),
+                         tuple((q, 1) for q in targets[:-1]) + controls)]
+        if name == "U":
+            m = _mat_dec(v.get("matrix"), f"{path}.matrix")
+            if m.shape[0] != 2 ** len(targets):
+                raise _err(path, f"matrix of size {m.shape[0]} does not fit "
+                                 f"{len(targets)} targets")
+            _check_unitary("U", m, path)
+            return [Gate("U", m, tuple(targets), controls)]
+        raise _err(path, f"unknown gate {name!r}")
+    except _MALFORMED as e:
+        raise _malformed(path, e) from None
 
 
 def _circuit_enc(c: Circuit) -> list[dict]:
@@ -213,26 +244,29 @@ def _steps_dec(values, circuits: dict[str, Circuit], path: str,
     steps: list = []
     for si, sv in enumerate(values):
         spath = f"{path}[{si}]"
-        if "apply" in sv:
-            steps.append(ApplyStep(
-                _circuit_dec(sv["apply"], circuits, spath),
-                _when_dec(sv.get("when"), spath)))
-        elif "coin" in sv and turn is not None:
-            cv = sv["coin"]
-            rec = cv.get("record")
-            steps.append(CoinStep(
-                str(cv.get("id", f"coin{turn}")), int(cv.get("flips", 1)),
-                tuple(int(r) for r in cv.get("recipients", [])),
-                None if rec is None else tuple(
-                    _qubit_dec(q, spath) for q in rec)))
-        elif "accept_now" in sv:
-            steps.append(AcceptNowStep(
-                tuple(_proj_dec(p, spath) for p in sv["accept_now"]),
-                _when_dec(sv.get("when"), spath)))
-        elif turn is None:
-            raise _err(spath, "final steps are apply / accept_now")
-        else:
-            raise _err(spath, "steps are apply / coin / accept_now")
+        try:
+            if "apply" in sv:
+                steps.append(ApplyStep(
+                    _circuit_dec(sv["apply"], circuits, spath),
+                    _when_dec(sv.get("when"), spath)))
+            elif "coin" in sv and turn is not None:
+                cv = sv["coin"]
+                rec = cv.get("record")
+                steps.append(CoinStep(
+                    str(cv.get("id", f"coin{turn}")), int(cv.get("flips", 1)),
+                    tuple(int(r) for r in cv.get("recipients", [])),
+                    None if rec is None else tuple(
+                        _qubit_dec(q, spath) for q in rec)))
+            elif "accept_now" in sv:
+                steps.append(AcceptNowStep(
+                    tuple(_proj_dec(p, spath) for p in sv["accept_now"]),
+                    _when_dec(sv.get("when"), spath)))
+            elif turn is None:
+                raise _err(spath, "final steps are apply / accept_now")
+            else:
+                raise _err(spath, "steps are apply / coin / accept_now")
+        except _MALFORMED as e:
+            raise _malformed(spath, e) from None
     return tuple(steps)
 
 
@@ -314,82 +348,95 @@ def instance_to_dict(instance: ProtocolInstance) -> dict:
 def instance_from_dict(data: dict) -> ProtocolInstance:
     if not isinstance(data, dict) or data.get("format") != FORMAT_TAG:
         raise _err("format", f"expected {FORMAT_TAG!r}")
-    regs = []
-    for i, rv in enumerate(data.get("registers", [])):
-        path = f"registers[{i}]"
-        try:
+    # `where` is the part being read, named if its JSON has the wrong shape
+    where = "registers"
+    try:
+        regs = []
+        for i, rv in enumerate(data.get("registers", [])):
+            where = f"registers[{i}]"
             regs.append(Register(str(rv["name"]), int(rv["qubits"]),
                                  str(rv["role"])))
-        except (KeyError, TypeError) as e:
-            raise _err(path, f"malformed register entry ({e})")
-    layout = RegisterLayout(tuple(regs))
+        layout = RegisterLayout(tuple(regs))
 
-    circuits: dict[str, Circuit] = {}
-    for name, cv in data.get("circuits", {}).items():
-        circuits[name] = _circuit_dec(cv, circuits, f"circuits.{name}")
+        where = "circuits"
+        circuits: dict[str, Circuit] = {}
+        for name, cv in data.get("circuits", {}).items():
+            circuits[name] = _circuit_dec(cv, circuits, f"circuits.{name}")
 
-    turns_v: list[VerifierTurn] = []
-    prover_circuits: dict[int, list[Circuit]] = {
-        i: [] for i in range(1, layout.k + 1)}
-    turns = data.get("turns", [])
-    m = len(turns)
-    for t, tv in enumerate(turns, start=1):
-        path = f"turns[{t-1}]"
-        owner = tv.get("owner")
-        expected = "verifier" if turn_owner(m, t) == "V" else "provers"
-        if owner != expected:
-            raise _err(path, f"turn {t} must belong to the {expected} "
-                             f"(alternation with the last turn for the provers)")
-        if owner == "verifier":
-            turns_v.append(VerifierTurn(
-                _steps_dec(tv.get("steps", []), circuits, f"{path}.steps", t)))
+        turns_v: list[VerifierTurn] = []
+        prover_circuits: dict[int, list[Circuit]] = {
+            i: [] for i in range(1, layout.k + 1)}
+        where = "turns"
+        turns = data.get("turns", [])
+        m = len(turns)
+        for t, tv in enumerate(turns, start=1):
+            where = path = f"turns[{t-1}]"
+            owner = tv.get("owner")
+            expected = "verifier" if turn_owner(m, t) == "V" else "provers"
+            if owner != expected:
+                raise _err(path, f"turn {t} must belong to the {expected} "
+                                 f"(alternation with the last turn for the "
+                                 f"provers)")
+            if owner == "verifier":
+                turns_v.append(VerifierTurn(
+                    _steps_dec(tv.get("steps", []), circuits,
+                               f"{path}.steps", t)))
+            else:
+                entry = tv.get("circuits", {})
+                for i in range(1, layout.k + 1):
+                    prover_circuits[i].append(
+                        _circuit_dec(entry.get(str(i)), circuits,
+                                     f"{path}.circuits.{i}"))
+
+        where = "final"
+        fv = data.get("final", {})
+        final_steps = _steps_dec(fv.get("steps", []), circuits,
+                                 "final.steps", None)
+        accept = tuple(
+            AcceptRule(tuple(_proj_dec(p, f"final.accept[{i}]")
+                             for p in rv.get("projectors", [])),
+                       _when_dec(rv.get("when"), f"final.accept[{i}]"))
+            for i, rv in enumerate(fv.get("accept", [])))
+
+        out_q = data.get("output_qubit")
+        spec = VerifierSpec(layout, m, tuple(turns_v),
+                            FinalDecision(final_steps, accept),
+                            None if out_q is None
+                            else _qubit_dec(out_q, "output_qubit"))
+
+        where = "shared_state"
+        sv = data.get("shared_state", {})
+        if "amplitudes" in sv:
+            amps = np.array([_c_dec(z, "shared_state.amplitudes")
+                             for z in sv["amplitudes"]], dtype=np.complex128)
+            norm = np.linalg.norm(amps)
+            if abs(norm - 1.0) > NORM_TOL:
+                raise _err("shared_state",
+                           f"amplitudes not normalized (||psi|| deviates by "
+                           f"{abs(norm-1.0):.3e})")
+            shared = StateVector(amps, layout.shared_layout)
+        elif "circuit" in sv:
+            from .circuits import apply_circuit
+            from .linalg import zero_state
+            prep = _circuit_dec(sv["circuit"], circuits,
+                                "shared_state.circuit")
+            shared = apply_circuit(zero_state(layout.shared_layout), prep)
         else:
-            entry = tv.get("circuits", {})
-            for i in range(1, layout.k + 1):
-                prover_circuits[i].append(
-                    _circuit_dec(entry.get(str(i)), circuits,
-                                 f"{path}.circuits.{i}"))
+            raise _err("shared_state",
+                       "needs amplitudes or a preparation circuit")
 
-    fv = data.get("final", {})
-    final_steps = _steps_dec(fv.get("steps", []), circuits, "final.steps", None)
-    accept = tuple(
-        AcceptRule(tuple(_proj_dec(p, f"final.accept[{i}]")
-                         for p in rv.get("projectors", [])),
-                   _when_dec(rv.get("when"), f"final.accept[{i}]"))
-        for i, rv in enumerate(fv.get("accept", [])))
-
-    out_q = data.get("output_qubit")
-    spec = VerifierSpec(layout, m, tuple(turns_v),
-                        FinalDecision(final_steps, accept),
-                        None if out_q is None else _qubit_dec(out_q, "output_qubit"))
-
-    sv = data.get("shared_state", {})
-    if "amplitudes" in sv:
-        amps = np.array([_c_dec(z, "shared_state.amplitudes")
-                         for z in sv["amplitudes"]], dtype=np.complex128)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise _err("shared_state", f"amplitudes not normalized "
-                                       f"(||psi|| deviates by {abs(norm-1.0):.3e})")
-        shared = StateVector(amps, layout.shared_layout)
-    elif "circuit" in sv:
-        from .circuits import apply_circuit
-        from .linalg import zero_state
-        prep = _circuit_dec(sv["circuit"], circuits, "shared_state.circuit")
-        shared = apply_circuit(zero_state(layout.shared_layout), prep)
-    else:
-        raise _err("shared_state", "needs amplitudes or a preparation circuit")
-
-    mv = data.get("meta", {})
-    meta = InstanceMeta(
-        name=str(mv.get("name", "")),
-        role=mv.get("role"),
-        claimed_completeness=mv.get("claimed_completeness"),
-        claimed_soundness=mv.get("claimed_soundness"),
-        notes=tuple(mv.get("notes", [])))
-
-    provers = tuple(ProverStrategy(i, tuple(prover_circuits[i]))
-                    for i in range(1, layout.k + 1))
+        where = "meta"
+        mv = data.get("meta", {})
+        meta = InstanceMeta(
+            name=str(mv.get("name", "")),
+            role=mv.get("role"),
+            claimed_completeness=mv.get("claimed_completeness"),
+            claimed_soundness=mv.get("claimed_soundness"),
+            notes=tuple(mv.get("notes", [])))
+        provers = tuple(ProverStrategy(i, tuple(prover_circuits[i]))
+                        for i in range(1, layout.k + 1))
+    except _MALFORMED as e:
+        raise _malformed(where, e) from None
     instance = ProtocolInstance(spec, provers, shared, meta)
     require_valid(instance)
     return instance
@@ -401,9 +448,9 @@ def canonical_json(data) -> str:
     `data` is built of dicts with str keys, lists, str, int, float, bool and
     None; anything else raises TypeError. `indent` turns off json's C
     encoder, so this writer stands in for it: a list of [float, float] pairs
-    (amplitudes, matrix rows) is rendered with one format, and floats go
-    through `float.__repr__`, as json's do (numpy 2's `repr` of a float64
-    differs).
+    (amplitudes, matrix rows) is rendered with one format, each distinct
+    pair object once, and floats go through `float.__repr__`, as json's do
+    (numpy 2's `repr` of a float64 differs).
     """
     return _json(data, "\n")
 
@@ -412,6 +459,21 @@ def _json(o, nl: str) -> str:
     """`o` rendered with its closing bracket after `nl` (newline + indent)."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
+    if isinstance(o, list):
+        if not o:
+            return "[]"
+        inner = nl + " "
+        items = _json_pairs(o, inner)
+        if items is None:
+            items = ("," + inner).join([_json(v, inner) for v in o])
+        return "[" + inner + items + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + " "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(o[k], inner)
+             for k in sorted(o)]) + nl + "}"
     if o is None:
         return "null"
     if o is True:
@@ -424,50 +486,67 @@ def _json(o, nl: str) -> str:
         if isfinite(o):
             return float.__repr__(o)
         return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
-    inner = nl + " "
-    sep = "," + inner
-    if isinstance(o, list):
-        if not o:
-            return "[]"
-        items = _json_pairs(o, inner)
-        if items is None:
-            items = sep.join([_json(v, inner) for v in o])
-        return "[" + inner + items + nl + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        return "{" + inner + sep.join(
-            [encode_basestring_ascii(k) + ": " + _json(o[k], inner)
-             for k in sorted(o)]) + nl + "}"
     raise TypeError(f"Object of type {type(o).__name__} "
                     f"is not JSON serializable")
 
 
 def _json_pairs(o: list, inner: str) -> str | None:
     """The items of `o`, each after `inner`, if all are [float, float] pairs
-    of finite floats; None otherwise."""
-    if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
+    of finite floats; None otherwise.
+
+    Each distinct item object is checked and rendered once, keyed by `id`,
+    which holds because the tree does not change while it is written.
+    """
+    first = o[0]
+    if (type(first) is not list or len(first) != 2
+            or type(first[0]) is not float):
         return None
-    flat = list(chain.from_iterable(o))
+    ids = list(map(id, o))
+    items = dict(zip(ids, o))
+    distinct = list(items.values())
+    if set(map(type, distinct)) != {list} or set(map(len, distinct)) != {2}:
+        return None
+    flat = list(chain.from_iterable(distinct))
     if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
         return None
+    reprs = list(map(float.__repr__, flat))
     pair = "[" + inner + " %s," + inner + " %s" + inner + "]"
-    return (("," + inner).join([pair] * len(o))
-            % tuple(map(float.__repr__, flat)))
+    texts = dict(zip(items, map(pair.__mod__, zip(reprs[::2], reprs[1::2]))))
+    return ("," + inner).join(map(texts.__getitem__, ids))
 
 
 def save(instance: ProtocolInstance, path: str | Path) -> str:
+    """Write `instance` to `path` and return the text written.
+
+    The file is rewritten in place: opened without truncation, overwritten
+    and then cut to the new length. On ext4 this avoids the writeback that
+    truncating a file starts at close; a crash mid-save can leave old and
+    new bytes mixed.
+    """
     text = canonical_json(instance_to_dict(instance)) + "\n"
-    Path(path).write_text(text)
+    data = memoryview(text.encode("ascii"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+        st = os.fstat(fd)
+        if S_ISREG(st.st_mode) and st.st_size > len(text):
+            os.ftruncate(fd, len(text))
+    finally:
+        os.close(fd)
     return text
+
+
+def _read_json(p: Path):
+    try:
+        return json.loads(p.read_text())
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{p}: line {e.lineno}: {e.msg}") from None
 
 
 def load(path: str | Path) -> ProtocolInstance:
     p = Path(path)
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{p}: line {e.lineno}: {e.msg}")
+    data = _read_json(p)
     try:
         return instance_from_dict(data)
     except ValidationError as e:
@@ -500,19 +579,29 @@ def strategy_to_dict(result) -> dict:
 
 def load_strategy(path: str | Path) -> dict:
     p = Path(path)
-    data = json.loads(p.read_text())
-    if data.get("format") != STRATEGY_TAG:
+    data = _read_json(p)
+    if not isinstance(data, dict) or data.get("format") != STRATEGY_TAG:
         raise ValidationError(f"{p}: expected {STRATEGY_TAG!r}")
-    dims = [int(d) for d in data["prover_dims"]]
-    strategies = []
-    for sv in data["strategies"]:
-        circuits = tuple(_circuit_dec(cv, {}, "strategy")
-                         for cv in sv["turns"])
-        strategies.append(ProverStrategy(int(sv["index"]), circuits))
-    amps = np.array([_c_dec(z, "shared") for z in data["shared"]],
-                    dtype=np.complex128)
+    where = "prover_dims"
+    try:
+        dims = [int(d) for d in data["prover_dims"]]
+        strategies = []
+        for i, sv in enumerate(data["strategies"]):
+            where = f"strategies[{i}]"
+            circuits = tuple(_circuit_dec(cv, {}, where)
+                             for cv in sv["turns"])
+            strategies.append(ProverStrategy(int(sv["index"]), circuits))
+        where = "shared"
+        amps = np.array([_c_dec(z, "shared") for z in data["shared"]],
+                        dtype=np.complex128)
+        where = "value"
+        value = float(data["value"])
+    except _MALFORMED as e:
+        raise ValidationError(f"{p}: {_malformed(where, e)}") from None
+    except ValidationError as e:
+        raise ValidationError(f"{p}: {e}") from None
     return {"prover_dims": dims, "strategies": tuple(strategies),
-            "shared_amplitudes": amps, "value": float(data["value"])}
+            "shared_amplitudes": amps, "value": value}
 
 
 @dataclass(frozen=True)

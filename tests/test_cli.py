@@ -43,6 +43,42 @@ def test_simulate_missing_register_error(fdir, tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("where, value, path", [
+    (("shared_state", "amplitudes", 0), ["a", 0.0], "shared_state.amplitudes"),
+    (("circuits", "v1", 0, "targets", 0), ["V", "x"],
+     "circuits.v1[0].targets"),
+    (("registers", 0, "qubits"), "two", "registers[0]"),
+    (("turns",), 5, "turns"),
+], ids=["amplitude", "target", "register", "turns"])
+def test_simulate_malformed_file_exit_code(fdir, tmp_path, capsys, where,
+                                           value, path):
+    data = json.loads((fdir / "guess.json").read_text())
+    parent = data
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", str(bad))
+    assert code == 2
+    assert f"{path}: " in err
+
+
+@pytest.mark.parametrize("text", ["{not json", None],
+                         ids=["not-json", "no-prover-dims"])
+def test_simulate_malformed_strategy_exit_code(fdir, tmp_path, capsys, text):
+    strat = tmp_path / "strat.json"
+    if text is None:
+        # a strategy file without its prover dimensions
+        text = json.dumps({"format": files.STRATEGY_TAG, "value": 0.5,
+                           "strategies": [], "shared": [[1.0, 0.0]]})
+    strat.write_text(text)
+    code, _, err = run_cli(capsys, "simulate", str(fdir / "guess.json"),
+                           "--strategy", str(strat))
+    assert code == 2
+    assert str(strat) in err
+
+
 def test_transform_and_report(fdir, tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out, _ = run_cli(capsys, "transform", str(fdir / "good.json"),

@@ -24,12 +24,14 @@ projectors fixed by classical bits), and random protocols compare `run` with
 only, and the gate classification its compile reads once per gate
 (`Gate.permutation`, `is_swap`) equals the plain reductions on random and
 named gates and their inverses. Over the same random verifiers, `flatten`'s
-branch count, weights and order and the file codec's `load∘save` round trip
-are properties, and so is `circuit.inverse()` composed with the circuit being
-the identity.
+branch count, weights and order, the file codec's `load∘save` round trip and
+`save`'s text against json's encoder are properties, and so is
+`circuit.inverse()` composed with the circuit being the identity.
 """
 
 import itertools
+import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -802,3 +804,13 @@ def test_load_save_round_trip(spec, seed, tmp_path_factory):
     loaded = files.load(path)
     assert files.save(loaded, path) == text
     assert run(loaded).acceptance == run(inst).acceptance
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1))
+def test_save_writes_what_json_dumps_writes(spec, seed):
+    """`save`'s own writer, with its shared pairs, writes the text json's
+    encoder writes for the same data."""
+    text = files.save(_setup(spec, seed)[3], os.devnull)
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, indent=1) + "\n"

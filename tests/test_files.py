@@ -1,6 +1,8 @@
 """Protocol file format: round-trips, digests, error anchoring."""
 
 import json
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from qmip import fixtures, files
 from qmip.circuits import Circuit, Gate, ry, s as s_gate
 from qmip.config import ValidationError
+from qmip.linalg import StateVector
 from qmip.model import ApplyStep, VerifierTurn, run, validate
 from qmip.transforms import (halve_turns, make_perfectly_rewindable,
                              rewind_to_perfect_completeness)
@@ -56,6 +59,40 @@ def test_save_returns_the_bytes_it_writes(tmp_path):
         assert files.save(inst, path).encode() == path.read_bytes()
 
 
+@pytest.mark.parametrize("old_size", [0, 1, 200_000])
+def test_save_over_a_file_leaves_only_the_new_bytes(tmp_path, old_size):
+    # a save rewrites the file in place: an old file shorter than the saved
+    # text (about 2 kB) is overwritten, and a longer one is cut to length
+    path = tmp_path / "p.json"
+    path.write_bytes(b"x" * old_size)
+    text = files.save(fixtures.five_turn_yes(), path)
+    assert path.read_bytes() == text.encode()
+
+
+def test_save_to_a_new_path_has_the_mode_write_text_gives(tmp_path):
+    ref = tmp_path / "ref.json"
+    ref.write_text("")
+    text = files.save(fixtures.guess(), tmp_path / "new.json")
+    assert (tmp_path / "new.json").read_bytes() == text.encode()
+    assert (stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode)
+            == stat.S_IMODE(os.stat(ref).st_mode))
+
+
+def test_signed_zeros_are_saved_as_zeros():
+    # equal amplitudes share one saved pair, and a zero is saved as 0.0
+    # whichever sign the kernel left on it
+    inst = fixtures.guess()
+    amps = np.array([complex(-0.0, -0.0), complex(1.0, -0.0)])
+    text = files.save(inst.with_shared(StateVector(amps, inst.shared.layout)),
+                      os.devnull)
+    assert "-0.0" not in text
+
+
+def test_save_to_a_device():
+    # only a regular file is cut to length: a device cannot be truncated
+    assert files.save(fixtures.guess(), os.devnull).startswith("{")
+
+
 _PY_FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5,
@@ -67,7 +104,14 @@ def _float_lists(n: int):
     return st.lists(_PY_FLOATS, min_size=n, max_size=n)
 
 
-_PAIRS = st.lists(_float_lists(2), min_size=1, max_size=6)
+# pair objects a tree holds several times (0.0 and -0.0 in separate pairs,
+# which are equal but render differently), and one list of them that a tree
+# holds at several depths, as a pair list and as an item of other lists
+_SHARED_PAIRS = st.sampled_from([[0.0, 1.0], [-0.0, 1.0], [0.5, -0.0]])
+_SHARED_PAIR_LIST = st.shared(st.lists(_SHARED_PAIRS, min_size=1, max_size=4),
+                              key="pair list")
+_PAIRS = st.lists(st.one_of(_float_lists(2), _SHARED_PAIRS), min_size=1,
+                  max_size=6)
 # items that must send a list of pairs down the general path: a pair holding
 # an int or a float64, a length-1 or length-3 item (or both, so that the
 # lengths add up to two pairs'), a pair of pairs, and a scalar
@@ -88,10 +132,13 @@ def _near_miss_pairs(draw):
     return pairs
 
 
+_PAIR, _NEG_PAIR = [0.0, 2.0], [-0.0, 2.0]
+_PAIR_LIST = [_PAIR, _NEG_PAIR, _PAIR]
 _SCALARS = st.one_of(st.none(), st.booleans(),
                      st.integers(-2 ** 200, 2 ** 200), _FLOATS, st.text())
 _JSON_TREES = st.recursive(
-    st.one_of(_SCALARS, _PAIRS, _near_miss_pairs()),
+    st.one_of(_SCALARS, _PAIRS, _near_miss_pairs(), _SHARED_PAIRS,
+              _SHARED_PAIR_LIST),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.dictionaries(st.text(), inner, max_size=4)),
     max_leaves=12)
@@ -101,6 +148,8 @@ _JSON_TREES = st.recursive(
 @given(tree=_JSON_TREES)
 @example(tree=[[1.0], [2.0, 3.0, 4.0]])
 @example(tree={"a": [[1.0, 2], [-0.0, np.float64(0.1)]]})
+@example(tree=[_PAIR, _PAIR_LIST, [_PAIR_LIST, [_PAIR_LIST]],
+               {"a": [_PAIR_LIST] * 2, "b": [_NEG_PAIR, _PAIR, _NEG_PAIR]}])
 def test_canonical_json_writes_what_json_dumps_writes(tree):
     assert files.canonical_json(tree) == json.dumps(tree, sort_keys=True,
                                                     indent=1)
