@@ -10,8 +10,8 @@ during execution.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +38,23 @@ _SWAP = np.array(
 _SWAP_SOURCES = (0, 2, 1, 3)   # permutation_sources(_SWAP)
 
 MAX_GATE_SPAN = 12  # controls + targets; keeps single-gate matrices small
+
+_PERMUTATIONS: dict[int, tuple[weakref.ref, tuple[int, ...] | None]] = {}
+"""`Gate.permutation` per matrix object, keyed by `id`: `remap`,
+`controlled`, purification and the passes wrap one read-only matrix in many
+gates. A weakref callback drops an entry when its matrix is collected, so no
+entry outlives its matrix and no id is read for another."""
+
+
+def _permutation_of(matrix: np.ndarray) -> tuple[int, ...] | None:
+    key = id(matrix)
+    entry = _PERMUTATIONS.get(key)
+    if entry is None:
+        src = permutation_sources(matrix)
+        entry = _PERMUTATIONS[key] = (
+            weakref.ref(matrix, lambda _, key=key: _PERMUTATIONS.pop(key, None)),
+            None if src is None else tuple(src.tolist()))
+    return entry[1]
 
 
 def _q(q) -> Qubit:
@@ -70,13 +87,12 @@ class Gate:
         if len(seen) != span:
             raise ValidationError(f"gate {self.name}: overlapping targets/controls")
 
-    @cached_property
+    @property
     def permutation(self) -> tuple[int, ...] | None:
         """For a 0/1 permutation matrix, the column each row takes (see
         `permutation_sources`); None for any other matrix. Computed once per
-        gate: the gate is frozen and its matrix read-only."""
-        src = permutation_sources(self.matrix)
-        return None if src is None else tuple(src.tolist())
+        matrix object (`_PERMUTATIONS`): the matrix is read-only."""
+        return _permutation_of(self.matrix)
 
     def qubits(self) -> tuple[Qubit, ...]:
         return tuple(q for q, _ in self.controls) + self.targets
@@ -118,7 +134,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 def is_swap(gate: Gate) -> bool:
     """An uncontrolled SWAP: a relabelling of two qubits that moves no data
-    in the executor: exactly the matrix `_SWAP`, read from the gate's
+    in the executor: exactly the matrix `_SWAP`, read from its matrix's
     cached permutation once the shape fits."""
     return (not gate.controls and gate.matrix.shape == (4, 4)
             and gate.permutation == _SWAP_SOURCES)

@@ -79,6 +79,14 @@ def _c_dec(v, path: str) -> complex:
                    ) from None
 
 
+def _claim_dec(v, path: str) -> float | None:
+    """A claimed completeness or soundness: a number or null (`validate`
+    checks its range)."""
+    if v is None or isinstance(v, (int, float)):
+        return v
+    raise _err(path, f"claims are numbers or null, not {v!r}")
+
+
 def _mat_dec(v, path: str) -> np.ndarray:
     if not isinstance(v, list) or not v:
         raise _err(path, "matrix must be a non-empty row-major list")
@@ -430,8 +438,10 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
         meta = InstanceMeta(
             name=str(mv.get("name", "")),
             role=mv.get("role"),
-            claimed_completeness=mv.get("claimed_completeness"),
-            claimed_soundness=mv.get("claimed_soundness"),
+            claimed_completeness=_claim_dec(mv.get("claimed_completeness"),
+                                            "meta.claimed_completeness"),
+            claimed_soundness=_claim_dec(mv.get("claimed_soundness"),
+                                         "meta.claimed_soundness"),
             notes=tuple(mv.get("notes", [])))
         provers = tuple(ProverStrategy(i, tuple(prover_circuits[i]))
                         for i in range(1, layout.k + 1))

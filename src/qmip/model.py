@@ -35,8 +35,8 @@ from .circuits import (Circuit, Gate, cnot, h as h_gate, is_swap, mcx,
 from .circuits import apply_gate  # noqa: F401
 from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, BudgetError,
                      PreconditionError, RunConfig, ValidationError)
-from .linalg import (MatrixKernel, ProjectorOp, Qubit, Slices, StateVector,
-                     checked_probability, projector_slices)
+from .linalg import (Layout, MatrixKernel, ProjectorOp, Qubit, Slices,
+                     StateVector, checked_probability, projector_slices)
 
 # ---------------------------------------------------------------------------
 # registers
@@ -652,10 +652,78 @@ class BranchRecord:
 
 
 @dataclass(frozen=True)
+class Snapshot:
+    """One branch's state after a turn at its live width, as `run` left it.
+
+    `live` is a read-only copy of the branch's buffer. The full state, with
+    the registers of `layout` in order, is zero except at `index` (a known
+    bit or `slice(None)` per axis), which holds `live` with its axes
+    permuted by `perm`: the j-th live axis of the full state is buffer axis
+    perm[j].
+    """
+
+    turn: int
+    history: str
+    live: np.ndarray
+    index: tuple
+    perm: tuple[int, ...]
+    layout: Layout
+
+    def same_placement(self, other: "Snapshot") -> bool:
+        return self.index == other.index and self.perm == other.perm
+
+    def placed(self, order: Sequence[str], zeroed: Collection[str] = ()
+               ) -> np.ndarray:
+        """The amplitudes with the registers in `order`, and the registers in
+        `zeroed` projected onto |0...0> and left out. The result is the one
+        array written: its width is that of the registers in `order`."""
+        names = [name for name, _ in self.layout]
+        if sorted([*order, *zeroed]) != sorted(names):
+            raise ValidationError(
+                "order and zeroed registers must partition the layout")
+        start = dict(zip(names, itertools.accumulate(
+            (q for _, q in self.layout), initial=0)))
+        sizes = dict(self.layout)
+
+        def axes(regs):
+            return [a for r in regs for a in range(start[r], start[r] + sizes[r])]
+
+        # each live axis of the full state -> its buffer axis
+        live_axes = [a for a, i in enumerate(self.index) if isinstance(i, slice)]
+        buffer_axis = dict(zip(live_axes, self.perm))
+        kept = axes(order)
+        out = np.zeros(2 ** len(kept), dtype=self.live.dtype)
+        take: list = [slice(None)] * len(self.perm)
+        for a in axes(zeroed):
+            if a in buffer_axis:
+                take[buffer_axis[a]] = 0
+            elif self.index[a]:
+                return out      # a known 1: the projection is zero
+        left = [b for b, t in enumerate(take) if isinstance(t, slice)]
+        src = self.live.reshape([2] * len(self.perm))[tuple(take)]
+        out.reshape([2] * len(kept))[tuple(self.index[a] for a in kept)] = (
+            src.transpose([left.index(buffer_axis[a])
+                           for a in kept if a in buffer_axis]))
+        return out
+
+    def state(self) -> StateVector:
+        """The full state in the layout's order."""
+        return StateVector(self.placed([name for name, _ in self.layout]),
+                           self.layout, normalized=False)
+
+
+@dataclass(frozen=True)
 class Transcript:
     acceptance: float
     branches: tuple[BranchRecord, ...]
-    snapshots: tuple[tuple[int, str, StateVector], ...] = ()
+    live_snapshots: tuple[Snapshot, ...] = ()
+
+    @cached_property
+    def snapshots(self) -> tuple[tuple[int, str, StateVector], ...]:
+        """(turn, branch history, full state in the layout's order) per
+        snapshot, expanded from `live_snapshots` on first read and kept."""
+        return tuple((s.turn, s.history, s.state())
+                     for s in self.live_snapshots)
 
     def snapshots_after_turn(self, turn: int) -> list[tuple[str, StateVector]]:
         return [(key, st) for t, key, st in self.snapshots if t == turn]
@@ -736,7 +804,7 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
             steps.append(("event", slices(op.projectors)))
         elif op.kind == "turn" and op.turn in snapshot_turns:
             index = tuple(bits.get(a, slice(None)) for a in phys)
-            perm = [at[a] for a in phys if a not in bits]
+            perm = tuple(at[a] for a in phys if a not in bits)
             steps.append(("turn", op.turn, index, perm))
     return steps, slices(br.accept)
 
@@ -755,16 +823,21 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     a qubit joins it only when a gate needs it as a target (a classical
     control or a permutation of classical bits is resolved at compile time).
     The budget still counts the layout's qubits. After each turn in
-    `snapshot_turns`, every branch's state is expanded into a full state in
-    the layout's qubit order; no other turn is compiled into a step.
+    `snapshot_turns`, every branch's state is kept at its live width: a copy
+    of the buffer plus its placement (`Snapshot`). `Transcript.snapshots`
+    expands them into full states in the layout's qubit order on first
+    read, and a pass places one directly in its own register order. No
+    other turn is compiled into a step.
 
-    Set-up facts that cannot change are computed once and kept on frozen
-    objects: the instance's validity (`validate`), a layout's registers by
-    role and name, and each gate's permutation (`Gate.permutation`, read by
-    the SWAP and bit-rewrite tests). They are sound to keep because every
-    record is a frozen dataclass whose sequence fields are tuples and every
-    array is read-only. Nothing compiled outlives the call: kernels, slices
-    and buffers are built per branch and dropped.
+    Set-up facts that cannot change are computed once and kept: the
+    instance's validity (`validate`) and a layout's registers by role and
+    name on those frozen objects, and the permutation of each gate matrix
+    (`Gate.permutation`, read by the SWAP and bit-rewrite tests) per matrix
+    object, shared by every gate that wraps it and dropped with the matrix.
+    They are sound to keep because every record is a frozen dataclass whose
+    sequence fields are tuples and every array is read-only. Nothing
+    compiled outlives the call: kernels, slices and buffers are built per
+    branch and dropped.
     """
     require_valid(instance)
     layout = instance.verifier.layout
@@ -777,7 +850,7 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     branches = flatten(instance.verifier, instance.provers, config=config)
 
     records: list[BranchRecord] = []
-    snapshots: list[tuple[int, str, StateVector]] = []
+    snapshots: list[Snapshot] = []
     acceptance = 0.0
     for br in branches:
         steps, accept = _compile_branch(br, axis, n, classical, snapshot_turns)
@@ -794,11 +867,10 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
                 events.append(step[1].mass(buf))
                 step[1].clear(buf)
             else:
-                full = np.zeros(2 ** n, dtype=buf.dtype)
-                full.reshape([2] * n)[step[2]] = (
-                    buf.reshape([2] * len(step[3])).transpose(step[3]))
-                snapshots.append((step[1], br.history_key(),
-                                  StateVector(full, state_layout, normalized=False)))
+                live = buf.copy()
+                live.setflags(write=False)
+                snapshots.append(Snapshot(step[1], br.history_key(), live,
+                                          step[2], step[3], state_layout))
         final_prob = accept.mass(buf)
         records.append(BranchRecord(br.history_key(), br.weight,
                                     tuple(events), final_prob, br.history))

@@ -34,9 +34,9 @@ from .linalg import (ProjectorOp, Qubit, StateVector, reorder_registers,
                      tensor_states)
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
-                    ProverStrategy, Register, RegisterLayout, Transcript,
-                    VerifierSpec, VerifierTurn, _fresh, coin_steps,
-                    is_public_coin, purify_coins, run, validate)
+                    ProverStrategy, Register, RegisterLayout, Snapshot,
+                    Transcript, VerifierSpec, VerifierTurn, _fresh,
+                    coin_steps, is_public_coin, purify_coins, run, validate)
 
 DIM_CAP_NOTE = ("adversarial values are lower bounds at fixed prover "
                 "dimension; no strategy found exceeding a bound does not "
@@ -157,21 +157,41 @@ def _regroup_state(state: StateVector,
     return StateVector(st.amplitudes, layout, st.normalized)
 
 
-def _snapshot_after(tr: Transcript, turn: int) -> StateVector:
-    """The honest state after `turn`, which must not depend on the branch."""
-    snaps = tr.snapshots_after_turn(turn)
+def _snapshot_after(tr: Transcript, turn: int) -> Snapshot:
+    """The honest state after `turn`, which must not depend on the branch,
+    at its live width. Branches placed alike are compared on their live
+    buffers, which gives the full states' max |diff|; others in full."""
+    snaps = [s for s in tr.live_snapshots if s.turn == turn]
     if not snaps:
         raise PreconditionError(f"no snapshot recorded after turn {turn}")
-    first = snaps[0][1].amplitudes
-    for _, other in snaps[1:]:
+    first = snaps[0]
+    for other in snaps[1:]:
         # branches that fork after this turn carry identical prefixes
-        if np.abs(other.amplitudes - first).max() > 1e-12:
+        if other.same_placement(first):
+            gap = np.abs(other.live - first.live).max()
+        else:
+            gap = np.abs(other.state().amplitudes
+                         - first.state().amplitudes).max()
+        if gap > 1e-12:
             raise PreconditionError(
                 f"snapshot after turn {turn} is branch-dependent; purify coins first")
-    st = snaps[0][1]
-    if abs(st.norm() - 1.0) > NORM_TOL:
+    if abs(np.linalg.norm(first.live) - 1.0) > NORM_TOL:
         raise NumericalCheckError("snapshot state is not normalized")
-    return StateVector(st.amplitudes, st.layout, normalized=True)
+    return first
+
+
+def _grouped(snap: Snapshot, groups: Sequence[tuple[str, Sequence[str]]],
+             zeroed: Sequence[str] = ()) -> StateVector:
+    """The snapshot written once with its registers fused into `groups`
+    (name, members) in order, as `_regroup_state` of its full state, and the
+    registers in `zeroed` projected onto |0...0> and left out; its norm is
+    not checked."""
+    sizes = dict(snap.layout)
+    layout = tuple((name, sum(sizes[m] for m in members))
+                   for name, members in groups)
+    return StateVector(
+        snap.placed([m for _, members in groups for m in members], zeroed),
+        layout, normalized=False)
 
 
 def pad_turns(instance: ProtocolInstance, target_m: int) -> ProtocolInstance:
@@ -254,16 +274,20 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
               suffix: str | None = None) -> TransformResult:
     """Run one pass: `prepare(instance, notes)` gives the input (default:
     coins purified), `build(inst, notes, snapshot)` the `_Built` output.
-    `snapshot(turn)` is the honest state after `turn`; its run also gives the
-    input's honest value, and only that float and the state outlive it."""
+    `snapshot(turn, groups, zeroed)` is the honest state after `turn`, placed
+    by `_grouped` straight from its live buffer; it is marked normalized
+    unless registers were `zeroed`. Its run also gives the input's honest
+    value, and only that float and the state outlive it."""
     notes: list[str] = []
     inst = prepare(instance, notes) if prepare else instance
     measured: list[float] = []
 
-    def snapshot(turn: int) -> StateVector:
+    def snapshot(turn: int, groups: Sequence[tuple[str, Sequence[str]]],
+                 zeroed: Sequence[str] = ()) -> StateVector:
         tr = run(inst, snapshot_turns=(turn,), config=config)
         measured.append(tr.acceptance)
-        return _snapshot_after(tr, turn)
+        st = _grouped(_snapshot_after(tr, turn), groups, zeroed)
+        return st if zeroed else st.with_amplitudes(st.amplitudes, True)
 
     b = build(inst, notes, snapshot)
     claims = b.claims
@@ -368,12 +392,11 @@ def _forward_backward_check(ver_map: Callable[[Qubit], Qubit], v1: Circuit,
     return opening, final
 
 
-def _regroup_snapshot(snapshot: StateVector, layout: RegisterLayout,
-                      prefix: str, workspace_first: bool) -> StateVector:
-    """Fuse the honest snapshot into the new provers' registers: prover i
-    holds its old message and private registers, and the verifier-side
-    registers go in front of prover 1 (`workspace_first`) or to an extra
-    prover k+1."""
+def _snapshot_groups(layout: RegisterLayout, prefix: str,
+                     workspace_first: bool) -> list[tuple[str, list[str]]]:
+    """The new provers' registers for the honest snapshot: prover i holds
+    its old message and private registers, and the verifier-side registers
+    go in front of prover 1 (`workspace_first`) or to an extra prover k+1."""
     v_names = [r.name for r in layout.verifier_side]
     groups = [(f"{prefix}{i + 1}", [m.name, p.name])
               for i, (m, p) in enumerate(zip(layout.messages, layout.provers))]
@@ -381,7 +404,7 @@ def _regroup_snapshot(snapshot: StateVector, layout: RegisterLayout,
         groups[0] = (groups[0][0], v_names + groups[0][1])
     else:
         groups.append((f"{prefix}{len(groups) + 1}", v_names))
-    return _regroup_state(snapshot, groups)
+    return groups
 
 
 def _halving_terms(inst: ProtocolInstance, statement: str) -> dict:
@@ -660,8 +683,8 @@ def halve_turns(instance: ProtocolInstance, check: bool = True,
                                         label=f"simulate turn pair {j}"))
             provers.append(ProverStrategy(i, tuple(circuits)))
 
-        shared = _regroup_snapshot(snapshot(2 * m0 + 1), layout, "P",
-                                   workspace_first=True)
+        shared = snapshot(2 * m0 + 1, _snapshot_groups(layout, "P",
+                                                       workspace_first=True))
         return _Built(new_spec, tuple(provers), shared,
                       **_halving_terms(inst, "halving"))
 
@@ -772,8 +795,8 @@ def to_public_coin_3turn(instance: ProtocolInstance, check: bool = True,
                              label="answer on broadcast 0, play back message")
             provers.append(ProverStrategy(i, (first, second)))
 
-        shared = _regroup_snapshot(snapshot(2), layout, "P",
-                                   workspace_first=True)
+        shared = snapshot(2, _snapshot_groups(layout, "P",
+                                              workspace_first=True))
         return _Built(new_spec, tuple(provers), shared,
                       **_halving_terms(inst, "public-coin"),
                       extras={"coin_bits": 1}, verify=_require_public_coin)
@@ -799,7 +822,7 @@ def public_coin_to_one_round(instance: ProtocolInstance, check: bool = True,
         if not is_public_coin(spec):
             raise PreconditionError("input verifier is not public-coin")
         layout = spec.layout
-        k, q, n_v, p_sizes = _sizes(layout)
+        k, q, _, p_sizes = _sizes(layout)
 
         turn = spec.turns[0]
         pre_steps = turn.steps[:-1]
@@ -854,13 +877,11 @@ def public_coin_to_one_round(instance: ProtocolInstance, check: bool = True,
         groups = [(f"R{i+1}", [layout.provers[i].name]) for i in range(k)]
         groups.append((f"R{k+1}", old_msgs))
         # the verifier side must still be |0...0> after the provers' first turn
-        full = _regroup_state(snapshot(1), [
-            ("V", [r.name for r in layout.verifier_side])] + groups)
-        tensor = full.amplitudes.reshape(2 ** n_v, -1)
-        if abs(np.linalg.norm(tensor[0]) - 1.0) > NORM_TOL:
+        shared = snapshot(1, groups, zeroed=[r.name for r in layout.verifier_side])
+        if abs(shared.norm() - 1.0) > NORM_TOL:
             raise NumericalCheckError(
                 "verifier workspace not clean after the first turn")
-        shared = StateVector(tensor[0], full.layout[1:])
+        shared = shared.with_amplitudes(shared.amplitudes, normalized=True)
         c_in, s_in = _claims(inst)
         return _Built(new_spec, tuple(provers), shared,
                       _claimed("c (preserved)", c_in, "s (preserved)", s_in),
@@ -905,8 +926,8 @@ def direct_two_turn(instance: ProtocolInstance, check: bool = True,
         provers.append(ProverStrategy(
             k + 1, (Circuit(tuple(hand_v), label="send workspace"),)))
 
-        shared = _regroup_snapshot(snapshot(2), layout, "R",
-                                   workspace_first=False)
+        shared = snapshot(2, _snapshot_groups(layout, "R",
+                                              workspace_first=False))
         return _Built(new_spec, tuple(provers), shared,
                       **_halving_terms(inst, "two-turn"))
 

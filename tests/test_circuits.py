@@ -1,11 +1,15 @@
-"""Gate constructors, controls, composition, inversion."""
+"""Gate constructors, controls, composition, inversion, and the
+permutation facts kept per matrix object."""
 
+import gc
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qmip.circuits import (Circuit, apply_circuit, circuit_matrix, cnot,
+from qmip import circuits
+from qmip.circuits import (Circuit, Gate, apply_circuit, circuit_matrix, cnot,
                            cphase, h, mcx, ry, swap, toffoli, u1, x,
                            zero_phase_flip)
 from qmip.config import ValidationError
@@ -91,3 +95,44 @@ def test_gate_unitarity_not_enforced_for_internal_matrices():
     # file loader and polar_unitary enforce unitarity where it matters
     g = u1(np.array([[1, 0], [0, 0]], dtype=complex), ("Q", 0))
     assert g.name == "U"
+
+
+# --- Gate.permutation, kept per matrix object ---------------------------------
+
+
+def _counting_sources():
+    """A spy on `permutation_sources` as `circuits` calls it."""
+    return mock.patch.object(circuits, "permutation_sources",
+                             wraps=circuits.permutation_sources)
+
+
+def test_gates_sharing_a_matrix_classify_it_once():
+    m = np.eye(4)[[0, 1, 3, 2]].astype(np.complex128)
+    with _counting_sources() as spy:
+        a = Gate("U", m, (("Q", 0), ("Q", 1)))
+        b = a.remap(lambda q: ("R", q[1])).controlled(((("Q", 5), 1),))
+        assert b.matrix is a.matrix
+        assert a.permutation == b.permutation == (0, 1, 3, 2)
+        assert a.permutation is b.permutation
+        assert spy.call_count == 1
+
+
+def test_equal_matrix_in_another_object_gets_the_same_answer():
+    m = np.eye(4)[[2, 0, 3, 1]].astype(np.complex128)
+    a = Gate("U", m, (("Q", 0), ("Q", 1)))
+    b = Gate("U", m.copy(), (("Q", 0), ("Q", 1)))
+    assert b.matrix is not a.matrix
+    assert a.permutation == b.permutation == (2, 0, 3, 1)
+    dense = Gate("U", np.full((2, 2), 0.5 + 0j), (("Q", 0),))
+    assert dense.permutation is None
+    assert Gate("U", dense.matrix.copy(), (("Q", 0),)).permutation is None
+
+
+def test_permutation_entry_is_dropped_with_its_matrix():
+    g = Gate("U", np.eye(2)[[1, 0]].astype(np.complex128), (("Q", 0),))
+    key = id(g.matrix)
+    assert g.permutation == (1, 0)
+    assert key in circuits._PERMUTATIONS
+    del g
+    gc.collect()
+    assert key not in circuits._PERMUTATIONS

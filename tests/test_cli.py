@@ -64,6 +64,19 @@ def test_simulate_malformed_file_exit_code(fdir, tmp_path, capsys, where,
     assert f"{path}: " in err
 
 
+@pytest.mark.parametrize("value", ["x", [], {}], ids=["str", "list", "dict"])
+@pytest.mark.parametrize("field", ["claimed_completeness", "claimed_soundness"])
+def test_simulate_non_number_claim_exit_code(fdir, tmp_path, capsys, field,
+                                             value):
+    data = json.loads((fdir / "guess.json").read_text())
+    data.setdefault("meta", {})[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", str(bad))
+    assert code == 2
+    assert f"meta.{field}: " in err
+
+
 @pytest.mark.parametrize("text", ["{not json", None],
                          ids=["not-json", "no-prover-dims"])
 def test_simulate_malformed_strategy_exit_code(fdir, tmp_path, capsys, text):

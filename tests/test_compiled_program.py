@@ -21,7 +21,10 @@ take each compile-time path of the lazy qubits in `run` once (bit rewrites,
 classical controls, activations, SWAPs of classical and live qubits,
 projectors fixed by classical bits), and random protocols compare `run` with
 `run∘purify_coins`. `run` compiles snapshot steps for the requested turns
-only, and the gate classification its compile reads once per gate
+only; a pass places a snapshot in its register groups straight from the
+live buffer, equal to regrouping the expanded state, and a branch-dependent
+snapshot is rejected whether or not its branches share a placement. The
+gate classification its compile reads once per matrix
 (`Gate.permutation`, `is_swap`) equals the plain reductions on random and
 named gates and their inverses. Over the same random verifiers, `flatten`'s
 branch count, weights and order, the file codec's `load∘save` round trip and
@@ -38,13 +41,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmip import adversary, files, fixtures, model
+from qmip import adversary, files, fixtures, model, transforms
 from qmip.adversary import (SeesawConfig, resize_prover_registers, seesaw,
                             strategies_from_assignment)
 from qmip.circuits import (Circuit, Gate, apply_gate, circuit_matrix, cnot,
                            cphase, h, is_swap, mcx, s as s_gate, swap, toffoli,
                            x, y, z)
-from qmip.config import DEFAULT_RUN_CONFIG
+from qmip.config import DEFAULT_RUN_CONFIG, PreconditionError
 from qmip.linalg import (ProjectorOp, StateVector, permutation_sources,
                          polar_unitary, random_state, random_unitary,
                          zero_state)
@@ -744,6 +747,57 @@ def test_snapshot_is_not_changed_by_later_gates():
     (_, snap), = tr.snapshots_after_turn(2)
     assert snap.amplitudes[0] == 1.0
     assert tr.acceptance == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_snapshot_in_groups_equals_regrouped_full_state(spec, seed, data):
+    # a pass writes its snapshot once, in its register groups, from the live
+    # buffer (`transforms._grouped`), with the registers in `zeroed`
+    # projected onto |0...0> and left out: byte for byte the all-zero slice
+    # of `_regroup_state` of the expanded state
+    inst = _setup(spec, seed)[3]
+    tr = run(inst, snapshot_turns=range(1, inst.m + 1))
+    sizes = dict(inst.verifier.layout.as_state_layout())
+    order = data.draw(st.permutations(sorted(sizes)))
+    zeroed = order[:data.draw(st.integers(0, len(order) - 1))]
+    kept = order[len(zeroed):]
+    cuts = [0] + [j for j in range(1, len(kept)) if data.draw(st.booleans())]
+    groups = [(f"G{g}", kept[a:b])
+              for g, (a, b) in enumerate(zip(cuts, cuts[1:] + [len(kept)]))]
+    for snap, (_, _, full) in zip(tr.live_snapshots, tr.snapshots, strict=True):
+        want = transforms._regroup_state(full, [("Z", zeroed)] + groups)
+        got = transforms._grouped(snap, groups, zeroed)
+        assert got.layout == want.layout[1:]
+        zero_slice = want.amplitudes.reshape(2 ** want.layout[0][1], -1)[0]
+        assert got.amplitudes.tobytes() == zero_slice.tobytes()
+
+
+def _coin_after_prover_turn(prover_gates):
+    """Prover 1 applies `prover_gates` in turn 1, then the verifier XORs a
+    coin into M1; the state after turn 2 depends on the coin."""
+    layout = make_layout([("V", 1)], 1, 1, [1])
+    spec = VerifierSpec(layout, 3, (VerifierTurn((CoinStep("c", 1, (1,)),)),),
+                        FinalDecision((), (AcceptRule((_ONE(V0),)),)))
+    prover = ProverStrategy(1, (Circuit(prover_gates), Circuit(())))
+    return ProtocolInstance(spec, (prover,),
+                            StateVector(np.array([1.0, 0.0]), (("P1", 1),)))
+
+
+@pytest.mark.parametrize("same_placement", [True, False],
+                         ids=["live-message", "classical-message"])
+def test_branch_dependent_snapshot_is_rejected(same_placement):
+    # a dense gate makes M1 live, so the coin's X changes the live buffer
+    # and both branches keep one placement; without it the X flips M1's
+    # known bit and the placements differ
+    gates = (Gate("U", _H, (M,)),) if same_placement else ()
+    tr = run(_coin_after_prover_turn(gates), snapshot_turns=(1, 2))
+    before, after = ([s for s in tr.live_snapshots if s.turn == t]
+                     for t in (1, 2))
+    assert after[0].same_placement(after[1]) == same_placement
+    assert transforms._snapshot_after(tr, 1) is before[0]
+    with pytest.raises(PreconditionError, match="branch-dependent"):
+        transforms._snapshot_after(tr, 2)
 
 
 # --- run == run o purify_coins -------------------------------------------------

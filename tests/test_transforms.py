@@ -79,8 +79,8 @@ def test_each_pass_runs_its_input_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(_SNAPSHOT_PASS_INPUTS))
 def test_snapshot_run_keeps_one_state_per_branch(monkeypatch, name):
-    """A pass reads the state after one turn, so its snapshot run expands one
-    full state per branch, not one per turn and branch."""
+    """A pass reads the state after one turn, so its snapshot run keeps one
+    state per branch, not one per turn and branch."""
     inst = _SNAPSHOT_PASS_INPUTS[name]()
     transcripts = []
     real_run = transforms.run
@@ -372,6 +372,39 @@ def test_one_round_preserves_value():
     v = run(pc).acceptance
     res = public_coin_to_one_round(pc)
     assert abs(res.report.output_honest - v) <= 1e-9
+
+
+def _one_round_with_dirty_workspace(monkeypatch, live: bool):
+    """`public_coin_to_one_round` of the public-coin three_turn, with its
+    snapshot's first verifier qubit made live (amplitudes 0.6, 0.8 over
+    the snapshot) or classical at 1. A valid input never leaves that
+    qubit dirty after the provers' turn, so the run's result is edited."""
+    pc = to_public_coin_3turn(fixtures.three_turn()).instance
+    real_run = transforms.run
+
+    def dirty(snap):
+        if not live:
+            return dataclasses.replace(snap, index=(1,) + snap.index[1:])
+        return dataclasses.replace(
+            snap, live=np.kron([0.6, 0.8], snap.live),
+            index=(slice(None),) + snap.index[1:],
+            perm=(0,) + tuple(b + 1 for b in snap.perm))
+
+    def dirty_run(instance, snapshot_turns=(), **kwargs):
+        tr = real_run(instance, snapshot_turns=snapshot_turns, **kwargs)
+        assert all(s.index[0] == 0 for s in tr.live_snapshots)
+        return dataclasses.replace(
+            tr, live_snapshots=tuple(map(dirty, tr.live_snapshots)))
+
+    monkeypatch.setattr(transforms, "run", dirty_run)
+    return public_coin_to_one_round(pc)
+
+
+@pytest.mark.parametrize("live", [True, False], ids=["live", "classical-1"])
+def test_one_round_rejects_a_dirty_verifier_workspace(monkeypatch, live):
+    with pytest.raises(NumericalCheckError,
+                       match="verifier workspace not clean"):
+        _one_round_with_dirty_workspace(monkeypatch, live)
 
 
 def test_direct_equals_detour():
