@@ -51,8 +51,8 @@ transcript = run(instance, snapshot_turns=range(1, instance.m + 1))
 print(f"acceptance probability: {transcript.acceptance:.12f}")
 # No strategy can beat 1/2: the coin never leaves the verifier's space.
 
-for turn, branch, state in transcript.snapshots:
-    print(f"  after turn {turn}: ||state|| = {state.norm():.12f}")
+for snap in transcript.snapshots:
+    print(f"  after turn {snap.turn}: ||state|| = {snap.norm():.12f}")
 
 # The transcript also records per-branch bookkeeping. This protocol has no
 # coin broadcasts, so there is a single branch with full weight.

@@ -10,8 +10,7 @@ from .config import (DEFAULT_RUN_CONFIG, BudgetError, NumericalCheckError,
                      PreconditionError, RunConfig, ValidationError)
 from .linalg import (ProjectorOp, StateVector, fidelity, polar_unitary,
                      project, project_norm_sq, random_density, random_state,
-                     random_unitary, reorder_registers, tensor_states,
-                     zero_state)
+                     random_unitary, tensor_states, zero_state)
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
                     ProverStrategy, Register, RegisterLayout, Transcript,

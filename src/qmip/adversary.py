@@ -564,6 +564,8 @@ class SeesawConfig:
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
             raise ValidationError(
                 f"convergence_tol must be finite and > 0, got {self.convergence_tol!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         groups = self.product_groups
         if groups is not None and (
                 not all(groups) or [i for g in groups for i in g]

@@ -61,9 +61,9 @@ def cmd_simulate(args) -> int:
     print(f"p_acc = {tr.acceptance:.12f}")
     if args.snapshots:
         out = _out_dir(args)
-        dump = [{"turn": t, "branch": key,
-                 "norm_sq": float(st.norm() ** 2)}
-                for t, key, st in tr.snapshots]
+        dump = [{"turn": s.turn, "branch": s.history,
+                 "norm_sq": float(s.state().norm() ** 2)}
+                for s in tr.snapshots]
         (out / (Path(args.file).stem + ".snapshots.json")).write_text(
             json.dumps(dump, indent=1))
     _emit(files.RunRecord("simulate", files.digest(args.file), args.seed,

@@ -77,9 +77,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape([2] * self.n_qubits)
-
     def with_amplitudes(self, amps: np.ndarray, normalized: bool | None = None) -> "StateVector":
         return StateVector(amps, self.layout,
                            self.normalized if normalized is None else normalized)
@@ -98,23 +95,6 @@ def tensor_states(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amplitudes, b.amplitudes),
                        a.layout + b.layout,
                        a.normalized and b.normalized)
-
-
-def reorder_registers(state: StateVector, new_order: Sequence[str]) -> StateVector:
-    """Permute the register order of `state` (same registers, new layout order)."""
-    old_names = [name for name, _ in state.layout]
-    if sorted(new_order) != sorted(old_names):
-        raise ValidationError("new_order must be a permutation of the register names")
-    sizes = dict(state.layout)
-    positions: dict[str, list[int]] = {}
-    off = 0
-    for name, n in state.layout:
-        positions[name] = list(range(off, off + n))
-        off += n
-    perm = [p for name in new_order for p in positions[name]]
-    tensor = state.tensor().transpose(perm)
-    layout = tuple((name, sizes[name]) for name in new_order)
-    return StateVector(tensor.reshape(-1), layout, state.normalized)
 
 
 # ---------------------------------------------------------------------------

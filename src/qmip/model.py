@@ -653,13 +653,13 @@ class BranchRecord:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One branch's state after a turn at its live width, as `run` left it.
+    """A state at its live width: one branch's state after a turn, as `run`
+    left it, or a whole state (`Snapshot.whole`).
 
-    `live` is a read-only copy of the branch's buffer. The full state, with
-    the registers of `layout` in order, is zero except at `index` (a known
-    bit or `slice(None)` per axis), which holds `live` with its axes
-    permuted by `perm`: the j-th live axis of the full state is buffer axis
-    perm[j].
+    `live` is a read-only array. The full state, with the registers of
+    `layout` in order, is zero except at `index` (a known bit or
+    `slice(None)` per axis), which holds `live` with its axes permuted by
+    `perm`: the j-th live axis of the full state is buffer axis perm[j].
     """
 
     turn: int
@@ -669,64 +669,80 @@ class Snapshot:
     perm: tuple[int, ...]
     layout: Layout
 
+    @classmethod
+    def whole(cls, state: StateVector) -> "Snapshot":
+        """`state` with every axis live and in order (turn 0, no history)."""
+        n = state.n_qubits
+        return cls(0, "", state.amplitudes, (slice(None),) * n,
+                   tuple(range(n)), state.layout)
+
     def same_placement(self, other: "Snapshot") -> bool:
         return self.index == other.index and self.perm == other.perm
 
-    def placed(self, order: Sequence[str], zeroed: Collection[str] = ()
-               ) -> np.ndarray:
-        """The amplitudes with the registers in `order`, and the registers in
-        `zeroed` projected onto |0...0> and left out. The result is the one
-        array written: its width is that of the registers in `order`."""
-        names = [name for name, _ in self.layout]
-        if sorted([*order, *zeroed]) != sorted(names):
-            raise ValidationError(
-                "order and zeroed registers must partition the layout")
-        start = dict(zip(names, itertools.accumulate(
-            (q for _, q in self.layout), initial=0)))
+    def _axes(self, regs: Collection[str]) -> list[int]:
+        """The full-state axes of the registers `regs`, in order."""
         sizes = dict(self.layout)
+        start = dict(zip(sizes, itertools.accumulate(sizes.values(),
+                                                     initial=0)))
+        return [a for r in regs for a in range(start[r], start[r] + sizes[r])]
 
-        def axes(regs):
-            return [a for r in regs for a in range(start[r], start[r] + sizes[r])]
-
-        # each live axis of the full state -> its buffer axis
-        live_axes = [a for a, i in enumerate(self.index) if isinstance(i, slice)]
-        buffer_axis = dict(zip(live_axes, self.perm))
-        kept = axes(order)
-        out = np.zeros(2 ** len(kept), dtype=self.live.dtype)
+    def _projected(self, zeroed: Collection[str]
+                   ) -> tuple[np.ndarray, dict[int, int]] | None:
+        """The buffer with the registers in `zeroed` projected onto
+        |0...0> (a view), and the axis in it of each full-state axis it
+        keeps; None when one of those registers holds a known 1."""
+        buffer_axis = dict(zip((a for a, i in enumerate(self.index)
+                                if isinstance(i, slice)), self.perm))
         take: list = [slice(None)] * len(self.perm)
-        for a in axes(zeroed):
+        for a in self._axes(zeroed):
             if a in buffer_axis:
                 take[buffer_axis[a]] = 0
             elif self.index[a]:
-                return out      # a known 1: the projection is zero
+                return None
         left = [b for b, t in enumerate(take) if isinstance(t, slice)]
-        src = self.live.reshape([2] * len(self.perm))[tuple(take)]
-        out.reshape([2] * len(kept))[tuple(self.index[a] for a in kept)] = (
-            src.transpose([left.index(buffer_axis[a])
-                           for a in kept if a in buffer_axis]))
-        return out
+        return (self.live.reshape([2] * len(self.perm))[tuple(take)],
+                {a: left.index(b) for a, b in buffer_axis.items() if b in left})
+
+    def norm(self, zeroed: Collection[str] = ()) -> float:
+        """The norm of the state with the registers in `zeroed` projected
+        onto |0...0>."""
+        projected = self._projected(zeroed)
+        return 0.0 if projected is None else float(np.linalg.norm(projected[0]))
+
+    def placed(self, groups: Sequence[tuple[str, Sequence[str]]],
+               zeroed: Collection[str] = (), normalized: bool = True
+               ) -> StateVector:
+        """The state written once in a new register order: the registers
+        fused into `groups` ((name, members) in order), and the registers in
+        `zeroed` projected onto |0...0> and left out. The result is the one
+        array written: its width is that of the grouped registers. This is
+        the package's one register reorder."""
+        order = [m for _, members in groups for m in members]
+        if sorted([*order, *zeroed]) != sorted(name for name, _ in self.layout):
+            raise ValidationError(
+                "groups and zeroed registers must partition the layout")
+        sizes = dict(self.layout)
+        kept = self._axes(order)
+        out = np.zeros(2 ** len(kept), dtype=self.live.dtype)
+        projected = self._projected(zeroed)
+        if projected is not None:
+            src, at = projected
+            out.reshape([2] * len(kept))[tuple(self.index[a] for a in kept)] = (
+                src.transpose([at[a] for a in kept if a in at]))
+        return StateVector(out, tuple((name, sum(sizes[m] for m in members))
+                                      for name, members in groups), normalized)
 
     def state(self) -> StateVector:
         """The full state in the layout's order."""
-        return StateVector(self.placed([name for name, _ in self.layout]),
-                           self.layout, normalized=False)
+        return self.placed([(name, [name]) for name, _ in self.layout],
+                           normalized=False)
 
 
 @dataclass(frozen=True)
 class Transcript:
     acceptance: float
     branches: tuple[BranchRecord, ...]
-    live_snapshots: tuple[Snapshot, ...] = ()
-
-    @cached_property
-    def snapshots(self) -> tuple[tuple[int, str, StateVector], ...]:
-        """(turn, branch history, full state in the layout's order) per
-        snapshot, expanded from `live_snapshots` on first read and kept."""
-        return tuple((s.turn, s.history, s.state())
-                     for s in self.live_snapshots)
-
-    def snapshots_after_turn(self, turn: int) -> list[tuple[str, StateVector]]:
-        return [(key, st) for t, key, st in self.snapshots if t == turn]
+    snapshots: tuple[Snapshot, ...] = ()
 
 
 def require_budget(layout: RegisterLayout, config: RunConfig) -> None:
@@ -824,10 +840,10 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     control or a permutation of classical bits is resolved at compile time).
     The budget still counts the layout's qubits. After each turn in
     `snapshot_turns`, every branch's state is kept at its live width: a copy
-    of the buffer plus its placement (`Snapshot`). `Transcript.snapshots`
-    expands them into full states in the layout's qubit order on first
-    read, and a pass places one directly in its own register order. No
-    other turn is compiled into a step.
+    of the buffer plus its placement (`Snapshot`). `Snapshot.placed` writes
+    one in any register order (`Snapshot.state` in the layout's), so a pass
+    places it directly in its own register groups. No other turn is
+    compiled into a step.
 
     Set-up facts that cannot change are computed once and kept: the
     instance's validity (`validate`) and a layout's registers by role and

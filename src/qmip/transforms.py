@@ -30,13 +30,13 @@ from .circuits import (Circuit, amplitude_rotation, mcx, swap_slices, toffoli,
                        unitary_gate, zero_phase_flip)
 from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, NumericalCheckError,
                      PreconditionError, RunConfig, ValidationError)
-from .linalg import (ProjectorOp, Qubit, StateVector, reorder_registers,
-                     tensor_states)
+from .linalg import ProjectorOp, Qubit, StateVector, tensor_states
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
                     ProverStrategy, Register, RegisterLayout, Snapshot,
                     Transcript, VerifierSpec, VerifierTurn, _fresh,
-                    coin_steps, is_public_coin, purify_coins, run, validate)
+                    coin_steps, is_public_coin, purify_coins, require_budget,
+                    run, validate)
 
 DIM_CAP_NOTE = ("adversarial values are lower bounds at fixed prover "
                 "dimension; no strategy found exceeding a bound does not "
@@ -146,22 +146,11 @@ def _new_layout(verifier: Sequence[Register], messages: Sequence[int],
                 for i, size in enumerate(provers)))
 
 
-def _regroup_state(state: StateVector,
-                   groups: Sequence[tuple[str, Sequence[str]]]) -> StateVector:
-    """Reorder registers into group order and fuse each group under one name."""
-    order = [name for _, members in groups for name in members]
-    st = reorder_registers(state, order)
-    sizes = dict(st.layout)
-    layout = tuple((gname, sum(sizes[m] for m in members))
-                   for gname, members in groups)
-    return StateVector(st.amplitudes, layout, st.normalized)
-
-
 def _snapshot_after(tr: Transcript, turn: int) -> Snapshot:
     """The honest state after `turn`, which must not depend on the branch,
     at its live width. Branches placed alike are compared on their live
     buffers, which gives the full states' max |diff|; others in full."""
-    snaps = [s for s in tr.live_snapshots if s.turn == turn]
+    snaps = [s for s in tr.snapshots if s.turn == turn]
     if not snaps:
         raise PreconditionError(f"no snapshot recorded after turn {turn}")
     first = snaps[0]
@@ -175,23 +164,9 @@ def _snapshot_after(tr: Transcript, turn: int) -> Snapshot:
         if gap > 1e-12:
             raise PreconditionError(
                 f"snapshot after turn {turn} is branch-dependent; purify coins first")
-    if abs(np.linalg.norm(first.live) - 1.0) > NORM_TOL:
+    if abs(first.norm() - 1.0) > NORM_TOL:
         raise NumericalCheckError("snapshot state is not normalized")
     return first
-
-
-def _grouped(snap: Snapshot, groups: Sequence[tuple[str, Sequence[str]]],
-             zeroed: Sequence[str] = ()) -> StateVector:
-    """The snapshot written once with its registers fused into `groups`
-    (name, members) in order, as `_regroup_state` of its full state, and the
-    registers in `zeroed` projected onto |0...0> and left out; its norm is
-    not checked."""
-    sizes = dict(snap.layout)
-    layout = tuple((name, sum(sizes[m] for m in members))
-                   for name, members in groups)
-    return StateVector(
-        snap.placed([m for _, members in groups for m in members], zeroed),
-        layout, normalized=False)
 
 
 def pad_turns(instance: ProtocolInstance, target_m: int) -> ProtocolInstance:
@@ -274,10 +249,12 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
               suffix: str | None = None) -> TransformResult:
     """Run one pass: `prepare(instance, notes)` gives the input (default:
     coins purified), `build(inst, notes, snapshot)` the `_Built` output.
-    `snapshot(turn, groups, zeroed)` is the honest state after `turn`, placed
-    by `_grouped` straight from its live buffer; it is marked normalized
-    unless registers were `zeroed`. Its run also gives the input's honest
-    value, and only that float and the state outlive it."""
+    `snapshot(turn, groups, zeroed)` is the honest state after `turn`,
+    written once from its live buffer into the new provers' register
+    `groups` (`Snapshot.placed`). The registers in `zeroed`, the old
+    verifier's workspace, must be back at |0...0>; they are left out. Its
+    run also gives the input's honest value, and only that float and the
+    state outlive it."""
     notes: list[str] = []
     inst = prepare(instance, notes) if prepare else instance
     measured: list[float] = []
@@ -286,8 +263,11 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
                  zeroed: Sequence[str] = ()) -> StateVector:
         tr = run(inst, snapshot_turns=(turn,), config=config)
         measured.append(tr.acceptance)
-        st = _grouped(_snapshot_after(tr, turn), groups, zeroed)
-        return st if zeroed else st.with_amplitudes(st.amplitudes, True)
+        snap = _snapshot_after(tr, turn)
+        if zeroed and abs(snap.norm(zeroed) - 1.0) > NORM_TOL:
+            raise NumericalCheckError(
+                f"verifier workspace not clean after turn {turn}")
+        return snap.placed(groups, zeroed)
 
     b = build(inst, notes, snapshot)
     claims = b.claims
@@ -434,6 +414,8 @@ def make_perfectly_rewindable(instance: ProtocolInstance,
     """Route a fresh flag qubit through prover 1 and fold it into acceptance,
     with the honest prover rotating the flag so the best achievable value
     becomes exactly one half (attained at the eigen-optimal shared state)."""
+    if p_max is not None and not (math.isfinite(p_max) and p_max <= 1.0):
+        raise ValidationError(f"p_max must be finite and <= 1, got {p_max!r}")
 
     def build(inst, notes, snapshot):
         spec = inst.verifier
@@ -878,10 +860,6 @@ def public_coin_to_one_round(instance: ProtocolInstance, check: bool = True,
         groups.append((f"R{k+1}", old_msgs))
         # the verifier side must still be |0...0> after the provers' first turn
         shared = snapshot(1, groups, zeroed=[r.name for r in layout.verifier_side])
-        if abs(shared.norm() - 1.0) > NORM_TOL:
-            raise NumericalCheckError(
-                "verifier workspace not clean after the first turn")
-        shared = shared.with_amplitudes(shared.amplitudes, normalized=True)
         c_in, s_in = _claims(inst)
         return _Built(new_spec, tuple(provers), shared,
                       _claimed("c (preserved)", c_in, "s (preserved)", s_in),
@@ -984,6 +962,10 @@ def _copy_blocks(name: str, instance: ProtocolInstance, n: int, check: bool,
         count, width = (n * k, 1) if parallel else (k, n)
         new_layout = _new_layout(v_regs, [width * q] * count,
                                  [width * p_sizes[j % k] for j in range(count)])
+        if check:
+            # the honest run would refuse this layout: fail before the
+            # tensor power of the shared state is built
+            require_budget(new_layout, config)
 
         def slot(c: int, i: int) -> tuple[int, int]:
             """New register number and block of copy c's prover i (0-based)."""
@@ -1023,7 +1005,7 @@ def _copy_blocks(name: str, instance: ProtocolInstance, n: int, check: bool,
                     circ.remap(copy_map(c)) for circ in p.circuits)
                 groups.setdefault(f"P{j}", []).append(f"{old_prov[i]}_c{c}")
         provers = [ProverStrategy(j, tuple(cs)) for j, cs in circuits.items()]
-        shared = _regroup_state(power, list(groups.items()))
+        shared = Snapshot.whole(power).placed(list(groups.items()))
 
         c, s = _claims(inst)
         return _Built(new_spec, tuple(provers), shared,

@@ -138,12 +138,60 @@ def test_audit_consistent_verdict(fdir, capsys):
       for value in ("1.5", ",")),
     *(("convergence_tol must be finite and > 0", "audit", "guess.json",
        f"--tol={value}", "--restarts", "1", "--sweeps", "3", "--dims", "1")
-      for value in ("nan", "inf"))])
+      for value in ("nan", "inf")),
+    ("seed must be >= 0", "audit", "guess.json", "--seed", "-1",
+     "--restarts", "1", "--sweeps", "2", "--dims", "1"),
+    # without the honest check nothing else would catch these: the output
+    # would claim completeness exactly 1/2 for a clamped flag rotation
+    *(("p_max must be finite and <= 1", "transform", "good.json", "--pass",
+       "rewindable", "--no-verify", f"--p-max={value}")
+      for value in ("nan", "inf", "5"))])
 def test_out_of_range_settings_exit_with_validation_code(fdir, capsys, args):
     message, command, name, *flags = args
     code, _, err = run_cli(capsys, command, str(fdir / name), *flags)
     assert code == 2
     assert message in err
+
+
+# every numeric flag of audit, transform and pipeline, alone at each edge
+# value its type accepts, with the other flags at cheap settings
+_NUMERIC_FLAG_COMMANDS = {
+    "seesaw": ("audit", "guess.json",
+               {"--restarts": "1", "--sweeps": "2", "--dims": "1"}),
+    "grid": ("audit", "always.json", {"--method": "grid"}),
+    "rewindable": ("transform", "good.json", {"--pass": "rewindable"}),
+    "par-rep": ("transform", "guess.json", {"--pass": "par-rep"}),
+    "pipeline": ("pipeline", "good.json", {}),
+}
+_INT_EDGES = ("0", "-1")
+_FLOAT_EDGES = ("0", "-1", "nan", "inf")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command, flag, values in [
+        ("seesaw", "--restarts", _INT_EDGES),
+        ("seesaw", "--sweeps", _INT_EDGES),
+        ("seesaw", "--tol", _FLOAT_EDGES),
+        ("seesaw", "--seed", _INT_EDGES),
+        ("seesaw", "--max-qubits", _INT_EDGES),
+        ("grid", "--grid-resolution", _FLOAT_EDGES),
+        ("rewindable", "--p-max", _FLOAT_EDGES),
+        ("rewindable", "--seed", _INT_EDGES),
+        ("rewindable", "--max-qubits", _INT_EDGES),
+        ("par-rep", "--n", _INT_EDGES),
+        ("pipeline", "--seed", _INT_EDGES),
+        ("pipeline", "--max-qubits", _INT_EDGES)]
+    for value in values])
+def test_numeric_flag_edge_values_exit_without_a_traceback(
+        fdir, tmp_path, capsys, command, flag, value):
+    subcommand, name, settings = _NUMERIC_FLAG_COMMANDS[command]
+    args = [subcommand, str(fdir / name), "--out", str(tmp_path)]
+    for key, val in {**settings, flag: value}.items():
+        args += [key, val]
+    code, out, err = run_cli(capsys, *args)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in out + err
 
 
 def test_audit_grid_method(fdir, capsys):

@@ -22,8 +22,10 @@ classical controls, activations, SWAPs of classical and live qubits,
 projectors fixed by classical bits), and random protocols compare `run` with
 `run∘purify_coins`. `run` compiles snapshot steps for the requested turns
 only; a pass places a snapshot in its register groups straight from the
-live buffer, equal to regrouping the expanded state, and a branch-dependent
-snapshot is rejected whether or not its branches share a placement. The
+live buffer, and a whole state is placed the same way, both equal to a
+plain transpose of the expanded state kept here as a reference, and a
+branch-dependent snapshot is rejected whether or not its branches share a
+placement. The
 gate classification its compile reads once per matrix
 (`Gate.permutation`, `is_swap`) equals the plain reductions on random and
 named gates and their inverses. Over the same random verifiers, `flatten`'s
@@ -53,8 +55,8 @@ from qmip.linalg import (ProjectorOp, StateVector, permutation_sources,
                          zero_state)
 from qmip.model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                         FinalDecision, ProtocolInstance, ProverStrategy,
-                        VerifierSpec, VerifierTurn, _compile_branch, flatten,
-                        make_layout, purify_coins, run, validate)
+                        Snapshot, VerifierSpec, VerifierTurn, _compile_branch,
+                        flatten, make_layout, purify_coins, run, validate)
 from qmip.transforms import (make_perfectly_rewindable,
                              rewind_to_perfect_completeness)
 
@@ -596,12 +598,12 @@ def _run_against_reference(inst):
     for rec, (events, final) in zip(tr.branches, records, strict=True):
         assert np.abs(np.subtract(rec.event_probs, events)).max(initial=0) <= TOL
         assert abs(rec.final_prob - final) <= TOL
-    for (turn, key, st_), (t_ref, key_ref, amps) in zip(tr.snapshots, snapshots,
-                                                        strict=True):
-        assert (turn, key) == (t_ref, key_ref)
-        assert np.abs(st_.amplitudes - amps).max() <= TOL
+    for snap, (t_ref, key_ref, amps) in zip(tr.snapshots, snapshots,
+                                            strict=True):
+        assert (snap.turn, snap.history) == (t_ref, key_ref)
+        assert np.abs(snap.state().amplitudes - amps).max() <= TOL
     for a, b in itertools.combinations(tr.snapshots, 2):
-        assert not np.shares_memory(a[2].amplitudes, b[2].amplitudes)
+        assert not np.shares_memory(a.live, b.live)
     return tr
 
 
@@ -672,7 +674,7 @@ def test_lazy_paths_equal_reference(case):
     assert (kinds.count("grow"), kinds.count("gate")) == (grows, kernels)
     assert [len(s[1].views) for s in steps if s[0] == "event"] == event_slices
     assert len(final.views) == accept_slices
-    assert [t for t, _, _ in tr.snapshots] == [1, 2, 3]
+    assert [s.turn for s in tr.snapshots] == [1, 2, 3]
 
 
 @settings(max_examples=40, deadline=None)
@@ -697,11 +699,11 @@ def test_only_requested_turns_are_compiled(spec, seed, requested):
     plain = run(inst)
     assert tr.acceptance == plain.acceptance and tr.branches == plain.branches
     every = run(inst, snapshot_turns=range(1, inst.m + 1))
-    assert [(t, key) for t, key, _ in tr.snapshots] == [
-        (t, key) for t, key, _ in every.snapshots if t in requested]
-    for (_, _, got), (_, _, want) in zip(
-            tr.snapshots, [s for s in every.snapshots if s[0] in requested]):
-        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert [(s.turn, s.history) for s in tr.snapshots] == [
+        (s.turn, s.history) for s in every.snapshots if s.turn in requested]
+    for got, want in zip(
+            tr.snapshots, [s for s in every.snapshots if s.turn in requested]):
+        assert got.state().amplitudes.tobytes() == want.state().amplitudes.tobytes()
 
 
 def _permutation_reference(m):
@@ -744,18 +746,33 @@ def test_snapshot_is_not_changed_by_later_gates():
     # no SWAP precedes the snapshot, so its logical-order copy is an identity
     # transpose of the live buffer, which the final X then changes in place
     tr = run(fixtures.always(), snapshot_turns=range(1, 3))
-    (_, snap), = tr.snapshots_after_turn(2)
-    assert snap.amplitudes[0] == 1.0
+    snap, = [s for s in tr.snapshots if s.turn == 2]
+    assert snap.state().amplitudes[0] == 1.0
     assert tr.acceptance == 1.0
+
+
+def _regrouped(state, groups):
+    """`state` with its registers transposed into group order and each
+    group fused under one name: the reference for `Snapshot.placed`."""
+    axes = dict(zip((name for name, _ in state.layout), np.split(
+        np.arange(state.n_qubits), np.cumsum([q for _, q in state.layout]))))
+    sizes = dict(state.layout)
+    amps = state.amplitudes.reshape([2] * state.n_qubits).transpose(
+        [a for _, members in groups for m in members for a in axes[m]])
+    return StateVector(amps.reshape(-1),
+                       tuple((name, sum(sizes[m] for m in members))
+                             for name, members in groups), normalized=False)
 
 
 @settings(max_examples=40, deadline=None)
 @given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_snapshot_in_groups_equals_regrouped_full_state(spec, seed, data):
     # a pass writes its snapshot once, in its register groups, from the live
-    # buffer (`transforms._grouped`), with the registers in `zeroed`
-    # projected onto |0...0> and left out: byte for byte the all-zero slice
-    # of `_regroup_state` of the expanded state
+    # buffer (`Snapshot.placed`), with the registers in `zeroed` projected
+    # onto |0...0> and left out: byte for byte the all-zero slice of the
+    # expanded state transposed into group order; a whole state
+    # (`Snapshot.whole`, as the repetitions place their tensor power) is
+    # placed the same way
     inst = _setup(spec, seed)[3]
     tr = run(inst, snapshot_turns=range(1, inst.m + 1))
     sizes = dict(inst.verifier.layout.as_state_layout())
@@ -765,12 +782,14 @@ def test_snapshot_in_groups_equals_regrouped_full_state(spec, seed, data):
     cuts = [0] + [j for j in range(1, len(kept)) if data.draw(st.booleans())]
     groups = [(f"G{g}", kept[a:b])
               for g, (a, b) in enumerate(zip(cuts, cuts[1:] + [len(kept)]))]
-    for snap, (_, _, full) in zip(tr.live_snapshots, tr.snapshots, strict=True):
-        want = transforms._regroup_state(full, [("Z", zeroed)] + groups)
-        got = transforms._grouped(snap, groups, zeroed)
-        assert got.layout == want.layout[1:]
+    for snap in tr.snapshots:
+        full = snap.state()
+        want = _regrouped(full, [("Z", zeroed)] + groups)
         zero_slice = want.amplitudes.reshape(2 ** want.layout[0][1], -1)[0]
-        assert got.amplitudes.tobytes() == zero_slice.tobytes()
+        for source in (snap, Snapshot.whole(full)):
+            got = source.placed(groups, zeroed, normalized=False)
+            assert got.layout == want.layout[1:]
+            assert got.amplitudes.tobytes() == zero_slice.tobytes()
 
 
 def _coin_after_prover_turn(prover_gates):
@@ -792,7 +811,7 @@ def test_branch_dependent_snapshot_is_rejected(same_placement):
     # known bit and the placements differ
     gates = (Gate("U", _H, (M,)),) if same_placement else ()
     tr = run(_coin_after_prover_turn(gates), snapshot_turns=(1, 2))
-    before, after = ([s for s in tr.live_snapshots if s.turn == t]
+    before, after = ([s for s in tr.snapshots if s.turn == t]
                      for t in (1, 2))
     assert after[0].same_placement(after[1]) == same_placement
     assert transforms._snapshot_after(tr, 1) is before[0]

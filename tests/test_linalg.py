@@ -11,7 +11,8 @@ from qmip.circuits import (apply_circuit, apply_gate, Circuit, cnot, h,
 from qmip.config import NumericalCheckError, ValidationError
 from qmip.linalg import (StateVector, fidelity, polar_unitary, project_norm_sq,
                          ProjectorOp, random_density, random_state,
-                         random_unitary, reorder_registers, zero_state)
+                         random_unitary, zero_state)
+from qmip.model import Snapshot
 
 
 def test_apply_basis_flip():
@@ -105,9 +106,9 @@ def test_inversion_exactness():
 def test_reorder_registers_roundtrip():
     rng = np.random.default_rng(13)
     st = StateVector(random_state(8, rng), (("A", 1), ("B", 2)))
-    flipped = reorder_registers(st, ["B", "A"])
+    flipped = Snapshot.whole(st).placed([("B", ["B"]), ("A", ["A"])])
     assert flipped.layout == (("B", 2), ("A", 1))
-    again = reorder_registers(flipped, ["A", "B"])
+    again = Snapshot.whole(flipped).placed([("A", ["A"]), ("B", ["B"])])
     assert np.allclose(again.amplitudes, st.amplitudes)
 
 

@@ -158,8 +158,8 @@ def test_run_determinism_bitwise():
 def test_snapshot_norms_are_one():
     tr = run(fixtures.five_turn_yes(), snapshot_turns=range(1, 6))
     assert len(tr.snapshots) == 5
-    for _, _, st in tr.snapshots:
-        assert abs(st.norm() - 1.0) <= 1e-10
+    for snap in tr.snapshots:
+        assert abs(snap.state().norm() - 1.0) <= 1e-10
 
 
 def test_branch_mass_conservation():

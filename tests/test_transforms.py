@@ -10,7 +10,8 @@ import pytest
 from qmip import files, fixtures, transforms
 from qmip.adversary import SeesawConfig, optimal_shared_state, seesaw
 from qmip.circuits import circuit_matrix
-from qmip.config import NumericalCheckError, PreconditionError, RunConfig
+from qmip.config import (BudgetError, NumericalCheckError, PreconditionError,
+                         RunConfig)
 from qmip.linalg import ProjectorOp, project, zero_state, tensor_states
 from qmip.model import run, validate
 from qmip.transforms import (direct_two_turn, halve_turns,
@@ -95,7 +96,7 @@ def test_snapshot_run_keeps_one_state_per_branch(monkeypatch, name):
     assert snapshot_runs
     for tr in snapshot_runs:
         assert len(tr.snapshots) == len(tr.branches)
-        assert len({turn for turn, _, _ in tr.snapshots}) == 1
+        assert len({s.turn for s in tr.snapshots}) == 1
 
 
 def _planted_runs(monkeypatch):
@@ -392,9 +393,9 @@ def _one_round_with_dirty_workspace(monkeypatch, live: bool):
 
     def dirty_run(instance, snapshot_turns=(), **kwargs):
         tr = real_run(instance, snapshot_turns=snapshot_turns, **kwargs)
-        assert all(s.index[0] == 0 for s in tr.live_snapshots)
+        assert all(s.index[0] == 0 for s in tr.snapshots)
         return dataclasses.replace(
-            tr, live_snapshots=tuple(map(dirty, tr.live_snapshots)))
+            tr, snapshots=tuple(map(dirty, tr.snapshots)))
 
     monkeypatch.setattr(transforms, "run", dirty_run)
     return public_coin_to_one_round(pc)
@@ -449,6 +450,22 @@ def test_parallel_repetition_values():
     pr_chsh = parallel_repetition_fresh_provers(fixtures.chsh(), 2)
     expect = ((1 + 1 / math.sqrt(2)) / 2) ** 2
     assert abs(pr_chsh.report.output_honest - expect) <= 1e-9
+
+
+@pytest.mark.parametrize("repeat", [sequential_repetition,
+                                    parallel_repetition_fresh_provers])
+def test_repetition_refuses_the_budget_before_the_tensor_power(monkeypatch,
+                                                               repeat):
+    # nine copies of chsh exceed the 22-qubit budget, which the honest run
+    # of the output would refuse: the pass fails with the same error before
+    # it builds the 2^18-amplitude power of the shared state
+    real = transforms.tensor_states
+    calls = []
+    monkeypatch.setattr(transforms, "tensor_states",
+                        lambda a, b: calls.append(a.layout) or real(a, b))
+    with pytest.raises(BudgetError, match="exceed the configured budget"):
+        repeat(fixtures.chsh(), 9)
+    assert calls == []
 
 
 def test_parallel_repetition_group_local_audit():
