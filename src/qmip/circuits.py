@@ -101,7 +101,12 @@ class Gate:
         return {r for r, _ in self.qubits()}
 
     def dagger(self) -> "Gate":
-        return Gate(self.name, self.matrix.conj().T, self.targets, self.controls)
+        """The inverse gate. A matrix equal to its conjugate transpose (X,
+        Y, Z, H, SWAP) is kept as the same object, so its facts per matrix
+        (`permutation`) carry over."""
+        m = self.matrix.conj().T
+        return Gate(self.name, self.matrix if np.array_equal(m, self.matrix) else m,
+                    self.targets, self.controls)
 
     def controlled(self, extra: Sequence[Control]) -> "Gate":
         return Gate(self.name, self.matrix, self.targets,

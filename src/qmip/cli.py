@@ -14,6 +14,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import adversary, files, fixtures, transforms
 from .config import (DEFAULT_RUN_CONFIG, QmipError, RunConfig,
                      ValidationError)
@@ -62,7 +64,7 @@ def cmd_simulate(args) -> int:
     if args.snapshots:
         out = _out_dir(args)
         dump = [{"turn": s.turn, "branch": s.history,
-                 "norm_sq": float(s.state().norm() ** 2)}
+                 "norm_sq": float(np.linalg.norm(s.state().dense()) ** 2)}
                 for s in tr.snapshots]
         (out / (Path(args.file).stem + ".snapshots.json")).write_text(
             json.dumps(dump, indent=1))

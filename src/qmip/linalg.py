@@ -33,26 +33,56 @@ def _as_layout(layout: Iterable[Sequence]) -> Layout:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitude vector over an ordered set of named registers."""
+    """A state over an ordered set of named registers, at its live width.
+
+    `known` lists the qubits that hold a known bit, as (qubit, bit) pairs in
+    layout order; `amplitudes` holds the 2^(n - len(known)) amplitudes of
+    the other, live qubits, big-endian in layout order. The full state is
+    zero wherever a known qubit differs from its bit. A state given as dense
+    amplitudes has no known bits: nothing scans it for any. `dense()` is the
+    one routine that writes the full vector.
+    """
 
     amplitudes: np.ndarray
     layout: Layout
     normalized: bool = True
+    known: tuple[tuple[Qubit, int], ...] = ()
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "layout", _as_layout(self.layout))
-        n = self.n_qubits
+        if self.known:
+            object.__setattr__(self, "known", self._checked_known())
+        n = self.n_qubits - len(self.known)
         if amps.shape != (2**n,):
+            with_known = (f" with {len(self.known)} known bits"
+                          if self.known else "")
             raise ValidationError(
-                f"amplitude vector has length {amps.shape}, layout needs 2^{n}"
-            )
+                f"amplitude vector has length {amps.shape}, layout{with_known} "
+                f"needs 2^{n}")
         if self.normalized:
             err = abs(np.linalg.norm(amps) - 1.0)
             if err > NORM_TOL:
                 raise ValidationError(f"state norm deviates from 1 by {err:.3e}")
+
+    def _checked_known(self) -> tuple[tuple[Qubit, int], ...]:
+        """`known` with each qubit checked against the layout and each bit
+        0 or 1, no qubit twice, in layout order."""
+        at: dict[int, tuple[Qubit, int]] = {}
+        for i, (qubit, bit) in enumerate(self.known):
+            try:
+                pos = self.qubit_position(qubit)
+            except ValidationError as e:
+                raise ValidationError(f"known[{i}]: {e}") from None
+            if isinstance(bit, (bool, float)) or bit not in (0, 1):
+                raise ValidationError(
+                    f"known[{i}]: bit must be 0 or 1, not {bit!r}")
+            if pos in at:
+                raise ValidationError(f"known[{i}]: duplicate qubit {qubit!r}")
+            at[pos] = ((str(qubit[0]), int(qubit[1])), int(bit))
+        return tuple(at[pos] for pos in sorted(at))
 
     @property
     def n_qubits(self) -> int:
@@ -74,10 +104,32 @@ class StateVector:
             offset += n
         raise ValidationError(f"unknown register {reg!r}")
 
+    @property
+    def full_index(self) -> tuple:
+        """Where the live amplitudes sit in the full state read as a [2]*n
+        tensor: each known qubit's bit, slice(None) for each live one."""
+        index: list = [slice(None)] * self.n_qubits
+        for qubit, bit in self.known:
+            index[self.qubit_position(qubit)] = bit
+        return tuple(index)
+
+    def dense(self) -> np.ndarray:
+        """The full amplitude vector, big-endian over the layout: the
+        amplitudes themselves when no bit is known, else written here."""
+        if not self.known:
+            return self.amplitudes
+        n = self.n_qubits
+        out = np.zeros(2**n, dtype=np.complex128)
+        out.reshape([2] * n)[self.full_index] = self.amplitudes.reshape(
+            [2] * (n - len(self.known)))
+        out.setflags(write=False)
+        return out
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def with_amplitudes(self, amps: np.ndarray, normalized: bool | None = None) -> "StateVector":
+        """The state with dense amplitudes `amps` over the same layout."""
         return StateVector(amps, self.layout,
                            self.normalized if normalized is None else normalized)
 
@@ -91,10 +143,11 @@ def zero_state(layout: Iterable[Sequence]) -> StateVector:
 
 
 def tensor_states(a: StateVector, b: StateVector) -> StateVector:
-    """a (x) b, with a's registers preceding b's."""
+    """a (x) b, with a's registers preceding b's, at its live width: the
+    product of the live amplitudes and both states' known bits."""
     return StateVector(np.kron(a.amplitudes, b.amplitudes),
                        a.layout + b.layout,
-                       a.normalized and b.normalized)
+                       a.normalized and b.normalized, a.known + b.known)
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +221,23 @@ def _merged(n: int, fixed: dict[int, int], free: Sequence[int] = ()
     """The buffer shape with runs of untouched axes merged, an index holding
     the fixed axes at their bits, and the shape position of each `free` axis.
     The shape always ends in a merged run (possibly of size 1), so indexing
-    yields a view, never a scalar."""
+    yields a view, never a scalar. Only the fixed and free axes are walked."""
     shape: list[int] = []
     index: list = []
     where: dict[int, int] = {}
-    run = 1
-    for a in range(n):
-        if a not in fixed and a not in free:
-            run *= 2
-            continue
-        if run > 1:
-            shape.append(run)
+    start = 0                   # the first axis of the current untouched run
+    for a in sorted({*fixed, *free}):
+        if a > start:
+            shape.append(2 ** (a - start))
             index.append(slice(None))
-            run = 1
         if a in fixed:
             index.append(fixed[a])
         else:
             where[a] = len(shape)
             index.append(slice(None))
         shape.append(2)
-    shape.append(run)
+        start = a + 1
+    shape.append(2 ** (n - start))
     index.append(slice(None))
     return tuple(shape), index, where
 
@@ -247,7 +297,7 @@ def apply_matrix(state: StateVector, matrix: np.ndarray,
     kernel = MatrixKernel(matrix, axes[:d],
                           tuple(zip(axes[d:], (b for _, b in controls))),
                           state.n_qubits)
-    out = state.amplitudes.copy()
+    out = np.array(state.dense())
     kernel(out)
     return out
 
@@ -324,7 +374,7 @@ def checked_probability(val: float, what: str, slack: float) -> float:
 def project(state: StateVector, p: ProjectorOp) -> np.ndarray:
     """Return the (unnormalized) amplitudes of P|psi>."""
     return Slices(state.n_qubits,
-                  projector_slices((p,), state.qubit_position)).kept(state.amplitudes)
+                  projector_slices((p,), state.qubit_position)).kept(state.dense())
 
 
 def project_norm_sq(state: StateVector, p: ProjectorOp) -> float:
@@ -332,7 +382,7 @@ def project_norm_sq(state: StateVector, p: ProjectorOp) -> float:
     default probability slack (else NumericalCheckError) and is clipped
     there."""
     val = Slices(state.n_qubits,
-                 projector_slices((p,), state.qubit_position)).mass(state.amplitudes)
+                 projector_slices((p,), state.qubit_position)).mass(state.dense())
     if state.normalized:
         val = checked_probability(val, "projector mass",
                                   DEFAULT_RUN_CONFIG.probability_tol)

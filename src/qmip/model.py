@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -520,8 +520,7 @@ def require_valid(instance: ProtocolInstance) -> None:
 # flattening into per-branch op lists
 
 
-@dataclass(frozen=True)
-class FlatOp:
+class FlatOp(NamedTuple):
     kind: str                       # "gate" | "prover" | "event" | "turn"
     gate: Gate | None = None
     prover_key: tuple[int, int] | None = None   # (prover index, prover turn)
@@ -671,10 +670,11 @@ class Snapshot:
 
     @classmethod
     def whole(cls, state: StateVector) -> "Snapshot":
-        """`state` with every axis live and in order (turn 0, no history)."""
-        n = state.n_qubits
-        return cls(0, "", state.amplitudes, (slice(None),) * n,
-                   tuple(range(n)), state.layout)
+        """`state` as it is held: its known bits, and its live axes in order
+        (turn 0, no history)."""
+        return cls(0, "", state.amplitudes, state.full_index,
+                   tuple(range(state.n_qubits - len(state.known))),
+                   state.layout)
 
     def same_placement(self, other: "Snapshot") -> bool:
         return self.index == other.index and self.perm == other.perm
@@ -712,28 +712,33 @@ class Snapshot:
     def placed(self, groups: Sequence[tuple[str, Sequence[str]]],
                zeroed: Collection[str] = (), normalized: bool = True
                ) -> StateVector:
-        """The state written once in a new register order: the registers
-        fused into `groups` ((name, members) in order), and the registers in
-        `zeroed` projected onto |0...0> and left out. The result is the one
-        array written: its width is that of the grouped registers. This is
-        the package's one register reorder."""
+        """The state written once in a new register order, at its live
+        width: the registers fused into `groups` ((name, members) in order),
+        and the registers in `zeroed` projected onto |0...0> and left out.
+        The known bits in the grouped registers stay known bits, and the
+        live amplitudes are the one array written. This is the package's one
+        register reorder."""
         order = [m for _, members in groups for m in members]
         if sorted([*order, *zeroed]) != sorted(name for name, _ in self.layout):
             raise ValidationError(
                 "groups and zeroed registers must partition the layout")
         sizes = dict(self.layout)
+        layout = tuple((name, sum(sizes[m] for m in members))
+                       for name, members in groups)
         kept = self._axes(order)
-        out = np.zeros(2 ** len(kept), dtype=self.live.dtype)
+        qubits = [(name, j) for name, n in layout for j in range(n)]
+        known = tuple((q, self.index[a]) for q, a in zip(qubits, kept)
+                      if not isinstance(self.index[a], slice))
         projected = self._projected(zeroed)
-        if projected is not None:
+        if projected is None:
+            live = np.zeros(2 ** (len(kept) - len(known)), dtype=self.live.dtype)
+        else:
             src, at = projected
-            out.reshape([2] * len(kept))[tuple(self.index[a] for a in kept)] = (
-                src.transpose([at[a] for a in kept if a in at]))
-        return StateVector(out, tuple((name, sum(sizes[m] for m in members))
-                                      for name, members in groups), normalized)
+            live = src.transpose([at[a] for a in kept if a in at]).ravel()
+        return StateVector(live, layout, normalized, known)
 
     def state(self) -> StateVector:
-        """The full state in the layout's order."""
+        """The state in the layout's order, at its live width."""
         return self.placed([(name, [name]) for name, _ in self.layout],
                            normalized=False)
 
@@ -834,16 +839,17 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     is the deterministic branch enumeration order. Each branch is compiled
     once (`_compile_branch`) and runs in place on one writable buffer.
 
-    Qubits that hold a known bit stay out of the buffer: it starts as the
-    shared state, with every verifier and message qubit classical at 0, and
-    a qubit joins it only when a gate needs it as a target (a classical
-    control or a permutation of classical bits is resolved at compile time).
-    The budget still counts the layout's qubits. After each turn in
-    `snapshot_turns`, every branch's state is kept at its live width: a copy
-    of the buffer plus its placement (`Snapshot`). `Snapshot.placed` writes
-    one in any register order (`Snapshot.state` in the layout's), so a pass
-    places it directly in its own register groups. No other turn is
-    compiled into a step.
+    Qubits that hold a known bit stay out of the buffer: it starts as a copy
+    of the shared state's live amplitudes, with every verifier and message
+    qubit classical at 0 and each of the shared state's known qubits
+    classical at its bit, and a qubit joins it only when a gate needs it as
+    a target (a classical control or a permutation of classical bits is
+    resolved at compile time). The budget still counts the layout's qubits.
+    After each turn in `snapshot_turns`, every branch's state is kept at its
+    live width: a copy of the buffer plus its placement (`Snapshot`).
+    `Snapshot.placed` writes one in any register order, with its known bits
+    (`Snapshot.state` in the layout's), so a pass places it directly in its
+    own register groups. No other turn is compiled into a step.
 
     Set-up facts that cannot change are computed once and kept: the
     instance's validity (`validate`) and a layout's registers by role and
@@ -862,7 +868,11 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     state_layout = layout.as_state_layout()
     n = layout.total_qubits
     axis = layout.qubit_axes()
-    classical = dict.fromkeys(range(n - instance.shared.n_qubits), 0)
+    shared = instance.shared
+    offset = n - shared.n_qubits
+    classical = dict.fromkeys(range(offset), 0)
+    classical.update((offset + shared.qubit_position(q), bit)
+                     for q, bit in shared.known)
     branches = flatten(instance.verifier, instance.provers, config=config)
 
     records: list[BranchRecord] = []
@@ -870,7 +880,7 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     acceptance = 0.0
     for br in branches:
         steps, accept = _compile_branch(br, axis, n, classical, snapshot_turns)
-        buf = instance.shared.amplitudes.copy()
+        buf = shared.amplitudes.copy()
         events: list[float] = []
         for step in steps:
             if step[0] == "gate":

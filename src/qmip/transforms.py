@@ -28,8 +28,9 @@ import numpy as np
 from .adversary import optimal_shared_state
 from .circuits import (Circuit, amplitude_rotation, mcx, swap_slices, toffoli,
                        unitary_gate, zero_phase_flip)
-from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, NumericalCheckError,
-                     PreconditionError, RunConfig, ValidationError)
+from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, BudgetError,
+                     NumericalCheckError, PreconditionError, RunConfig,
+                     ValidationError)
 from .linalg import ProjectorOp, Qubit, StateVector, tensor_states
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
@@ -159,8 +160,7 @@ def _snapshot_after(tr: Transcript, turn: int) -> Snapshot:
         if other.same_placement(first):
             gap = np.abs(other.live - first.live).max()
         else:
-            gap = np.abs(other.state().amplitudes
-                         - first.state().amplitudes).max()
+            gap = np.abs(other.state().dense() - first.state().dense()).max()
         if gap > 1e-12:
             raise PreconditionError(
                 f"snapshot after turn {turn} is branch-dependent; purify coins first")
@@ -251,10 +251,10 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
     coins purified), `build(inst, notes, snapshot)` the `_Built` output.
     `snapshot(turn, groups, zeroed)` is the honest state after `turn`,
     written once from its live buffer into the new provers' register
-    `groups` (`Snapshot.placed`). The registers in `zeroed`, the old
-    verifier's workspace, must be back at |0...0>; they are left out. Its
-    run also gives the input's honest value, and only that float and the
-    state outlive it."""
+    `groups` (`Snapshot.placed`), with its known bits. The registers in
+    `zeroed`, the old verifier's workspace, must be back at |0...0>; they
+    are left out. Its run also gives the input's honest value, and only
+    that float and the state outlive it."""
     notes: list[str] = []
     inst = prepare(instance, notes) if prepare else instance
     measured: list[float] = []
@@ -966,6 +966,13 @@ def _copy_blocks(name: str, instance: ProtocolInstance, n: int, check: bool,
             # the honest run would refuse this layout: fail before the
             # tensor power of the shared state is built
             require_budget(new_layout, config)
+        shared = inst.shared
+        live = n * (shared.n_qubits - len(shared.known))
+        if live > config.max_qubits:
+            raise BudgetError(
+                f"the {n}-fold tensor power of the shared state has {live} "
+                f"live qubits, which exceed the configured budget "
+                f"({config.max_qubits})")
 
         def slot(c: int, i: int) -> tuple[int, int]:
             """New register number and block of copy c's prover i (0-based)."""
@@ -995,9 +1002,11 @@ def _copy_blocks(name: str, instance: ProtocolInstance, n: int, check: bool,
         circuits: dict[int, list[Circuit]] = {}
         groups: dict[str, list[str]] = {}
         for c in range(1, n + 1):
-            copy = StateVector(inst.shared.amplitudes,
+            copy = StateVector(shared.amplitudes,
                                tuple((f"{nm}_c{c}", sz)
-                                     for nm, sz in inst.shared.layout))
+                                     for nm, sz in shared.layout),
+                               known=tuple(((f"{r}_c{c}", j), bit)
+                                           for (r, j), bit in shared.known))
             power = copy if power is None else tensor_states(power, copy)
             for i, p in enumerate(inst.provers):
                 j = slot(c, i)[0]

@@ -10,7 +10,7 @@ import pytest
 
 from qmip import circuits
 from qmip.circuits import (Circuit, Gate, apply_circuit, circuit_matrix, cnot,
-                           cphase, h, mcx, ry, swap, toffoli, u1, x,
+                           cphase, h, mcx, ry, s, swap, toffoli, u1, x, y, z,
                            zero_phase_flip)
 from qmip.config import ValidationError
 from qmip.linalg import zero_state
@@ -136,3 +136,20 @@ def test_permutation_entry_is_dropped_with_its_matrix():
     del g
     gc.collect()
     assert key not in circuits._PERMUTATIONS
+
+
+def test_self_adjoint_dagger_keeps_its_matrix():
+    # an inverse circuit wraps the same matrix object as the circuit, so it
+    # reads the facts kept for it: the SWAP's permutation is not computed
+    # again for its dagger
+    q0, q1 = ("Q", 0), ("Q", 1)
+    for g in (x(q0), y(q0), z(q0), h(q0), swap(q0, q1), cnot(q0, q1)):
+        assert g.dagger().matrix is g.matrix
+    sw = swap(q0, q1)
+    assert sw.permutation is not None
+    with _counting_sources() as spy:
+        assert sw.dagger().permutation == sw.permutation
+        assert spy.call_count == 0
+    phase = s(q0)
+    assert phase.dagger().matrix is not phase.matrix
+    assert np.array_equal(phase.dagger().matrix, phase.matrix.conj().T)

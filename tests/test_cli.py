@@ -1,10 +1,12 @@
 """CLI surface: subcommands, outputs, exit codes."""
 
 import json
+import re
 
 import pytest
 
 from qmip import cli, files, fixtures
+from qmip.transforms import halve_turns
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,54 @@ def test_simulate_malformed_file_exit_code(fdir, tmp_path, capsys, where,
     assert f"{path}: " in err
 
 
+@pytest.fixture(scope="module")
+def known_bits_file(fdir):
+    """A pass output whose shared state has known bits: halving five_turn_yes
+    leaves one of its three prover qubits at a known bit."""
+    path = fdir / "five_turn_yes.halve.json"
+    files.save(halve_turns(files.load(fdir / "five_turn_yes.json")).instance,
+               path)
+    return path
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda known: known[0][0].__setitem__(0, "Q9"),
+     r"shared_state: known\[0\]: unknown register 'Q9'"),
+    (lambda known: known[0][0].__setitem__(1, 99),
+     r"shared_state: known\[0\]: qubit index 99 out of range"),
+    (lambda known: known[0].__setitem__(1, 2),
+     r"shared_state: known\[0\]: bit must be 0 or 1"),
+    (lambda known: known.append(known[0]),
+     r"shared_state: known\[1\]: duplicate qubit"),
+    (lambda known: known.clear(),
+     r"shared_state: amplitude vector has length \(4,\), layout needs 2\^3"),
+    (lambda known: known.__setitem__(0, "x"),
+     r"shared_state.known\[0\]: known bits are"),
+    ("x", r"shared_state.known: known bits are a list"),
+    ({}, r"shared_state.known: known bits are a list"),
+], ids=["register", "index", "bit", "duplicate", "count", "entry", "str",
+        "dict"])
+def test_simulate_malformed_known_bits_exit_code(known_bits_file, tmp_path,
+                                                 capsys, mutate, path):
+    data = json.loads(known_bits_file.read_text())
+    assert data["shared_state"]["known"] == [[["P1", 1], 1]]
+    if callable(mutate):
+        mutate(data["shared_state"]["known"])
+    else:
+        data["shared_state"]["known"] = mutate
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", str(bad))
+    assert code == 2
+    assert re.search(path, err)
+
+
+def test_simulate_file_with_known_bits(known_bits_file, capsys):
+    code, out, _ = run_cli(capsys, "simulate", str(known_bits_file))
+    assert code == 0
+    assert "p_acc = 1.000000000000" in out
+
+
 @pytest.mark.parametrize("value", ["x", [], {}], ids=["str", "list", "dict"])
 @pytest.mark.parametrize("field", ["claimed_completeness", "claimed_soundness"])
 def test_simulate_non_number_claim_exit_code(fdir, tmp_path, capsys, field,
@@ -115,6 +165,18 @@ def test_transform_no_verify_on_no_instance(fdir, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "transform", str(fdir / "five_turn_no.json"),
                            "--pass", "halve", "--out", str(tmp_path))
     assert code == 0  # role = no disables honest verification automatically
+
+
+@pytest.mark.parametrize("pass_name", ["seq-rep", "par-rep"])
+def test_repetition_over_the_live_budget_exit_code(fdir, tmp_path, capsys,
+                                                   pass_name):
+    # twelve copies of chsh's shared state are 24 live qubits: refused
+    # before the power is built, even without the honest run
+    code, _, err = run_cli(capsys, "transform", str(fdir / "chsh.json"),
+                           "--pass", pass_name, "--n", "12", "--no-verify",
+                           "--out", str(tmp_path))
+    assert code == 4
+    assert "24 live qubits" in err
 
 
 def test_audit_consistent_verdict(fdir, capsys):

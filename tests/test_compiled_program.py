@@ -601,7 +601,7 @@ def _run_against_reference(inst):
     for snap, (t_ref, key_ref, amps) in zip(tr.snapshots, snapshots,
                                             strict=True):
         assert (snap.turn, snap.history) == (t_ref, key_ref)
-        assert np.abs(snap.state().amplitudes - amps).max() <= TOL
+        assert np.abs(snap.state().dense() - amps).max() <= TOL
     for a, b in itertools.combinations(tr.snapshots, 2):
         assert not np.shares_memory(a.live, b.live)
     return tr
@@ -703,7 +703,7 @@ def test_only_requested_turns_are_compiled(spec, seed, requested):
         (s.turn, s.history) for s in every.snapshots if s.turn in requested]
     for got, want in zip(
             tr.snapshots, [s for s in every.snapshots if s.turn in requested]):
-        assert got.state().amplitudes.tobytes() == want.state().amplitudes.tobytes()
+        assert got.state().dense().tobytes() == want.state().dense().tobytes()
 
 
 def _permutation_reference(m):
@@ -747,7 +747,7 @@ def test_snapshot_is_not_changed_by_later_gates():
     # transpose of the live buffer, which the final X then changes in place
     tr = run(fixtures.always(), snapshot_turns=range(1, 3))
     snap, = [s for s in tr.snapshots if s.turn == 2]
-    assert snap.state().amplitudes[0] == 1.0
+    assert snap.state().dense()[0] == 1.0
     assert tr.acceptance == 1.0
 
 
@@ -769,10 +769,11 @@ def _regrouped(state, groups):
 def test_snapshot_in_groups_equals_regrouped_full_state(spec, seed, data):
     # a pass writes its snapshot once, in its register groups, from the live
     # buffer (`Snapshot.placed`), with the registers in `zeroed` projected
-    # onto |0...0> and left out: byte for byte the all-zero slice of the
-    # expanded state transposed into group order; a whole state
-    # (`Snapshot.whole`, as the repetitions place their tensor power) is
-    # placed the same way
+    # onto |0...0> and left out: written in full, byte for byte the
+    # all-zero slice of the expanded state transposed into group order; a
+    # whole state (`Snapshot.whole`, as the repetitions place their tensor
+    # power) is placed the same way, with its known bits or given dense,
+    # and a dense state gains no known bits
     inst = _setup(spec, seed)[3]
     tr = run(inst, snapshot_turns=range(1, inst.m + 1))
     sizes = dict(inst.verifier.layout.as_state_layout())
@@ -784,12 +785,15 @@ def test_snapshot_in_groups_equals_regrouped_full_state(spec, seed, data):
               for g, (a, b) in enumerate(zip(cuts, cuts[1:] + [len(kept)]))]
     for snap in tr.snapshots:
         full = snap.state()
-        want = _regrouped(full, [("Z", zeroed)] + groups)
+        dense = StateVector(full.dense(), full.layout, normalized=False)
+        want = _regrouped(dense, [("Z", zeroed)] + groups)
         zero_slice = want.amplitudes.reshape(2 ** want.layout[0][1], -1)[0]
-        for source in (snap, Snapshot.whole(full)):
+        for source in (snap, Snapshot.whole(full), Snapshot.whole(dense)):
             got = source.placed(groups, zeroed, normalized=False)
             assert got.layout == want.layout[1:]
-            assert got.amplitudes.tobytes() == zero_slice.tobytes()
+            assert got.dense().tobytes() == zero_slice.tobytes()
+        assert Snapshot.whole(dense).placed(groups, zeroed,
+                                            normalized=False).known == ()
 
 
 def _coin_after_prover_turn(prover_gates):

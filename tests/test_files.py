@@ -15,7 +15,8 @@ from qmip.config import ValidationError
 from qmip.linalg import StateVector
 from qmip.model import ApplyStep, VerifierTurn, run, validate
 from qmip.transforms import (halve_turns, make_perfectly_rewindable,
-                             rewind_to_perfect_completeness)
+                             parallelize_to_three,
+                             rewind_to_perfect_completeness, run_pipeline)
 
 
 def test_roundtrip_all_fixtures(tmp_path):
@@ -30,12 +31,22 @@ def test_roundtrip_all_fixtures(tmp_path):
 
 
 def test_roundtrip_transform_outputs(tmp_path):
-    for inst in (halve_turns(fixtures.five_turn_yes()).instance,
-                 make_perfectly_rewindable(fixtures.ent()).instance):
+    # a pass output's shared state is saved at its live width: its live
+    # amplitudes and, when it has any, its known bits, which load gives back,
+    # so saving what load read writes the same bytes
+    outputs = [halve_turns(fixtures.five_turn_yes()).instance,
+               parallelize_to_three(fixtures.nine_turn_yes()).instance,
+               make_perfectly_rewindable(fixtures.ent()).instance]
+    outputs += [s.instance for s in run_pipeline(fixtures.sound_yes()).stages]
+    for inst in outputs:
         path = tmp_path / "t.json"
-        files.save(inst, path)
+        text = files.save(inst, path)
+        assert ('"known"' in text) == bool(inst.shared.known)
         loaded = files.load(path)
+        assert loaded.shared.known == inst.shared.known
+        assert files.save(loaded, path) == text
         assert abs(run(loaded).acceptance - run(inst).acceptance) <= 1e-12
+    assert [len(inst.shared.known) for inst in outputs] == [1, 3, 0, 2, 4, 7]
 
 
 def test_digest_stable_across_identical_bytes(tmp_path):
@@ -86,6 +97,16 @@ def test_signed_zeros_are_saved_as_zeros():
     text = files.save(inst.with_shared(StateVector(amps, inst.shared.layout)),
                       os.devnull)
     assert "-0.0" not in text
+
+
+def test_amplitudes_changed_after_encoding_are_written_as_they_are():
+    # `instance_to_dict` keeps each amplitude vector's distinct pairs for the
+    # writer; a caller that then replaces an entry gets what json writes
+    data = files.instance_to_dict(fixtures.chsh())
+    amps = data["shared_state"]["amplitudes"]
+    amps[0] = [-0.0, 0.25]
+    assert files.canonical_json(data) == json.dumps(data, sort_keys=True,
+                                                    indent=1)
 
 
 def test_save_to_a_device():
@@ -217,6 +238,17 @@ def test_shared_state_by_preparation_circuit(tmp_path):
     path.write_text(json.dumps(data))
     inst = files.load(path)
     assert np.allclose(np.abs(inst.shared.amplitudes) ** 2, [0.5, 0.5])
+
+
+def test_known_bits_go_with_amplitudes(tmp_path):
+    data = files.instance_to_dict(fixtures.guess())
+    data["circuits"]["prep"] = [{"gate": "H", "targets": [["P1", 0]]}]
+    data["shared_state"] = {"circuit": "prep", "known": []}
+    path = tmp_path / "prep.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match="shared_state.known: known bits "
+                                              "go with amplitudes"):
+        files.load(path)
 
 
 def test_named_gate_sugar(tmp_path):

@@ -3,16 +3,19 @@ algebra, and empirical soundness audits."""
 
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qmip import files, fixtures, transforms
+from qmip import circuits, files, fixtures, transforms
 from qmip.adversary import SeesawConfig, optimal_shared_state, seesaw
 from qmip.circuits import circuit_matrix
 from qmip.config import (BudgetError, NumericalCheckError, PreconditionError,
                          RunConfig)
-from qmip.linalg import ProjectorOp, project, zero_state, tensor_states
+from qmip.linalg import (ProjectorOp, StateVector, project, tensor_states,
+                          zero_state)
 from qmip.model import run, validate
 from qmip.transforms import (direct_two_turn, halve_turns,
                              make_perfectly_rewindable, pad_turns,
@@ -468,6 +471,44 @@ def test_repetition_refuses_the_budget_before_the_tensor_power(monkeypatch,
     assert calls == []
 
 
+@pytest.mark.parametrize("repeat", [sequential_repetition,
+                                    parallel_repetition_fresh_provers])
+def test_repetition_refuses_a_live_width_over_budget_without_checks(
+        monkeypatch, repeat):
+    # without the honest run nothing refuses the layout, but twelve copies
+    # of chsh's 2-qubit shared state would be a 24-qubit power: the pass
+    # refuses it before building it; nine copies (18 live qubits) pass
+    real = transforms.tensor_states
+    calls = []
+    monkeypatch.setattr(transforms, "tensor_states",
+                        lambda a, b: calls.append(a.layout) or real(a, b))
+    with pytest.raises(BudgetError, match="24 live qubits, which exceed the "
+                                          r"configured budget \(22\)"):
+        repeat(fixtures.chsh(), 12, check=False)
+    assert calls == []
+    out = repeat(fixtures.chsh(), 9, check=False).instance
+    assert out.shared.n_qubits == 18 and len(calls) == 8
+
+
+@pytest.mark.parametrize("repeat", [sequential_repetition,
+                                    parallel_repetition_fresh_provers])
+def test_repetition_keeps_known_bits(repeat):
+    # the tensor power of a shared state with known bits multiplies the
+    # live amplitudes and keeps every copy's known bits: the same state as
+    # the power of its dense form, with the same honest value
+    inst = halve_turns(fixtures.five_turn_yes()).instance
+    shared = inst.shared
+    assert len(shared.known) == 1
+    dense = inst.with_shared(StateVector(shared.dense(), shared.layout))
+    got, want = repeat(inst, 2), repeat(dense, 2)
+    assert len(got.instance.shared.known) == 2
+    assert want.instance.shared.known == ()
+    assert np.array_equal(got.instance.shared.dense(),
+                          want.instance.shared.amplitudes)
+    assert got.report.output_honest == pytest.approx(
+        want.report.output_honest, abs=1e-12)
+
+
 def test_parallel_repetition_group_local_audit():
     pr = parallel_repetition_fresh_provers(fixtures.chsh(), 2).instance
     res = seesaw(pr.verifier,
@@ -491,6 +532,42 @@ def test_pipeline_yes_instance():
     assert (res.instance.k, res.instance.m) == (2, 2)
     assert abs(res.stages[-1].report.output_honest - 1.0) <= 1e-9
     assert res.inverse_gap is not None
+
+
+def test_nine_turn_pipeline_runs_at_its_live_width():
+    # the one-round output has 39 layout qubits and a 23-qubit shared state,
+    # 16 of whose qubits hold known bits: run and the passes never write
+    # more than the live amplitudes (a dense shared state alone would be
+    # 128 MiB)
+    tracemalloc.start()
+    try:
+        res = run_pipeline(fixtures.nine_turn_yes(),
+                           config=RunConfig(max_qubits=40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.instance.k, res.instance.m) == (2, 2)
+    for stage in res.stages:
+        assert abs(stage.report.output_honest - 1.0) <= 1e-9
+    shared = res.instance.shared
+    assert (res.stages[-1].report.qubits_after, shared.n_qubits,
+            len(shared.known)) == (39, 23, 16)
+    assert peak < 8 * 2**20
+
+
+def test_pipeline_classifies_no_matrix_after_its_first_op():
+    # every matrix a pipeline op wraps is the input's, a constant, or the
+    # dagger of a self-adjoint one, which keeps its object: a second op
+    # reads every gate's permutation from the table the first one filled
+    inputs = [files.load(fixtures.fixtures_dir() / f"{n}.json")
+              for n in ("five_turn_yes", "sound_yes")]
+    for inst in inputs:
+        run_pipeline(inst)
+    with mock.patch.object(circuits, "permutation_sources",
+                           wraps=circuits.permutation_sources) as spy:
+        for inst in inputs:
+            run_pipeline(inst)
+    assert spy.call_count == 0
 
 
 def test_pipeline_aborts_on_zero_gap():
