@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import os
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -55,37 +54,15 @@ def _malformed(path: str, e: Exception) -> ValidationError:
 # complex / matrix encoding
 
 
-class _Pairs(list):
-    """A 1-D complex array as a list of [re, im] pairs, which any reader
-    sees as a plain list, keeping its distinct pairs and each item's index
-    among them (`np.unique`'s inverse): `canonical_json` renders each
-    distinct pair once and gathers."""
-
-    __slots__ = ("distinct", "inverse")
-
-    def __init__(self, distinct: list, inverse: list):
-        super().__init__(map(distinct.__getitem__, inverse))
-        self.distinct = distinct
-        self.inverse = inverse
-
-    def intact(self) -> bool:
-        """Whether every item is still the distinct pair its index names."""
-        return len(self) == len(self.inverse) and all(map(
-            operator.is_, self, map(self.distinct.__getitem__, self.inverse)))
-
-
 def _complex_enc(a) -> list:
     """The complex array `a` as nested lists of [re, im] pairs, with equal
-    entries as one shared pair object, which `canonical_json` renders once:
-    a 1-D array is one `_Pairs`."""
+    entries as one shared pair object, which `_json_pairs` renders once."""
     # + 0.0 writes a zero component as 0.0 whatever its sign, so saved bytes
     # do not depend on how a kernel reached the zero and equal entries are
     # equal bit for bit; NaNs stay distinct (equal_nan=False)
     a = np.asarray(a) + 0.0
     vals, inv = np.unique(a.ravel(), return_inverse=True, equal_nan=False)
     pairs = np.stack((vals.real, vals.imag), -1).tolist()
-    if a.ndim == 1:
-        return _Pairs(pairs, inv.tolist())
     out = list(map(pairs.__getitem__, inv.tolist()))
     for n in reversed(a.shape[1:]):
         out = [out[i:i + n] for i in range(0, len(out), n)]
@@ -526,17 +503,7 @@ def _json(o, nl: str) -> str:
         if not o:
             return "[]"
         inner = nl + " "
-        if len(o) == 2 and type(o[0]) is str and type(o[1]) is int:
-            # a [register, index] qubit
-            return ("[" + inner + encode_basestring_ascii(o[0]) + "," + inner
-                    + int.__repr__(o[1]) + nl + "]")
-        items = None
-        if type(o) is _Pairs and o.intact():
-            texts = _pair_texts(o.distinct, inner)
-            if texts is not None:
-                items = ("," + inner).join(map(texts.__getitem__, o.inverse))
-        else:
-            items = _json_pairs(o, inner)
+        items = _json_pairs(o, inner)
         if items is None:
             items = ("," + inner).join([_json(v, inner) for v in o])
         return "[" + inner + items + nl + "]"
@@ -563,19 +530,6 @@ def _json(o, nl: str) -> str:
                     f"is not JSON serializable")
 
 
-def _pair_texts(pairs: list, inner: str) -> list[str] | None:
-    """Each of `pairs` rendered after `inner`, if all are [float, float]
-    pairs of finite floats; None otherwise."""
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    flat = list(chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
-        return None
-    reprs = list(map(float.__repr__, flat))
-    pair = "[" + inner + " %s," + inner + " %s" + inner + "]"
-    return list(map(pair.__mod__, zip(reprs[::2], reprs[1::2])))
-
-
 def _json_pairs(o: list, inner: str) -> str | None:
     """The items of `o`, each after `inner`, if all are [float, float] pairs
     of finite floats; None otherwise.
@@ -589,11 +543,16 @@ def _json_pairs(o: list, inner: str) -> str | None:
         return None
     ids = list(map(id, o))
     items = dict(zip(ids, o))
-    texts = _pair_texts(list(items.values()), inner)
-    if texts is None:
+    distinct = list(items.values())
+    if set(map(type, distinct)) != {list} or set(map(len, distinct)) != {2}:
         return None
-    at = dict(zip(items, texts))
-    return ("," + inner).join(map(at.__getitem__, ids))
+    flat = list(chain.from_iterable(distinct))
+    if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
+        return None
+    reprs = list(map(float.__repr__, flat))
+    pair = "[" + inner + " %s," + inner + " %s" + inner + "]"
+    texts = dict(zip(items, map(pair.__mod__, zip(reprs[::2], reprs[1::2]))))
+    return ("," + inner).join(map(texts.__getitem__, ids))
 
 
 def save(instance: ProtocolInstance, path: str | Path) -> str:

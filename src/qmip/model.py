@@ -871,8 +871,7 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     shared = instance.shared
     offset = n - shared.n_qubits
     classical = dict.fromkeys(range(offset), 0)
-    classical.update((offset + shared.qubit_position(q), bit)
-                     for q, bit in shared.known)
+    classical.update((axis[q], bit) for q, bit in shared.known)
     branches = flatten(instance.verifier, instance.provers, config=config)
 
     records: list[BranchRecord] = []
