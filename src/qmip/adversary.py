@@ -22,27 +22,31 @@ Two engines:
   surrogate, so the per-sweep value trace is non-decreasing.
 
 Both engines, `random_search` and `brute_force_value` execute a `_Program`:
-every coin branch compiled once per call into a short list of steps. While
-the state has at most `FUSE_MAX_DIM` amplitudes, a branch is dense stretches
-alternating with prover slots. A stretch is every verifier gate and accept
-event between two slots (and the accept rule in the last one) as one stacked
-matrix F = [G; H] on the leading axes they touch, acting as kron(F, I): G
-carries the state on with the events' rows zeroed and H holds the rows the
-events and the accept rule bank. Forward is one product F x, the acceptance
-operator is the gram of the banked rows, and backward is F^dag [mu; h].
-Registers are ordered verifier, messages, provers, so a stretch between
-prover slots spans V and M only (at most 32 columns on the 7-qubit rewound
-`sound_no` audit), while one holding inlined prover gates spans the whole
-state; a branch's first stretch keeps only the columns its initial vectors
+every coin branch compiled once per call into a short list of steps. At or
+below `FUSE_MAX_DIM` amplitudes a branch is dense stretches alternating with
+prover slots. A stretch is every verifier gate and accept event between two
+slots (and the accept rule in the last one) as one stacked matrix F = [G; H]
+on the leading axes they touch, acting as kron(F, I): G carries the state on
+with the events' rows zeroed and H holds the rows the events and the accept
+rule bank. Forward is one product F x, the acceptance operator is the gram
+of the banked rows, and backward is F^dag [mu; h]. Registers are ordered
+verifier, messages, provers, so a stretch between prover slots spans V and
+M only (at most 32 columns on the 7-qubit rewound `sound_no` audit); a
+branch's first stretch keeps only the columns its initial vectors
 |0>_(V,M) (x) prover columns occupy. A slot is one matmul on the contiguous
 run of axes from its first to its last qubit, with the slot-order unitary
-permuted into axis order (identity on any register in between) once per
-key update. Above the bound a branch keeps one step per verifier gate, a
-0/1 mask (`linalg.projector_slices`, as in `model.run`) per event and for the
-accept rule, and slots that gather their qubits to the front by a row
-permutation. In both regimes a branch ends at its last step that banks
-anything, so no step that cannot change its acceptance is walked or
-back-propagated; those steps contributed exact zeros.
+permuted into axis order once per key update.
+
+Above the bound a branch is the step list `model._compile_branch` compiles
+for `run`, walked on (2^live, b) column blocks: the verifier and message
+qubits start as known bits and join the columns when a gate or a prover slot
+first needs them, SWAPs are relabelled at compile time, and a gate or slot
+is a `linalg.MatrixKernel` on its control-satisfied slice, a slot's matrix
+read from the assignment at call time. Going back, a kernel applies U^dag, a
+grow takes the rows at its known bit, and an event puts back the
+`linalg.Slices` rows it banked and cleared. In both regimes a branch ends at
+its last step that banks anything, so no step that cannot change its
+acceptance is walked or back-propagated.
 
 The environment operators of the see-saw audits are often rank deficient
 (rank 1-2 for the 16x16 operators of the rewound `sound_no` audit), so their
@@ -67,19 +71,17 @@ import numpy as np
 from .circuits import _SWAP, Circuit, Gate, ry
 from .config import (DEFAULT_RUN_CONFIG, NumericalCheckError,
                      PreconditionError, RunConfig, ValidationError)
-from .linalg import (ProjectorOp, Slices, StateVector, polar_unitary,
-                     projector_slices, random_state, random_unitary)
-from .model import (ProtocolInstance, ProverStrategy, Register,
-                    RegisterLayout, VerifierSpec, flatten, require_budget,
-                    run)
+from .linalg import (MatrixKernel, ProjectorOp, Slices, StateVector,
+                     polar_unitary, projector_slices, random_state,
+                     random_unitary)
+from .model import (FlatBranch, ProtocolInstance, ProverStrategy, Register,
+                    RegisterLayout, VerifierSpec, _compile_branch, flatten,
+                    require_budget, run)
 
 FUSE_MAX_DIM = 256
 """Largest state dimension 2^n whose branches compile into dense stretches
-and span slots. Above it a branch keeps one step per verifier gate, 0/1
-event masks and gather slots.
-
-A stretch matrix acts on the leading axes its gates and projectors touch, so
-it has at most 2^n columns."""
+and span slots, whose matrices have at most 2^n columns. Above it a branch
+is `model._compile_branch`'s steps on the live qubits only."""
 
 Assignment = dict[tuple[int, int], np.ndarray]
 _Operators = dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
@@ -103,54 +105,104 @@ def _gate(cols: np.ndarray, matrix: np.ndarray, axes: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# compiled steps. `forward(cols, ops)` returns the columns carried on (None
-# after a branch's last step) and the rows the step banks (None if it banks
-# nothing). `backward(mu, banked, ops)` takes the adjoint columns after the
-# step and the rows it banked going forward, and returns the adjoint columns
-# before it. A branch's last step banks and carries nothing on, so going
-# back through it is its `gram`, F^dag F on the columns reaching it.
+# compiled steps. `forward(cols, ops)` returns the columns carried on (which
+# nothing reads after a branch's last step) and the rows the step banks
+# (None if it banks nothing). `backward(mu, banked, ops)` takes the adjoint
+# columns after the step and the rows it banked going forward, and returns
+# the adjoint columns before it. A branch's last step banks and carries
+# nothing on, so going back through it is its `gram`, F^dag F on the
+# columns reaching it. Above the bound, steps work in place on their input
+# columns.
 
 
-class _Gate:
-    """One verifier gate on the full width."""
+class _Kernel:
+    """A matrix on a `MatrixKernel`'s slice of the live axes, and going back
+    its adjoint: a verifier gate's own, or a prover slot's (`key`) from the
+    assignment at call time. A slot's forward leaves its input as it was:
+    the environment reads it again."""
 
     banks = False
 
-    def __init__(self, matrix: np.ndarray, axes: Sequence[int], n: int):
-        self.m = matrix
-        self.mh = np.ascontiguousarray(matrix.conj().T)
-        self.axes = axes
-        self.n = n
+    def __init__(self, kernel: MatrixKernel,
+                 key: tuple[int, int] | None = None):
+        self.kernel = kernel
+        self.key = key
+        self.pair = kernel.matrix, np.ascontiguousarray(kernel.matrix.conj().T)
+
+    def _apply(self, m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        view = self.kernel.front(cols)
+        view[...] = (m @ view.reshape(len(m), -1)).reshape(view.shape)
+        return cols
 
     def forward(self, cols, ops):
-        return _gate(cols, self.m, self.axes, self.n), None
+        if self.key is not None:
+            cols = cols.copy()
+        return self._apply(ops.get(self.key, self.pair)[0], cols), None
 
     def backward(self, mu, banked, ops):
-        return _gate(mu, self.mh, self.axes, self.n)
+        return self._apply(ops.get(self.key, self.pair)[1], mu)
+
+    @staticmethod
+    def operator(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return u, u.conj().T
+
+    def _front(self, cols: np.ndarray) -> np.ndarray:
+        return self.kernel.front(cols).reshape(self.kernel.dim, -1)
+
+    def outer(self, mu: np.ndarray, chi: np.ndarray) -> np.ndarray:
+        """mu chi^dag summed over the qubits outside the slot."""
+        return self._front(mu) @ self._front(chi).conj().T
+
+    @staticmethod
+    def environment(e: np.ndarray) -> np.ndarray:
+        """A sum of `outer` products in slot order."""
+        return e
 
 
-class _Event:
-    """An accept event or rule as a 0/1 mask over the basis: the masked
-    columns are banked, the rest carried on unless the branch ends here."""
+class _Grow:
+    """A known bit joining the live axes: the rows double, the old ones at
+    the bit. Going back takes the rows at the bit."""
+
+    banks = False
+
+    def __init__(self, lead: int, bit: int):
+        self.lead = lead
+        self.bit = bit
+
+    def forward(self, cols, ops):
+        grown = np.zeros((2 * len(cols), cols.shape[1]), dtype=cols.dtype)
+        grown.reshape(self.lead, 2, -1)[:, self.bit] = cols.reshape(self.lead, -1)
+        return grown, None
+
+    def backward(self, mu, banked, ops):
+        return np.ascontiguousarray(
+            mu.reshape(self.lead, 2, -1)[:, self.bit]).reshape(-1, mu.shape[1])
+
+
+class _Bank:
+    """An accept event or rule: its slices' rows are banked (the rest of the
+    banked block is zero) and cleared. Going back puts them in their place."""
 
     banks = True
 
-    def __init__(self, mask: np.ndarray, last: bool = False):
-        self.mask = mask
-        self.last = last
+    def __init__(self, slices: Slices):
+        self.slices = slices
 
-    def final(self) -> "_Event":
-        return _Event(self.mask, last=True)
+    def final(self) -> "_Bank":
+        return self
 
     def forward(self, cols, ops):
-        hit = cols * self.mask
-        return (None if self.last else cols - hit), hit
+        rows = self.slices.kept(cols)
+        self.slices.clear(cols)
+        return cols, rows
 
     def backward(self, mu, banked, ops):
-        return mu - mu * self.mask + banked
+        self.slices.clear(mu)
+        mu += banked
+        return mu
 
     def gram(self, cols):
-        return cols * self.mask
+        return self.slices.kept(cols)
 
 
 class _Stretch:
@@ -188,54 +240,14 @@ class _Stretch:
         return (self.fhf @ cols.reshape(self.lead, -1)).reshape(cols.shape)
 
 
-class _GatherSlot:
-    """A prover slot as a row permutation that brings its qubits, in slot
-    order, to the front, so the slot's unitary is one matmul."""
-
-    banks = False
-
-    def __init__(self, axes: Sequence[int], n: int, key: tuple[int, int]):
-        self.key = key
-        self.d = 2 ** len(axes)
-        rest = [a for a in range(n) if a not in axes]
-        self.perm = np.arange(2 ** n).reshape([2] * n).transpose(
-            list(axes) + rest).reshape(-1)
-
-    @staticmethod
-    def operator(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return u, u.conj().T
-
-    def _front(self, cols: np.ndarray) -> np.ndarray:
-        return cols[self.perm].reshape(self.d, -1)
-
-    def _apply(self, m: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        out = np.empty_like(cols)
-        out[self.perm] = (m @ self._front(cols)).reshape(cols.shape)
-        return out
-
-    def forward(self, cols, ops):
-        return self._apply(ops[self.key][0], cols), None
-
-    def backward(self, mu, banked, ops):
-        return self._apply(ops[self.key][1], mu)
-
-    def outer(self, mu: np.ndarray, chi: np.ndarray) -> np.ndarray:
-        """mu chi^dag summed over the qubits outside the slot."""
-        return self._front(mu) @ self._front(chi).conj().T
-
-    @staticmethod
-    def environment(e: np.ndarray) -> np.ndarray:
-        """A sum of `outer` products in slot order."""
-        return e
-
-
 _ZERO = np.zeros(1, dtype=np.complex128)
 
 
 class _SpanSlot:
     """A prover slot as one matmul on the contiguous run of axes from its
     first to its last qubit. Its operator is the slot-order unitary permuted
-    into axis order, with identity on the registers in between."""
+    into axis order, with identity on the registers in between. Every
+    branch shares the slot's one `_SpanSlot`."""
 
     banks = False
 
@@ -294,19 +306,20 @@ class _Program:
     branches are `flatten(spec, provers)`: with `provers`, their circuits
     are inlined as verifier gates; without, each prover turn is a slot on
     `layout.slot_qubits(i)`. `keys` lists the (prover, turn) slots in sorted
-    order, `slots[key]` is a slot's step and `dims[key]` the dimension of
-    its unitary. `d_p` is the dimension of the joint prover space, and qubit
-    axes are the layout's `qubit_axes()`. Every branch has the weight
-    `weight`, 2^-(coin flips); a power of two, so the sums over branches are
-    scaled once, exactly.
+    order, `slots[key]` gives a slot's `operator` and `environment`,
+    `dims[key]` is the dimension of its unitary and `slot_at[j][key]` its
+    step's index in branch j. `d_p` is the dimension of the joint prover
+    space, and qubit axes are the layout's `qubit_axes()`. Every branch has
+    the weight `weight`, 2^-(coin flips); a power of two, so the sums over
+    branches are scaled once, exactly.
 
     While 2^n <= `FUSE_MAX_DIM` a branch is stretches (`_Stretch`)
-    alternating with span slots (`_SpanSlot`); above it, one `_Gate` per
-    verifier gate, an `_Event` per accept event and for the accept rule,
-    and gather slots (`_GatherSlot`). Each branch ends at its last step that
-    banks anything: later steps cannot change its acceptance, and a branch
-    that banks nothing is dropped. Every evaluation walks steps forward with
-    `_forward`.
+    alternating with the span slots (`_SpanSlot`) every branch shares;
+    above it, `_compile_branch`'s kernels (`_Kernel`, gates and slots),
+    grows (`_Grow`) and events (`_Bank`), from the prover columns alone.
+    Each branch ends at its last step that banks anything: later steps
+    cannot change its acceptance, and a branch that banks nothing is
+    dropped. Every evaluation walks steps forward with `_forward`.
     """
 
     def __init__(self, spec: VerifierSpec, config: RunConfig,
@@ -324,51 +337,67 @@ class _Program:
                             if op.kind == "prover"})
         self.dims = {key: 2 ** len(layout.slot_qubits(key[0]))
                      for key in self.keys}
-        slot = _SpanSlot if self.fused else _GatherSlot
-        self.slots = {key: slot([self.pos[q] for q in layout.slot_qubits(key[0])],
-                                self.n, key) for key in self.keys}
+        # a live slot takes the assignment's matrix as it is (`_Kernel`)
+        self.slots = {key: _SpanSlot([self.pos[q] for q in layout.slot_qubits(key[0])],
+                                     self.n, key) if self.fused else _Kernel
+                      for key in self.keys}
         self.branches: list[tuple] = []
+        self.slot_at: list[dict[tuple[int, int], int]] = []
         for br in branches:
-            # verifier gates and banked projectors, split at the slots
-            parts: list = [[]]
-            for op in br.ops:
-                if op.kind == "prover":
-                    parts += [self.slots[op.prover_key], []]
-                elif op.kind == "gate":
-                    parts[-1].append(op.gate)
-                elif op.kind == "event":
-                    parts[-1].append(op.projectors)
-            parts[-1].append(br.accept)
-            steps: list = []
-            for j, part in enumerate(parts):
-                steps += [part] if j % 2 else self._verifier_steps(part, j == 0)
+            steps = self._fused_steps(br) if self.fused else self._live_steps(br)
             last = max((j for j, step in enumerate(steps) if step.banks),
                        default=None)
             if last is not None:
                 steps[last:] = [steps[last].final()]
                 self.branches.append(tuple(steps))
+                self.slot_at.append({step.key: j for j, step in enumerate(steps)
+                                     if getattr(step, "key", None)})
 
     # -- compilation
+
+    def _live_steps(self, br: FlatBranch) -> list:
+        """The steps `model._compile_branch` gives the branch, from the
+        prover columns with every verifier and message qubit known at 0.
+        An event whose slices are empty banks nothing and is left out."""
+        # the verifier and message axes lead
+        known = dict.fromkeys(range(self.n + 1 - self.d_p.bit_length()), 0)
+        compiled, accept = _compile_branch(br, self.pos, self.n, known, ())
+        steps: list = []
+        for kind, *args in compiled + [("event", accept)]:
+            if kind in ("gate", "slot"):
+                steps.append(_Kernel(*args))
+            elif kind == "grow":
+                steps.append(_Grow(*args))
+            elif args[0].views:
+                steps.append(_Bank(args[0]))
+        return steps
+
+    def _fused_steps(self, br: FlatBranch) -> list:
+        """Stretches of the verifier gates and banked projectors, split at
+        the span slots."""
+        parts: list = [[]]
+        for op in br.ops:
+            if op.kind == "prover":
+                parts += [self.slots[op.prover_key], []]
+            elif op.kind == "gate":
+                parts[-1].append(op.gate)
+            elif op.kind == "event":
+                parts[-1].append(op.projectors)
+        parts[-1].append(br.accept)
+        steps: list = []
+        for j, part in enumerate(parts):
+            steps += [part] if j % 2 else self._verifier_steps(part, j == 0)
+        return steps
 
     def _mask(self, projectors: Sequence[ProjectorOp], n: int) -> np.ndarray:
         """The conjunction of commuting diagonal projectors on the leading n
         axes, a 0/1 vector."""
-        return Slices(n, projector_slices(projectors, self.pos.__getitem__)
+        return Slices(projector_slices(projectors, self.pos.__getitem__)
                       ).kept(np.ones(2 ** n))
 
     def _verifier_steps(self, items: Sequence, first: bool) -> list:
-        """The steps of gates and banked projector conjunctions between two
-        slots; `first` when no slot precedes them."""
-        if not self.fused:
-            steps: list = []
-            for item in items:
-                if isinstance(item, Gate):
-                    steps.append(_Gate(item.full_matrix(),
-                                       [self.pos[q] for q in item.qubits()],
-                                       self.n))
-                elif (mask := self._mask(item, self.n)).any():
-                    steps.append(_Event(mask[:, None]))
-            return steps
+        """The stretch of the gates and banked projector conjunctions
+        between two slots, if any; `first` when no slot precedes them."""
         if not items:
             return []
         s = 1 + max((self.pos[q] for item in items for q in (
@@ -395,7 +424,11 @@ class _Program:
 
     def _walks(self, prover_cols: np.ndarray) -> list[_Walk]:
         """Every branch at its start: |0...0>_(V,M) (x) each column of
-        prover_cols, nothing banked."""
+        prover_cols, nothing banked. Above the bound the known bits are not
+        stored, and each branch gets its own copy to work on in place."""
+        if not self.fused:
+            return [(0, np.array(prover_cols, dtype=np.complex128, order="C"),
+                     []) for _ in self.branches]
         init = np.zeros((self.dim, prover_cols.shape[1]), dtype=np.complex128)
         init[:self.d_p, :] = prover_cols
         return [(0, init, []) for _ in self.branches]
@@ -447,13 +480,13 @@ class _Program:
         forward through the slot and the tail, keeping what each step banks,
         then back to just after the slot. A branch whose slot lies past its
         last banking step adds nothing."""
-        slot = self.slots[key]
         e = None
         for j, steps in enumerate(self.branches):
-            if slot not in steps:
+            idx = self.slot_at[j].get(key)
+            if idx is None:
                 continue
             start, chi, done = walks[j]
-            idx = steps.index(slot, start)
+            slot = steps[idx]
             chi = self._forward(steps[start:idx], chi, ops, done)
             walks[j] = (idx, chi, done)
             x = chi if coeffs is None else chi @ coeffs
@@ -469,7 +502,7 @@ class _Program:
             e = outer if e is None else e + outer
         if e is None:
             return np.zeros((self.dims[key],) * 2, dtype=np.complex128)
-        return self.weight * slot.environment(e)
+        return self.weight * self.slots[key].environment(e)
 
     def environment(self, prover_col: np.ndarray, assignment: Assignment,
                     key: tuple[int, int]) -> np.ndarray:

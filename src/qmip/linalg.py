@@ -56,7 +56,8 @@ class StateVector:
         if self.known:
             object.__setattr__(self, "known", self._checked_known())
         n = self.n_qubits - len(self.known)
-        if amps.shape != (2**n,):
+        # no array has 2^64 amplitudes, and 2**n of a huge n is slow
+        if amps.shape != (2 ** min(n, 64),):
             with_known = (f" with {len(self.known)} known bits"
                           if self.known else "")
             raise ValidationError(
@@ -137,6 +138,9 @@ class StateVector:
 def zero_state(layout: Iterable[Sequence]) -> StateVector:
     lay = _as_layout(layout)
     n = sum(q for _, q in lay)
+    if 16 * 2 ** min(n, 64) > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"no array holds the 2^{n} amplitudes of {n} qubits")
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(amps, lay)
@@ -216,12 +220,14 @@ def _target_axes(state: StateVector, qubits: Sequence[Qubit]) -> list[int]:
 Fixed = tuple[tuple[int, int], ...]   # (axis, bit) pairs
 
 
-def _merged(n: int, fixed: dict[int, int], free: Sequence[int] = ()
+def _merged(fixed: dict[int, int], free: Sequence[int] = ()
             ) -> tuple[tuple[int, ...], list, dict[int, int]]:
     """The buffer shape with runs of untouched axes merged, an index holding
     the fixed axes at their bits, and the shape position of each `free` axis.
-    The shape always ends in a merged run (possibly of size 1), so indexing
-    yields a view, never a scalar. Only the fixed and free axes are walked."""
+    The shape always ends in the merged run after the last of them, as -1:
+    it takes the rest of the buffer, which may be a (2^n, b) block of b
+    columns as well as one amplitude vector, and indexing yields a view,
+    never a scalar. Only the fixed and free axes are walked."""
     shape: list[int] = []
     index: list = []
     where: dict[int, int] = {}
@@ -237,7 +243,7 @@ def _merged(n: int, fixed: dict[int, int], free: Sequence[int] = ()
             index.append(slice(None))
         shape.append(2)
         start = a + 1
-    shape.append(2 ** (n - start))
+    shape.append(-1)
     index.append(slice(None))
     return tuple(shape), index, where
 
@@ -255,10 +261,10 @@ def permutation_sources(matrix: np.ndarray) -> np.ndarray | None:
 
 
 class MatrixKernel:
-    """A (controlled) matrix compiled against axes of an n-qubit buffer and
-    applied in place to the control-satisfied slice only; `full_matrix()` is
-    never built. The slice, with its targets moved to the front, is
-    multiplied by the matrix in one product and written back.
+    """A (controlled) matrix compiled against the axes of a buffer (`_merged`)
+    and applied in place to the control-satisfied slice only;
+    `full_matrix()` is never built. The slice, with its targets moved to the
+    front, is multiplied by the matrix in one product and written back.
 
     For a 0/1 permutation (X, CNOT, mcx, SWAP) or a diagonal with entries in
     {1, -1, i, -i} (Z, S, CPHASE), every output amplitude has exactly one
@@ -267,14 +273,14 @@ class MatrixKernel:
     """
 
     def __init__(self, matrix: np.ndarray, targets: Sequence[int],
-                 controls: Fixed, n: int):
+                 controls: Fixed):
         self.matrix = np.asarray(matrix, dtype=np.complex128)
         d = len(targets)
         self.dim = 2 ** d
         if self.matrix.shape != (self.dim, self.dim):
             raise ValidationError(
                 f"matrix shape {self.matrix.shape} does not fit {d} targets")
-        self.shape, index, where = _merged(n, dict(controls), targets)
+        self.shape, index, where = _merged(dict(controls), targets)
         self.index = tuple(index)
         kept = [pos for pos, i in enumerate(index) if isinstance(i, slice)]
         tdims = [kept.index(where[a]) for a in targets]
@@ -286,6 +292,11 @@ class MatrixKernel:
         view = buf.reshape(self.shape)[self.index].transpose(self.order)
         view[...] = (self.matrix @ view.reshape(self.dim, -1)).reshape(view.shape)
 
+    def front(self, buf: np.ndarray) -> np.ndarray:
+        """The view of `buf` that `__call__` multiplies: the
+        control-satisfied slice with the targets first."""
+        return buf.reshape(self.shape)[self.index].transpose(self.order)
+
 
 def apply_matrix(state: StateVector, matrix: np.ndarray,
                  targets: Sequence[Qubit],
@@ -295,8 +306,7 @@ def apply_matrix(state: StateVector, matrix: np.ndarray,
     axes = _target_axes(state, tuple(targets) + tuple(q for q, _ in controls))
     d = len(targets)
     kernel = MatrixKernel(matrix, axes[:d],
-                          tuple(zip(axes[d:], (b for _, b in controls))),
-                          state.n_qubits)
+                          tuple(zip(axes[d:], (b for _, b in controls))))
     out = np.array(state.dense())
     kernel(out)
     return out
@@ -334,12 +344,12 @@ def projector_slices(projectors: Iterable[ProjectorOp],
 
 
 class Slices:
-    """A disjoint union of slices compiled against an n-qubit buffer: the
-    basis projector onto every amplitude in any of them."""
+    """A disjoint union of slices compiled against the axes of a buffer
+    (`_merged`): the basis projector onto every amplitude in any of them."""
 
-    def __init__(self, n: int, slices: Iterable[Fixed]):
+    def __init__(self, slices: Iterable[Fixed]):
         self.views = [(shape, tuple(index))
-                      for shape, index, _ in (_merged(n, dict(s)) for s in slices)]
+                      for shape, index, _ in (_merged(dict(s)) for s in slices)]
 
     def mass(self, buf: np.ndarray) -> float:
         """||P psi||^2."""
@@ -373,16 +383,16 @@ def checked_probability(val: float, what: str, slack: float) -> float:
 
 def project(state: StateVector, p: ProjectorOp) -> np.ndarray:
     """Return the (unnormalized) amplitudes of P|psi>."""
-    return Slices(state.n_qubits,
-                  projector_slices((p,), state.qubit_position)).kept(state.dense())
+    return Slices(projector_slices((p,), state.qubit_position)
+                  ).kept(state.dense())
 
 
 def project_norm_sq(state: StateVector, p: ProjectorOp) -> float:
     """||P |psi>||^2. For a normalized input it must lie in [0, 1] within the
     default probability slack (else NumericalCheckError) and is clipped
     there."""
-    val = Slices(state.n_qubits,
-                 projector_slices((p,), state.qubit_position)).mass(state.dense())
+    val = Slices(projector_slices((p,), state.qubit_position)
+                 ).mass(state.dense())
     if state.normalized:
         val = checked_probability(val, "projector mass",
                                   DEFAULT_RUN_CONFIG.probability_tol)

@@ -502,12 +502,15 @@ def _problems_of(instance: ProtocolInstance) -> list[str]:
         _projector_qubits_exist(ProjectorOp.output_one(v.output_qubit), layout,
                                 "output qubit", problems)
 
-    for label, val in (("completeness", instance.meta.claimed_completeness),
-                       ("soundness", instance.meta.claimed_soundness)):
-        if val is not None and not 0.0 <= val <= 1.0:
-            problems.append(f"claimed {label} outside [0, 1]")
+    return problems + meta_problems(instance.meta)
 
-    return problems
+
+def meta_problems(meta: InstanceMeta) -> list[str]:
+    """The part of `validate` that reads the meta: claims in [0, 1]."""
+    return [f"claimed {label} outside [0, 1]"
+            for label, val in (("completeness", meta.claimed_completeness),
+                               ("soundness", meta.claimed_soundness))
+            if val is not None and not 0.0 <= val <= 1.0]
 
 
 def require_valid(instance: ProtocolInstance) -> None:
@@ -780,7 +783,10 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
     The other steps are ("gate", MatrixKernel), ("event", Slices) and, for
     each turn in `snapshot_turns`, ("turn", turn, index, perm): the full
     state in the layout's order has the live buffer, with its axes permuted
-    by perm, at `index`.
+    by perm, at `index`. A prover placeholder (`flatten` without provers)
+    activates its qubits and becomes ("slot", MatrixKernel, (prover, turn)):
+    a kernel on them in slot order holding the identity, in whose place the
+    caller applies the prover's matrix through `MatrixKernel.front`.
     """
     phys = list(range(n))       # logical axis -> full-state axis
     bits = dict(classical)      # full-state axis -> bit, for classical axes
@@ -792,9 +798,17 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
         kept = [tuple((at[a], b) for a, b in s if a not in bits)
                 for s in projector_slices(projectors, lambda q: phys[axis[q]])
                 if all(bits.get(a, b) == b for a, b in s)]
-        return Slices(n - len(bits), kept)
+        return Slices(kept)
 
     steps: list[tuple] = []
+
+    def grow(targets: Sequence[int]) -> None:
+        for t in targets:
+            if t in bits:
+                steps.append(("grow", 2 ** at[t], bits.pop(t)))
+                for a in range(t + 1, n):
+                    at[a] += 1
+
     for op in br.ops:
         if op.kind == "gate":
             g = op.gate
@@ -813,14 +827,16 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
                 for i, t in enumerate(reversed(targets)):
                     bits[t] = (j >> i) & 1
                 continue
-            for t in targets:
-                if t in bits:
-                    steps.append(("grow", 2 ** at[t], bits.pop(t)))
-                    for a in range(t + 1, n):
-                        at[a] += 1
+            grow(targets)
             steps.append(("gate", MatrixKernel(
                 g.matrix, [at[t] for t in targets],
-                tuple((at[a], b) for a, b in controls), n - len(bits))))
+                tuple((at[a], b) for a, b in controls))))
+        elif op.kind == "prover":
+            targets = [phys[axis[q]] for q in op.qubits]
+            grow(targets)
+            steps.append(("slot", MatrixKernel(
+                np.eye(2 ** len(targets)), [at[t] for t in targets], ()),
+                op.prover_key))
         elif op.kind == "event":
             steps.append(("event", slices(op.projectors)))
         elif op.kind == "turn" and op.turn in snapshot_turns:

@@ -7,8 +7,9 @@ assignments are run three ways: the adversary's compiled program,
 `model.run` of the equivalent strategies, and a per-gate reference kept here
 as a test oracle (`Gate.full_matrix()` plus one tensordot per gate). Every
 adversary test runs on both sides of the fusion bound: with the module's
-bound (dense stretches and span slots) and with a bound of 1 (one step per
-gate, gather slots). Provers
+bound (dense stretches and span slots) and with a bound of 1 (the live-width
+steps of `model._compile_branch`, as above the bound; on criterion 08's
+program no column block has more than 2^10 of its 2^14 rows). Provers
 inlined by `flatten` and the same provers as slot matrices over
 `RegisterLayout.slot_qubits` give one acceptance operator, and the layout's
 qubit axes are `StateVector`'s big-endian positions.
@@ -382,6 +383,37 @@ def test_compiled_program_above_the_fusion_bound():
         assert np.abs(got - want).max() <= TOL
 
 
+def test_columns_above_the_fusion_bound_keep_their_live_width():
+    # criterion 08's see-saw program, the one-round five_turn_no output at
+    # prover_dims=(2, 2), has 14 qubits, of which at most 10 are ever live:
+    # no column block a sweep or an acceptance operator walks has more than
+    # 2^10 rows
+    spec = resize_prover_registers(
+        transforms.run_pipeline(fixtures.five_turn_no()).instance.verifier,
+        (2, 2))
+    assert spec.layout.total_qubits == 14
+    program, _, assignment, inst = _setup(spec, 8)
+    rows = []
+
+    def spy(fn):
+        def wrapped(cols, *args):
+            rows.append(len(cols))
+            return fn(cols, *args)
+        return wrapped
+
+    for steps in program.branches:
+        for step in steps:
+            for name in ("forward", "backward", "gram", "outer"):
+                if hasattr(step, name):
+                    setattr(step, name, spy(getattr(step, name)))
+    phi = inst.shared.amplitudes[:, None]
+    keys = sorted(assignment, key=lambda k: (k[1], k[0]))
+    program.sweep(phi, np.ones(1), dict(assignment), keys)
+    value = program.acceptance_operator(assignment, phi)[0, 0].real
+    assert abs(value - run(inst).acceptance) <= TOL
+    assert rows and max(rows) <= 2 ** 10
+
+
 @pytest.mark.parametrize("fuse_max_dim", FUSE_BOUNDS)
 @settings(max_examples=40, deadline=None)
 @given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1))
@@ -442,9 +474,8 @@ def test_branch_ends_at_its_last_banking_step(fuse_max_dim):
     with mock.patch.object(adversary, "FUSE_MAX_DIM", fuse_max_dim):
         program, branches, assignment, inst = _setup(spec, 5)
         kept, cut = program.branches
-        slot = program.slots[(1, 2)]
-        assert slot in kept and slot not in cut
-        assert isinstance(cut[-1], adversary._Event if fuse_max_dim == 1
+        assert [(1, 2) in at for at in program.slot_at] == [True, False]
+        assert isinstance(cut[-1], adversary._Bank if fuse_max_dim == 1
                           else adversary._Stretch)
         ref = _Reference(spec.layout.as_state_layout())
         phi = inst.shared.amplitudes[:, None]

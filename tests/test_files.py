@@ -3,7 +3,10 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +252,47 @@ def test_known_bits_go_with_amplitudes(tmp_path):
     with pytest.raises(ValidationError, match="shared_state.known: known bits "
                                               "go with amplitudes"):
         files.load(path)
+
+
+_HUGE_REGISTER_PROBE = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qmip import cli, files
+from qmip.config import ValidationError
+out = []
+for path in sys.argv[1:]:
+    t = time.perf_counter()
+    try:
+        files.load(path)
+        error = None
+    except ValidationError as e:
+        error = str(e)
+    out.append((error, time.perf_counter() - t, cli.main(["simulate", path])))
+print(json.dumps(out))
+"""
+
+
+def test_huge_register_is_rejected_before_any_allocation(tmp_path):
+    # a width no array can hold is refused before 2**n is computed, with
+    # amplitudes and with a preparation circuit; run under a 1 GiB address
+    # space cap so that a regression cannot exhaust the machine
+    paths = []
+    for qubits in (10 ** 9, 10 ** 30):
+        for shared in ({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+                       {"circuit": []}):
+            data = files.instance_to_dict(fixtures.guess())
+            data["registers"][-1]["qubits"] = qubits
+            data["shared_state"] = shared
+            paths.append(tmp_path / f"huge{len(paths)}.json")
+            paths[-1].write_text(json.dumps(data))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(files.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _HUGE_REGISTER_PROBE,
+                           *map(str, paths)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for error, seconds, exit_code in json.loads(proc.stdout.splitlines()[-1]):
+        assert error is not None and seconds < 1.0 and exit_code == 2
 
 
 def test_named_gate_sugar(tmp_path):

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qmip import circuits, files, fixtures, transforms
+from qmip import circuits, files, fixtures, model, transforms
 from qmip.adversary import SeesawConfig, optimal_shared_state, seesaw
 from qmip.circuits import circuit_matrix
 from qmip.config import (BudgetError, NumericalCheckError, PreconditionError,
@@ -532,6 +532,23 @@ def test_pipeline_yes_instance():
     assert (res.instance.k, res.instance.m) == (2, 2)
     assert abs(res.stages[-1].report.output_honest - 1.0) <= 1e-9
     assert res.inverse_gap is not None
+
+
+def test_pipeline_validates_each_protocol_once():
+    # the halving's output and the three-turn output share their verifier,
+    # provers and shared state: only the three-turn meta is checked again
+    inst = fixtures.five_turn_yes()
+    validate(inst)
+    seen = []
+    problems_of = model._problems_of
+
+    def spy(instance):
+        seen.append((instance.verifier, instance.provers, instance.shared))
+        return problems_of(instance)
+
+    with mock.patch.object(model, "_problems_of", spy):
+        run_pipeline(inst, check=True)
+    assert len(seen) == len({tuple(map(id, t)) for t in seen}) == 4
 
 
 def test_nine_turn_pipeline_runs_at_its_live_width():

@@ -27,7 +27,14 @@ is a sha256, a `repr`'d float or an error's class and message:
   committed fixture, and `brute_force_value` on the fixtures it accepts;
 * see-saw values, traces, restart values, states and strategies on the
   verifier of the rewound sound_no (the benchmark's audit, seeds 0-3) and on
-  chsh with and without product groups.
+  chsh with and without product groups;
+* the value and trace of one see-saw sweep from one restart on two programs
+  above `adversary.FUSE_MAX_DIM`: criterion 08's (the one-round output of
+  five_turn_no, 14 qubits at prover dimensions (2, 2)) and par-rep(chsh, 2)
+  with product groups ((1, 2), (3, 4)), 15 qubits. Later sweeps are not
+  keyed: the environment operators are rank deficient, so the polar
+  factor's completion on their null space is set by rounding, and any
+  reordering of a sum moves the trajectory after the first sweep.
 """
 
 from __future__ import annotations
@@ -157,6 +164,22 @@ def digests(work: Path) -> dict[str, str]:
         _seesaw(out, f"seesaw chsh groups={groups}", loaded["chsh"].verifier,
                 adversary.SeesawConfig(prover_dims=(1, 1), restarts=4, seed=0,
                                        product_groups=groups))
+    above = (
+        ("criterion 08", transforms.run_pipeline(loaded["five_turn_no"])
+         .instance, (2, 2), None, 5),
+        ("par-rep chsh", transforms.PASSES["par-rep"](loaded["chsh"], n=2)
+         .instance, (1, 1, 1, 1), ((1, 2), (3, 4)), 2))
+    for name, inst, dims, groups, seed in above:
+        label = f"seesaw {name} one sweep"
+        try:
+            res = adversary.seesaw(inst.verifier, adversary.SeesawConfig(
+                prover_dims=dims, restarts=1, max_sweeps=1, seed=seed,
+                product_groups=groups))
+        except Exception as e:
+            out[label] = _error(e)
+            continue
+        out[f"{label} value"] = repr(res.value)
+        out[f"{label} trace"] = repr(res.trace)
     return out
 
 
