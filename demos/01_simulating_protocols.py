@@ -51,12 +51,13 @@ transcript = run(instance, snapshot_turns=range(1, instance.m + 1))
 print(f"acceptance probability: {transcript.acceptance:.12f}")
 # No strategy can beat 1/2: the coin never leaves the verifier's space.
 
-# Each snapshot is held at its live width: qubits the run knows to hold a
-# fixed bit (here the untouched verifier and message qubits) are kept as
-# known bits, not as amplitudes.
+# Each snapshot's state is a StateVector at its live width, with the
+# registers in layout order: qubits the run knows to hold a fixed bit (here
+# the untouched verifier and message qubits) are kept as known bits, not as
+# amplitudes.
 for snap in transcript.snapshots:
-    state = snap.state()
-    print(f"  after turn {snap.turn}: ||state|| = {snap.norm():.12f}, "
+    state = snap.state
+    print(f"  after turn {snap.turn}: ||state|| = {state.norm():.12f}, "
           f"{len(state.amplitudes)} amplitudes, known bits {state.known}")
 
 # The transcript also records per-branch bookkeeping. This protocol has no

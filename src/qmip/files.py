@@ -458,7 +458,11 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
             from .linalg import zero_state
             prep = _circuit_dec(sv["circuit"], circuits,
                                 "shared_state.circuit")
-            shared = apply_circuit(zero_state(layout.shared_layout), prep)
+            try:
+                shared = apply_circuit(zero_state(layout.shared_layout), prep)
+            except MemoryError:
+                raise _err("shared_state.circuit",
+                           "the prepared state does not fit in memory") from None
         else:
             raise _err("shared_state",
                        "needs amplitudes or a preparation circuit")

@@ -8,8 +8,10 @@ targets <= ~10 qubits) dense is both exact and fast enough.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +42,9 @@ class StateVector:
     the other, live qubits, big-endian in layout order. The full state is
     zero wherever a known qubit differs from its bit. A state given as dense
     amplitudes has no known bits: nothing scans it for any. `dense()` is the
-    one routine that writes the full vector.
+    one routine that writes the full vector, and `placed` the one that
+    writes the state in another register order. Shared states, `run`'s
+    snapshots and the passes' outputs are all held in this form.
     """
 
     amplitudes: np.ndarray
@@ -93,17 +97,21 @@ class StateVector:
     def dim(self) -> int:
         return 2**self.n_qubits
 
+    @cached_property
+    def _registers(self) -> dict[str, tuple[int, int]]:
+        """Each register's first big-endian position and its size."""
+        starts = itertools.accumulate((n for _, n in self.layout), initial=0)
+        return {name: (start, n) for (name, n), start in zip(self.layout, starts)}
+
     def qubit_position(self, qubit: Qubit) -> int:
         """Global big-endian position of (register, index)."""
         reg, idx = qubit
-        offset = 0
-        for name, n in self.layout:
-            if name == reg:
-                if not 0 <= idx < n:
-                    raise ValidationError(f"qubit index {idx} out of range for {reg}({n})")
-                return offset + idx
-            offset += n
-        raise ValidationError(f"unknown register {reg!r}")
+        if reg not in self._registers:
+            raise ValidationError(f"unknown register {reg!r}")
+        offset, n = self._registers[reg]
+        if not 0 <= idx < n:
+            raise ValidationError(f"qubit index {idx} out of range for {reg}({n})")
+        return offset + idx
 
     @property
     def full_index(self) -> tuple:
@@ -126,8 +134,62 @@ class StateVector:
         out.setflags(write=False)
         return out
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def _axes(self, regs: Collection[str]) -> list[int]:
+        """The full-state axes of the registers `regs`, in order."""
+        spans = [self._registers[r] for r in regs]
+        return [offset + j for offset, n in spans for j in range(n)]
+
+    def _projected(self, zeroed: Collection[str]
+                   ) -> tuple[np.ndarray, list[int]] | None:
+        """The live amplitudes as a tensor with the registers in `zeroed`
+        projected onto |0...0> (a view), and the full-state axis of each of
+        its axes; None when one of those registers holds a known 1."""
+        index = self.full_index
+        zero = set(self._axes(zeroed))
+        if any(index[a] == 1 for a in zero):
+            return None
+        live = [a for a, i in enumerate(index) if isinstance(i, slice)]
+        take = tuple(0 if a in zero else slice(None) for a in live)
+        return (self.amplitudes.reshape([2] * len(live))[take + (...,)],
+                [a for a in live if a not in zero])
+
+    def norm(self, zeroed: Collection[str] = ()) -> float:
+        """The norm of the state with the registers in `zeroed` projected
+        onto |0...0>."""
+        if not zeroed:
+            return float(np.linalg.norm(self.amplitudes))
+        projected = self._projected(zeroed)
+        return 0.0 if projected is None else float(np.linalg.norm(projected[0]))
+
+    def placed(self, groups: Sequence[tuple[str, Sequence[str]]],
+               zeroed: Collection[str] = (), normalized: bool = True
+               ) -> "StateVector":
+        """The state written once in a new register order, at its live
+        width: the registers fused into `groups` ((name, members) in order),
+        and the registers in `zeroed` projected onto |0...0> and left out.
+        The known bits in the grouped registers stay known bits, and the
+        live amplitudes are the one array written. This is the package's one
+        register reorder."""
+        order = [m for _, members in groups for m in members]
+        if sorted([*order, *zeroed]) != sorted(name for name, _ in self.layout):
+            raise ValidationError(
+                "groups and zeroed registers must partition the layout")
+        sizes = dict(self.layout)
+        layout = tuple((name, sum(sizes[m] for m in members))
+                       for name, members in groups)
+        kept = self._axes(order)
+        index = self.full_index
+        qubits = [(name, j) for name, n in layout for j in range(n)]
+        known = tuple((q, index[a]) for q, a in zip(qubits, kept)
+                      if not isinstance(index[a], slice))
+        projected = self._projected(zeroed)
+        if projected is None:
+            live = np.zeros(2 ** (len(kept) - len(known)), dtype=np.complex128)
+        else:
+            src, axes = projected
+            at = {a: j for j, a in enumerate(axes)}
+            live = src.transpose([at[a] for a in kept if a in at]).ravel()
+        return StateVector(live, layout, normalized, known)
 
     def with_amplitudes(self, amps: np.ndarray, normalized: bool | None = None) -> "StateVector":
         """The state with dense amplitudes `amps` over the same layout."""

@@ -23,6 +23,7 @@ orthogonal complement, unnormalized.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Collection, NamedTuple, Sequence
@@ -35,7 +36,7 @@ from .circuits import (Circuit, Gate, cnot, h as h_gate, is_swap, mcx,
 from .circuits import apply_gate  # noqa: F401
 from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, BudgetError,
                      PreconditionError, RunConfig, ValidationError)
-from .linalg import (Layout, MatrixKernel, ProjectorOp, Qubit, Slices,
+from .linalg import (MatrixKernel, ProjectorOp, Qubit, Slices,
                      StateVector, checked_probability, projector_slices)
 
 # ---------------------------------------------------------------------------
@@ -502,15 +503,12 @@ def _problems_of(instance: ProtocolInstance) -> list[str]:
         _projector_qubits_exist(ProjectorOp.output_one(v.output_qubit), layout,
                                 "output qubit", problems)
 
-    return problems + meta_problems(instance.meta)
+    for label, val in (("completeness", instance.meta.claimed_completeness),
+                       ("soundness", instance.meta.claimed_soundness)):
+        if val is not None and not 0.0 <= val <= 1.0:
+            problems.append(f"claimed {label} outside [0, 1]")
 
-
-def meta_problems(meta: InstanceMeta) -> list[str]:
-    """The part of `validate` that reads the meta: claims in [0, 1]."""
-    return [f"claimed {label} outside [0, 1]"
-            for label, val in (("completeness", meta.claimed_completeness),
-                               ("soundness", meta.claimed_soundness))
-            if val is not None and not 0.0 <= val <= 1.0]
+    return problems
 
 
 def require_valid(instance: ProtocolInstance) -> None:
@@ -655,95 +653,13 @@ class BranchRecord:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """A state at its live width: one branch's state after a turn, as `run`
-    left it, or a whole state (`Snapshot.whole`).
-
-    `live` is a read-only array. The full state, with the registers of
-    `layout` in order, is zero except at `index` (a known bit or
-    `slice(None)` per axis), which holds `live` with its axes permuted by
-    `perm`: the j-th live axis of the full state is buffer axis perm[j].
-    """
+    """One branch's state after a turn, as `run` left it: `state` has the
+    layout's registers in order, is unnormalized and keeps its known bits
+    (`StateVector.placed` writes it in any other register order)."""
 
     turn: int
     history: str
-    live: np.ndarray
-    index: tuple
-    perm: tuple[int, ...]
-    layout: Layout
-
-    @classmethod
-    def whole(cls, state: StateVector) -> "Snapshot":
-        """`state` as it is held: its known bits, and its live axes in order
-        (turn 0, no history)."""
-        return cls(0, "", state.amplitudes, state.full_index,
-                   tuple(range(state.n_qubits - len(state.known))),
-                   state.layout)
-
-    def same_placement(self, other: "Snapshot") -> bool:
-        return self.index == other.index and self.perm == other.perm
-
-    def _axes(self, regs: Collection[str]) -> list[int]:
-        """The full-state axes of the registers `regs`, in order."""
-        sizes = dict(self.layout)
-        start = dict(zip(sizes, itertools.accumulate(sizes.values(),
-                                                     initial=0)))
-        return [a for r in regs for a in range(start[r], start[r] + sizes[r])]
-
-    def _projected(self, zeroed: Collection[str]
-                   ) -> tuple[np.ndarray, dict[int, int]] | None:
-        """The buffer with the registers in `zeroed` projected onto
-        |0...0> (a view), and the axis in it of each full-state axis it
-        keeps; None when one of those registers holds a known 1."""
-        buffer_axis = dict(zip((a for a, i in enumerate(self.index)
-                                if isinstance(i, slice)), self.perm))
-        take: list = [slice(None)] * len(self.perm)
-        for a in self._axes(zeroed):
-            if a in buffer_axis:
-                take[buffer_axis[a]] = 0
-            elif self.index[a]:
-                return None
-        left = [b for b, t in enumerate(take) if isinstance(t, slice)]
-        return (self.live.reshape([2] * len(self.perm))[tuple(take)],
-                {a: left.index(b) for a, b in buffer_axis.items() if b in left})
-
-    def norm(self, zeroed: Collection[str] = ()) -> float:
-        """The norm of the state with the registers in `zeroed` projected
-        onto |0...0>."""
-        projected = self._projected(zeroed)
-        return 0.0 if projected is None else float(np.linalg.norm(projected[0]))
-
-    def placed(self, groups: Sequence[tuple[str, Sequence[str]]],
-               zeroed: Collection[str] = (), normalized: bool = True
-               ) -> StateVector:
-        """The state written once in a new register order, at its live
-        width: the registers fused into `groups` ((name, members) in order),
-        and the registers in `zeroed` projected onto |0...0> and left out.
-        The known bits in the grouped registers stay known bits, and the
-        live amplitudes are the one array written. This is the package's one
-        register reorder."""
-        order = [m for _, members in groups for m in members]
-        if sorted([*order, *zeroed]) != sorted(name for name, _ in self.layout):
-            raise ValidationError(
-                "groups and zeroed registers must partition the layout")
-        sizes = dict(self.layout)
-        layout = tuple((name, sum(sizes[m] for m in members))
-                       for name, members in groups)
-        kept = self._axes(order)
-        qubits = [(name, j) for name, n in layout for j in range(n)]
-        known = tuple((q, self.index[a]) for q, a in zip(qubits, kept)
-                      if not isinstance(self.index[a], slice))
-        projected = self._projected(zeroed)
-        if projected is None:
-            live = np.zeros(2 ** (len(kept) - len(known)), dtype=self.live.dtype)
-        else:
-            src, at = projected
-            live = src.transpose([at[a] for a in kept if a in at]).ravel()
-        return StateVector(live, layout, normalized, known)
-
-    def state(self) -> StateVector:
-        """The state in the layout's order, at its live width."""
-        return self.placed([(name, [name]) for name, _ in self.layout],
-                           normalized=False)
+    state: StateVector
 
 
 @dataclass(frozen=True)
@@ -781,12 +697,13 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
     the rest removed.
 
     The other steps are ("gate", MatrixKernel), ("event", Slices) and, for
-    each turn in `snapshot_turns`, ("turn", turn, index, perm): the full
-    state in the layout's order has the live buffer, with its axes permuted
-    by perm, at `index`. A prover placeholder (`flatten` without provers)
-    activates its qubits and becomes ("slot", MatrixKernel, (prover, turn)):
-    a kernel on them in slot order holding the identity, in whose place the
-    caller applies the prover's matrix through `MatrixKernel.front`.
+    each turn in `snapshot_turns`, ("turn", turn, known, perm): the state in
+    the layout's order holds a known bit at each (axis, bit) of `known`, and
+    its j-th live axis is buffer axis perm[j]. A prover placeholder
+    (`flatten` without provers) activates its qubits and becomes ("slot",
+    MatrixKernel, (prover, turn)): a kernel on them in slot order holding
+    the identity, in whose place the caller applies the prover's matrix
+    through `MatrixKernel.front`.
     """
     phys = list(range(n))       # logical axis -> full-state axis
     bits = dict(classical)      # full-state axis -> bit, for classical axes
@@ -840,9 +757,9 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
         elif op.kind == "event":
             steps.append(("event", slices(op.projectors)))
         elif op.kind == "turn" and op.turn in snapshot_turns:
-            index = tuple(bits.get(a, slice(None)) for a in phys)
+            known = tuple((j, bits[a]) for j, a in enumerate(phys) if a in bits)
             perm = tuple(at[a] for a in phys if a not in bits)
-            steps.append(("turn", op.turn, index, perm))
+            steps.append(("turn", op.turn, known, perm))
     return steps, slices(br.accept)
 
 
@@ -862,10 +779,11 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     a target (a classical control or a permutation of classical bits is
     resolved at compile time). The budget still counts the layout's qubits.
     After each turn in `snapshot_turns`, every branch's state is kept at its
-    live width: a copy of the buffer plus its placement (`Snapshot`).
-    `Snapshot.placed` writes one in any register order, with its known bits
-    (`Snapshot.state` in the layout's), so a pass places it directly in its
-    own register groups. No other turn is compiled into a step.
+    live width (`Snapshot`): a `StateVector` in the layout's register order,
+    written once from the buffer, with the classical qubits as its known
+    bits. `StateVector.placed` writes it in any other register order, so a
+    pass places it directly in its own register groups. No other turn is
+    compiled into a step.
 
     Set-up facts that cannot change are computed once and kept: the
     instance's validity (`validate`) and a layout's registers by role and
@@ -884,6 +802,7 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     state_layout = layout.as_state_layout()
     n = layout.total_qubits
     axis = layout.qubit_axes()
+    qubits = list(axis)
     shared = instance.shared
     offset = n - shared.n_qubits
     classical = dict.fromkeys(range(offset), 0)
@@ -908,10 +827,11 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
                 events.append(step[1].mass(buf))
                 step[1].clear(buf)
             else:
-                live = buf.copy()
-                live.setflags(write=False)
-                snapshots.append(Snapshot(step[1], br.history_key(), live,
-                                          step[2], step[3], state_layout))
+                # one copy of the buffer, in the layout's order
+                live = buf.reshape([2] * len(step[3])).transpose(step[3])
+                known = tuple((qubits[j], bit) for j, bit in step[2])
+                snapshots.append(Snapshot(step[1], br.history_key(), StateVector(
+                    live.flatten(), state_layout, False, known)))
         final_prob = accept.mass(buf)
         records.append(BranchRecord(br.history_key(), br.weight,
                                     tuple(events), final_prob, br.history))
@@ -957,7 +877,8 @@ def _predicate_gates(p: ProjectorOp, target: Qubit,
     if p.kind == "all_zero":
         if not p.qubits:
             return [mcx(sector, target)] if sector else [x_gate(target)]
-        return [mcx(sector + tuple((q, 0) for q in p.qubits), target)]
+        return [mcx(sector + tuple((q, 0) for q in dict.fromkeys(p.qubits)),
+                    target)]
     # complement: write inner, then flip within the sector
     gates = _predicate_gates(p.inner, target, sector)
     gates.append(mcx(sector, target) if sector else x_gate(target))
@@ -972,6 +893,13 @@ def purify_coins(instance: ProtocolInstance) -> ProtocolInstance:
     record-controlled circuits; the branch-dependent accept rules become a
     classically computed predicate on a fresh output qubit, register XP (or
     the first free name XP2, XP3, ...; likewise for coin records Q_<id>).
+    A declared record serves only while nothing else touches it: no
+    verifier gate, no other record and no accept rule. Otherwise, as for a
+    coin without one, the Hadamards act on a fresh register Q_<id> that is
+    only ever a control afterwards, and CNOTs copy it into the declared
+    record as well, which is `run`'s XOR write. Either way the coin's
+    qubits are never acted on again, so their superposition and `run`'s
+    mixture of branches accept alike.
     Instances with conditioned mid-protocol accept events (private-coin
     rewinding protocols) are not purifiable in place and are rejected.
     """
@@ -980,18 +908,25 @@ def purify_coins(instance: ProtocolInstance) -> ProtocolInstance:
     coins = coin_steps(spec)
     if not coins:
         return instance
-    for steps in [t.steps for t in spec.turns] + [spec.final.steps]:
+    blocks = [t.steps for t in spec.turns] + [spec.final.steps]
+    for steps in blocks:
         if any(isinstance(s, AcceptNowStep) and s.when is not None
                for s in steps):
             raise PreconditionError(
                 "cannot purify a protocol with coin-conditioned accept events")
 
-    # assign record registers for coins that lack them
+    # the coin's own qubits: its declared record when nothing else touches
+    # it, else a fresh register
+    uses = Counter(q for steps in blocks for s in steps
+                   if isinstance(s, ApplyStep) for q in s.circuit.qubits())
+    uses.update(q for c in coins for q in c.record or ())
+    uses.update(q for rule in spec.final.accept for p in rule.projectors
+                for q in p.target_qubits())
     new_regs = list(layout.verifier_side)
     taken = {r.name for r in layout.registers}
     record_of: dict[str, tuple[Qubit, ...]] = {}
     for c in coins:
-        if c.record is not None:
+        if c.record is not None and all(uses[q] == 1 for q in c.record):
             record_of[c.coin_id] = c.record
         else:
             name = _fresh(f"Q_{c.coin_id}", taken)
@@ -1017,11 +952,13 @@ def purify_coins(instance: ProtocolInstance) -> ProtocolInstance:
             elif isinstance(step, AcceptNowStep):
                 out.append(step)
             elif isinstance(step, CoinStep):
-                gates: list[Gate] = [h_gate(q) for q in record_of[step.coin_id]]
-                for i in step.recipients:
-                    mreg = layout.messages[i - 1].name
-                    for j in range(step.flips):
-                        gates.append(cnot(record_of[step.coin_id][j], (mreg, j)))
+                coin = record_of[step.coin_id]
+                gates: list[Gate] = [h_gate(q) for q in coin]
+                copies = [[(layout.messages[i - 1].name, j)
+                           for j in range(step.flips)] for i in step.recipients]
+                if step.record not in (None, coin):
+                    copies.insert(0, step.record)
+                gates += [cnot(c, t) for qs in copies for c, t in zip(coin, qs)]
                 out.append(ApplyStep(Circuit(tuple(gates),
                                              label=f"coin {step.coin_id} purified")))
         return tuple(out)

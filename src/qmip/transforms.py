@@ -13,7 +13,9 @@ simulation of the coin and preserves acceptance probabilities.
 A pass is a construction run by `_run_pass`: the construction builds the
 output and names its formulas and honest-value identity; the runner purifies,
 validates, measures and checks the identity to `RunConfig.probability_tol`
-(1e-9 by default), and writes the report.
+(1e-9 by default), and writes the report. `parallelize_to_three` is the one
+pass that is not a construction: it composes halvings, which validate and
+measure, and returns the last one's output under its own name.
 Each pass simulates its input at most once.
 """
 
@@ -34,9 +36,9 @@ from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, BudgetError,
 from .linalg import ProjectorOp, Qubit, StateVector, tensor_states
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
-                    ProverStrategy, Register, RegisterLayout, Snapshot,
+                    ProverStrategy, Register, RegisterLayout,
                     Transcript, VerifierSpec, VerifierTurn, _fresh,
-                    coin_steps, is_public_coin, meta_problems, purify_coins,
+                    coin_steps, is_public_coin, purify_coins,
                     require_budget, run, validate)
 
 DIM_CAP_NOTE = ("adversarial values are lower bounds at fixed prover "
@@ -147,20 +149,21 @@ def _new_layout(verifier: Sequence[Register], messages: Sequence[int],
                 for i, size in enumerate(provers)))
 
 
-def _snapshot_after(tr: Transcript, turn: int) -> Snapshot:
+def _snapshot_after(tr: Transcript, turn: int) -> StateVector:
     """The honest state after `turn`, which must not depend on the branch,
-    at its live width. Branches placed alike are compared on their live
-    buffers, which gives the full states' max |diff|; others in full."""
-    snaps = [s for s in tr.snapshots if s.turn == turn]
-    if not snaps:
+    at its live width. Branches with the same known bits are compared on
+    their live amplitudes, which gives the full states' max |diff|; others
+    in full."""
+    states = [s.state for s in tr.snapshots if s.turn == turn]
+    if not states:
         raise PreconditionError(f"no snapshot recorded after turn {turn}")
-    first = snaps[0]
-    for other in snaps[1:]:
+    first = states[0]
+    for other in states[1:]:
         # branches that fork after this turn carry identical prefixes
-        if other.same_placement(first):
-            gap = np.abs(other.live - first.live).max()
+        if other.known == first.known:
+            gap = np.abs(other.amplitudes - first.amplitudes).max()
         else:
-            gap = np.abs(other.state().dense() - first.state().dense()).max()
+            gap = np.abs(other.dense() - first.dense()).max()
         if gap > 1e-12:
             raise PreconditionError(
                 f"snapshot after turn {turn} is branch-dependent; purify coins first")
@@ -211,14 +214,6 @@ def _meta_with(instance: ProtocolInstance, suffix: str,
     return replace(m, name=name, claimed_completeness=c, claimed_soundness=s)
 
 
-def _check_valid(instance: ProtocolInstance, name: str,
-                 meta_only: bool = False) -> None:
-    problems = meta_problems(instance.meta) if meta_only else validate(instance)
-    if problems:
-        raise NumericalCheckError(f"{name} produced an invalid instance: "
-                                  + "; ".join(problems))
-
-
 # ---------------------------------------------------------------------------
 # the pass runner
 
@@ -227,10 +222,8 @@ class _Built(NamedTuple):
     """A pass's construction and formulas, handed back to `_run_pass`:
     `expected` maps the honest input value to the honest output value,
     `claims` (default: the values in `claimed`) go to the output's meta,
-    `verify` checks the validated output, `out_extras` reads the honest output
-    run, and `honest` carries values that sub-passes already measured.
-    `validated` says that a sub-pass validated the output's verifier,
-    provers and shared state, so only its new meta is checked."""
+    `verify` checks the validated output and `out_extras` reads the honest
+    output run."""
 
     verifier: VerifierSpec
     provers: tuple[ProverStrategy, ...]
@@ -242,8 +235,6 @@ class _Built(NamedTuple):
     extras: dict = {}               # read only; the runner adds dim_caveat
     verify: Callable[[ProtocolInstance], None] | None = None
     out_extras: Callable[[Transcript], dict] | None = None
-    honest: tuple[float | None, float | None] | None = None
-    validated: bool = False
 
 
 def _run_pass(name: str, instance: ProtocolInstance, check: bool,
@@ -253,12 +244,12 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
               suffix: str | None = None) -> TransformResult:
     """Run one pass: `prepare(instance, notes)` gives the input (default:
     coins purified), `build(inst, notes, snapshot)` the `_Built` output.
-    `snapshot(turn, groups, zeroed)` is the honest state after `turn`,
-    written once from its live buffer into the new provers' register
-    `groups` (`Snapshot.placed`), with its known bits. The registers in
-    `zeroed`, the old verifier's workspace, must be back at |0...0>; they
-    are left out. Its run also gives the input's honest value, and only
-    that float and the state outlive it."""
+    `snapshot(turn, groups, zeroed)` is the honest state after `turn`, as
+    `run` keeps it, written once into the new provers' register `groups`
+    (`StateVector.placed`), with its known bits. The registers in `zeroed`,
+    the old verifier's workspace, must be back at |0...0>; they are left
+    out. Its run also gives the input's honest value, and only that float
+    and the state outlive it."""
     notes: list[str] = []
     inst = prepare(instance, notes) if prepare else instance
     measured: list[float] = []
@@ -267,11 +258,11 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
                  zeroed: Sequence[str] = ()) -> StateVector:
         tr = run(inst, snapshot_turns=(turn,), config=config)
         measured.append(tr.acceptance)
-        snap = _snapshot_after(tr, turn)
-        if zeroed and abs(snap.norm(zeroed) - 1.0) > NORM_TOL:
+        state = _snapshot_after(tr, turn)
+        if zeroed and abs(state.norm(zeroed) - 1.0) > NORM_TOL:
             raise NumericalCheckError(
                 f"verifier workspace not clean after turn {turn}")
-        return snap.placed(groups, zeroed)
+        return state.placed(groups, zeroed)
 
     b = build(inst, notes, snapshot)
     claims = b.claims
@@ -280,15 +271,16 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
                   b.claimed["soundness"]["value"])
     out = ProtocolInstance(b.verifier, b.provers, b.shared,
                            _meta_with(inst, suffix or name, *claims))
-    _check_valid(out, name, meta_only=b.validated)
+    problems = validate(out)
+    if problems:
+        raise NumericalCheckError(f"{name} produced an invalid instance: "
+                                  + "; ".join(problems))
     if b.verify is not None:
         b.verify(out)
 
     extras = {**b.extras, "dim_caveat": DIM_CAP_NOTE}
     honest_in = honest_out = None
-    if b.honest is not None:
-        honest_in, honest_out = b.honest
-    elif check:
+    if check:
         honest_in = measured[0] if measured else run(inst, config=config).acceptance
         tr = run(out, config=config)
         honest_out = tr.acceptance
@@ -684,49 +676,52 @@ def halve_turns(instance: ProtocolInstance, check: bool = True,
 def parallelize_to_three(instance: ProtocolInstance, check: bool = True,
                          config: RunConfig = DEFAULT_RUN_CONFIG
                          ) -> TransformResult:
-    """Pad to 2^(l+1)+1 turns and halve l times, ending at three turns."""
+    """Pad to 2^(l+1)+1 turns and halve l times, ending at three turns.
 
-    def build(inst, notes, snapshot):
-        m = inst.m
-        if m < 4:
-            raise PreconditionError(f"needs at least 4 turns, got {m}")
-        c_in, s_in = _claims(inst)
-        eps = None if c_in is None else 1.0 - c_in
-        dlt = None if s_in is None else 1.0 - s_in
-        warnings = ()
-        if eps is not None and dlt is not None and dlt <= 2 * (m - 1) * eps:
-            warnings = ("gap condition violated: 1-s must exceed 2(m-1)(1-c); "
-                        "the three-turn statement's formulas are not implied",)
+    The halvings validate and measure every protocol they build. The
+    output is the last halving's under this pass's name, with that
+    halving's claims, so nothing is validated or run again here."""
+    m = instance.m
+    if m < 4:
+        raise PreconditionError(f"needs at least 4 turns, got {m}")
+    c_in, s_in = _claims(instance)
+    eps = None if c_in is None else 1.0 - c_in
+    dlt = None if s_in is None else 1.0 - s_in
+    warnings = ()
+    if eps is not None and dlt is not None and dlt <= 2 * (m - 1) * eps:
+        warnings = ("gap condition violated: 1-s must exceed 2(m-1)(1-c); "
+                    "the three-turn statement's formulas are not implied",)
 
-        l = 1
-        while 2 ** (l + 1) + 1 < m:
-            l += 1
-        target = 2 ** (l + 1) + 1
-        out = inst
-        if target != m:
-            out = pad_turns(out, target)
-            notes.append(f"padded from {m} to {target} turns with dummy turns")
-        sub_reports = []
-        for _ in range(l):
-            res = halve_turns(out, check=check, config=config)
-            sub_reports.append(res.report)
-            out = res.instance
+    l = 1
+    while 2 ** (l + 1) + 1 < m:
+        l += 1
+    target = 2 ** (l + 1) + 1
+    notes = ()
+    out = instance
+    if target != m:
+        out = pad_turns(out, target)
+        notes = (f"padded from {m} to {target} turns with dummy turns",)
+    sub_reports = []
+    for _ in range(l):
+        res = halve_turns(out, check=check, config=config)
+        sub_reports.append(res.report)
+        out = res.instance
 
-        claimed = _claimed(
-            "1 - 2(1-c)/(m-1)", None if eps is None else 1.0 - 2 * eps / (m - 1),
-            "1 - (1-s)/(m-1)^2", None if dlt is None else 1.0 - dlt / (m - 1) ** 2)
-        claimed["composed"] = {"formula": "l-fold (1+c)/2 and (1+sqrt(s))/2",
-                               "completeness": out.meta.claimed_completeness,
-                               "soundness": out.meta.claimed_soundness}
-        # the halvings measured the padded input and this output already
-        return _Built(out.verifier, out.provers, out.shared, claimed,
-                      claims=_claims(out), warnings=warnings,
-                      extras={"halvings": l,
-                              "sub_reports": [r.as_dict() for r in sub_reports]},
-                      honest=(sub_reports[0].input_honest,
-                              sub_reports[-1].output_honest), validated=True)
-
-    return _run_pass("three-turn", instance, check, config, build, prepare=None)
+    claimed = _claimed(
+        "1 - 2(1-c)/(m-1)", None if eps is None else 1.0 - 2 * eps / (m - 1),
+        "1 - (1-s)/(m-1)^2", None if dlt is None else 1.0 - dlt / (m - 1) ** 2)
+    c_out, s_out = _claims(out)
+    claimed["composed"] = {"formula": "l-fold (1+c)/2 and (1+sqrt(s))/2",
+                           "completeness": c_out, "soundness": s_out}
+    report = TransformReport(
+        "three-turn", (instance.k, m), (out.k, out.m),
+        sub_reports[0].input_honest, sub_reports[-1].output_honest, claimed,
+        instance.verifier.layout.total_qubits,
+        out.verifier.layout.total_qubits, warnings, notes,
+        {"halvings": l, "sub_reports": [r.as_dict() for r in sub_reports],
+         "dim_caveat": DIM_CAP_NOTE})
+    meta = _meta_with(instance, "three-turn", c_out, s_out)
+    return TransformResult(replace(out, meta=meta), report)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +1013,7 @@ def _copy_blocks(name: str, instance: ProtocolInstance, n: int, check: bool,
                     circ.remap(copy_map(c)) for circ in p.circuits)
                 groups.setdefault(f"P{j}", []).append(f"{old_prov[i]}_c{c}")
         provers = [ProverStrategy(j, tuple(cs)) for j, cs in circuits.items()]
-        shared = Snapshot.whole(power).placed(list(groups.items()))
+        shared = power.placed(list(groups.items()))
 
         c, s = _claims(inst)
         return _Built(new_spec, tuple(provers), shared,

@@ -274,17 +274,20 @@ print(json.dumps(out))
 
 def test_huge_register_is_rejected_before_any_allocation(tmp_path):
     # a width no array can hold is refused before 2**n is computed, with
-    # amplitudes and with a preparation circuit; run under a 1 GiB address
-    # space cap so that a regression cannot exhaust the machine
+    # amplitudes and with a preparation circuit, and a preparation circuit
+    # whose state does not fit in memory is refused where it is allocated;
+    # run under a 1 GiB address space cap so that a regression cannot
+    # exhaust the machine
     paths = []
-    for qubits in (10 ** 9, 10 ** 30):
-        for shared in ({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
-                       {"circuit": []}):
-            data = files.instance_to_dict(fixtures.guess())
-            data["registers"][-1]["qubits"] = qubits
-            data["shared_state"] = shared
-            paths.append(tmp_path / f"huge{len(paths)}.json")
-            paths[-1].write_text(json.dumps(data))
+    cases = [(qubits, shared) for qubits in (10 ** 9, 10 ** 30)
+             for shared in ({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+                            {"circuit": []})]
+    for qubits, shared in cases + [(40, {"circuit": []})]:
+        data = files.instance_to_dict(fixtures.guess())
+        data["registers"][-1]["qubits"] = qubits
+        data["shared_state"] = shared
+        paths.append(tmp_path / f"huge{len(paths)}.json")
+        paths[-1].write_text(json.dumps(data))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(files.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _HUGE_REGISTER_PROBE,

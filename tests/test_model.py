@@ -159,7 +159,7 @@ def test_snapshot_norms_are_one():
     tr = run(fixtures.five_turn_yes(), snapshot_turns=range(1, 6))
     assert len(tr.snapshots) == 5
     for snap in tr.snapshots:
-        assert abs(snap.state().norm() - 1.0) <= 1e-10
+        assert abs(snap.state.norm() - 1.0) <= 1e-10
 
 
 def test_branch_mass_conservation():

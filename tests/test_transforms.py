@@ -387,16 +387,20 @@ def _one_round_with_dirty_workspace(monkeypatch, live: bool):
     real_run = transforms.run
 
     def dirty(snap):
-        if not live:
-            return dataclasses.replace(snap, index=(1,) + snap.index[1:])
-        return dataclasses.replace(
-            snap, live=np.kron([0.6, 0.8], snap.live),
-            index=(slice(None),) + snap.index[1:],
-            perm=(0,) + tuple(b + 1 for b in snap.perm))
+        state = snap.state
+        (qubit, _), *known = state.known
+        amps = state.amplitudes
+        if live:
+            amps = np.kron([0.6, 0.8], amps)
+        else:
+            known.insert(0, (qubit, 1))
+        return dataclasses.replace(snap, state=StateVector(
+            amps, state.layout, False, tuple(known)))
 
     def dirty_run(instance, snapshot_turns=(), **kwargs):
         tr = real_run(instance, snapshot_turns=snapshot_turns, **kwargs)
-        assert all(s.index[0] == 0 for s in tr.snapshots)
+        assert all(s.state.known[0] == ((s.state.layout[0][0], 0), 0)
+                   for s in tr.snapshots)
         return dataclasses.replace(
             tr, snapshots=tuple(map(dirty, tr.snapshots)))
 

@@ -22,7 +22,9 @@ is a sha256, a `repr`'d float or an error's class and message:
   the output file and the report;
 * every `run_pipeline` stage of five_turn_yes, sound_yes, five_turn_no and
   sound_no, and the final output;
-* `run` acceptance on every committed fixture;
+* `run` acceptance on every committed fixture, and its snapshot after
+  every turn, each branch keyed by turn and history and holding the sha256
+  of the dense state's bytes;
 * `optimal_shared_state` (value and state) and `random_search` on every
   committed fixture, and `brute_force_value` on the fixtures it accepts;
 * see-saw values, traces, restart values, states and strategies on the
@@ -100,6 +102,12 @@ def digests(work: Path) -> dict[str, str]:
 
     for n in names:
         out[f"run {n}"] = repr(model.run(loaded[n]).acceptance)
+        tr = model.run(loaded[n], snapshot_turns=range(1, loaded[n].m + 1))
+        for snap in tr.snapshots:
+            # trees before the one state form give it by a `state()` method
+            state = snap.state() if callable(snap.state) else snap.state
+            out[f"run {n} snapshot turn={snap.turn} branch={snap.history}"] = (
+                _array_sha(state.dense()))
 
     for pass_name, fn in sorted(transforms.PASSES.items()):
         for n in names:
