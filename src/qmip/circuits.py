@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import ValidationError
-from .linalg import Qubit, StateVector, apply_matrix, permutation_sources
+from .linalg import (Qubit, StateVector, apply_matrix, permutation_sources,
+                     read_only)
 
 Control = tuple[Qubit, int]
 
@@ -35,6 +36,9 @@ _SWAP = np.array(
      [0, 0, 1, 0],
      [0, 1, 0, 0],
      [0, 0, 0, 1]], dtype=np.complex128)
+# read-only, so every gate that names them holds these very objects
+for _m in (*_SQ.values(), _SWAP):
+    _m.setflags(write=False)
 _SWAP_SOURCES = (0, 2, 1, 3)   # permutation_sources(_SWAP)
 
 MAX_GATE_SPAN = 12  # controls + targets; keeps single-gate matrices small
@@ -69,8 +73,7 @@ class Gate:
     controls: tuple[Control, ...] = ()
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        m.setflags(write=False)
+        m = read_only(self.matrix)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "targets", tuple(_q(t) for t in self.targets))
         object.__setattr__(self, "controls",
@@ -79,6 +82,9 @@ class Gate:
         if m.shape != (d, d):
             raise ValidationError(
                 f"gate {self.name}: matrix {m.shape} does not fit {len(self.targets)} targets")
+        self._check_qubits()
+
+    def _check_qubits(self) -> None:
         span = len(self.targets) + len(self.controls)
         if span > MAX_GATE_SPAN:
             raise ValidationError(
@@ -86,6 +92,21 @@ class Gate:
         seen = set(self.targets) | {q for q, _ in self.controls}
         if len(seen) != span:
             raise ValidationError(f"gate {self.name}: overlapping targets/controls")
+
+    def _derived(self, matrix: np.ndarray, targets: tuple[Qubit, ...],
+                 controls: tuple[Control, ...], check: bool = True) -> "Gate":
+        """A gate with this one's name on normalised qubits, holding
+        `matrix`, which is this gate's or made the same way (read-only,
+        C-contiguous complex128, of this shape), so it is not normalised
+        again; with `check`, the span and overlap are."""
+        g = object.__new__(Gate)
+        object.__setattr__(g, "name", self.name)
+        object.__setattr__(g, "matrix", matrix)
+        object.__setattr__(g, "targets", targets)
+        object.__setattr__(g, "controls", controls)
+        if check:
+            g._check_qubits()
+        return g
 
     @property
     def permutation(self) -> tuple[int, ...] | None:
@@ -103,19 +124,24 @@ class Gate:
     def dagger(self) -> "Gate":
         """The inverse gate. A matrix equal to its conjugate transpose (X,
         Y, Z, H, SWAP) is kept as the same object, so its facts per matrix
-        (`permutation`) carry over."""
+        (`permutation`) carry over; any other adjoint is made read-only and
+        contiguous here, once. The qubits are this gate's."""
         m = self.matrix.conj().T
-        return Gate(self.name, self.matrix if np.array_equal(m, self.matrix) else m,
-                    self.targets, self.controls)
+        if np.array_equal(m, self.matrix):
+            m = self.matrix
+        else:
+            m = np.ascontiguousarray(m)
+            m.setflags(write=False)
+        return self._derived(m, self.targets, self.controls, check=False)
 
     def controlled(self, extra: Sequence[Control]) -> "Gate":
-        return Gate(self.name, self.matrix, self.targets,
-                    tuple(extra) + self.controls)
+        return self._derived(self.matrix, self.targets,
+                             tuple((_q(q), int(b) & 1) for q, b in extra)
+                             + self.controls)
 
     def remap(self, fn: Callable[[Qubit], Qubit]) -> "Gate":
-        return Gate(self.name, self.matrix,
-                    tuple(fn(t) for t in self.targets),
-                    tuple((fn(q), b) for q, b in self.controls))
+        return self._derived(self.matrix, tuple(_q(fn(t)) for t in self.targets),
+                             tuple((_q(fn(q)), b) for q, b in self.controls))
 
     def full_matrix(self) -> np.ndarray:
         """Dense matrix over (control qubits ++ target qubits), big-endian."""
@@ -133,8 +159,9 @@ class Gate:
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """The gate applied to a copy of the state, by the executor's kernel."""
-    return state.with_amplitudes(
-        apply_matrix(state, gate.matrix, gate.targets, gate.controls))
+    amps = apply_matrix(state, gate.matrix, gate.targets, gate.controls)
+    amps.setflags(write=False)
+    return state.with_amplitudes(amps)
 
 
 def is_swap(gate: Gate) -> bool:

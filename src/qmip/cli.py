@@ -154,8 +154,7 @@ def cmd_audit(args) -> int:
         trace_note = (f" ({len(res.trace)} sweeps, "
                       f"{'converged' if res.converged else 'not converged'})")
         if args.out_strategy:
-            Path(args.out_strategy).write_text(
-                json.dumps(files.strategy_to_dict(res), indent=1))
+            Path(args.out_strategy).write_text(files.strategy_text(res))
             print(f"wrote strategy to {args.out_strategy}")
     print(f"best adversarial value found = {value:.12f}{trace_note}")
     verdict = None

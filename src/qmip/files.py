@@ -13,12 +13,10 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
 from stat import S_ISREG
-from typing import Any
 
 import numpy as np
 
@@ -54,21 +52,6 @@ def _malformed(path: str, e: Exception) -> ValidationError:
 # complex / matrix encoding
 
 
-def _complex_enc(a) -> list:
-    """The complex array `a` as nested lists of [re, im] pairs, with equal
-    entries as one shared pair object, which `_json_pairs` renders once."""
-    # + 0.0 writes a zero component as 0.0 whatever its sign, so saved bytes
-    # do not depend on how a kernel reached the zero and equal entries are
-    # equal bit for bit; NaNs stay distinct (equal_nan=False)
-    a = np.asarray(a) + 0.0
-    vals, inv = np.unique(a.ravel(), return_inverse=True, equal_nan=False)
-    pairs = np.stack((vals.real, vals.imag), -1).tolist()
-    out = list(map(pairs.__getitem__, inv.tolist()))
-    for n in reversed(a.shape[1:]):
-        out = [out[i:i + n] for i in range(0, len(out), n)]
-    return out
-
-
 def _c_dec(v, path: str) -> complex:
     if not (isinstance(v, list) and len(v) == 2):
         raise _err(path, "complex numbers are [re, im] pairs")
@@ -92,10 +75,6 @@ def _mat_dec(v, path: str) -> np.ndarray:
         raise _err(path, "matrix must be a non-empty row-major list")
     return np.array([[_c_dec(z, path) for z in row] for row in v],
                     dtype=np.complex128)
-
-
-def _qubit_enc(q) -> list:
-    return [q[0], q[1]]
 
 
 def _qubit_dec(v, path: str) -> tuple[str, int]:
@@ -130,25 +109,12 @@ _NAMED = {**{n: _SQ[n] for n in ("H", "X", "Y", "Z", "S")}, "SWAP": _SWAP}
 """The gates saved by name alone, with the matrix each name loads as."""
 
 
-def _gate_enc(g: Gate) -> dict:
-    out: dict[str, Any] = {"gate": g.name, "targets": [_qubit_enc(t) for t in g.targets]}
-    named = _NAMED.get(g.name)
-    # a name is saved only with its own matrix: S^dag keeps the name "S"
-    if named is None or (g.matrix is not named
-                         and not np.array_equal(g.matrix, named)):
-        out["gate"] = "U"
-        out["matrix"] = _complex_enc(g.matrix)
-    if g.controls:
-        out["controls"] = [[_qubit_enc(q), b] for q, b in g.controls]
-    return out
-
-
 def _check_unitary(name: str, m: np.ndarray, path: str) -> None:
     d = m.shape[0]
     if m.ndim != 2 or m.shape[0] != m.shape[1] or d & (d - 1):
         raise _err(path, f"gate {name} matrix must be square power-of-two")
     dev = float(np.abs(m.conj().T @ m - np.eye(d)).max())
-    if dev > UNITARITY_TOL:
+    if not dev <= UNITARITY_TOL:            # a NaN entry fails too
         raise _err(path, f"gate {name} not unitary (||U^dag U - I|| = {dev:.3e})")
 
 
@@ -202,10 +168,6 @@ def _gate_dec(v, circuits: dict[str, Circuit], path: str) -> list[Gate]:
         raise _malformed(path, e) from None
 
 
-def _circuit_enc(c: Circuit) -> list[dict]:
-    return [_gate_enc(g) for g in c.gates]
-
-
 def _circuit_dec(v, circuits: dict[str, Circuit], path: str) -> Circuit:
     if v is None:
         return Circuit(())
@@ -225,14 +187,6 @@ def _circuit_dec(v, circuits: dict[str, Circuit], path: str) -> Circuit:
 # projectors
 
 
-def _proj_enc(p: ProjectorOp) -> dict:
-    if p.kind == "output_one":
-        return {"type": PROJ_OUTPUT_ONE, "qubit": _qubit_enc(p.qubits[0])}
-    if p.kind == "all_zero":
-        return {"type": PROJ_ALL_ZERO, "qubits": [_qubit_enc(q) for q in p.qubits]}
-    return {"type": PROJ_COMPLEMENT, "inner": _proj_enc(p.inner)}
-
-
 def _proj_dec(v, path: str) -> ProjectorOp:
     if not isinstance(v, dict) or "type" not in v:
         raise _err(path, "projectors are objects with a 'type' field")
@@ -245,10 +199,6 @@ def _proj_dec(v, path: str) -> ProjectorOp:
     if t == PROJ_COMPLEMENT:
         return ProjectorOp.complement(_proj_dec(v.get("inner"), f"{path}.inner"))
     raise _err(path, f"unknown projector type {t!r}")
-
-
-def _when_enc(w) -> list | None:
-    return None if w is None else [w[0], w[1]]
 
 
 def _when_dec(v, path: str):
@@ -294,13 +244,166 @@ def _steps_dec(values, circuits: dict[str, Circuit], path: str,
 
 
 # ---------------------------------------------------------------------------
-# instance <-> dict
+# the writer
+#
+# A file's text is what `json.dumps(data, indent=1)` writes for the data the
+# format gives the objects (with `sort_keys=True` for protocol files), written
+# straight from the objects with no dict tree in between. `indent` turns off
+# json's C encoder, and its pure-Python one spends most of a save on circuits.
+# Each part is rendered for the place it sits, given as `nl`: a newline and
+# the indent of the part's closing bracket; its items sit one space further.
 
 
-def instance_to_dict(instance: ProtocolInstance) -> dict:
+def _seq(items: list[str], nl: str) -> str:
+    """A JSON array of rendered items."""
+    if not items:
+        return "[]"
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _obj(fields: list[tuple[str, str]], nl: str) -> str:
+    """A JSON object of (rendered key, rendered value) fields, in order."""
+    if not fields:
+        return "{}"
+    inner = nl + " "
+    return "{" + inner + ("," + inner).join(
+        [k + ": " + v for k, v in fields]) + nl + "}"
+
+
+def _float(x: float) -> str:
+    if isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _value(v, nl: str) -> str:
+    """Any JSON value as json writes it: a str, int or finite float
+    directly, anything else (null, a bool, a list or dict in the meta, a
+    float subclass) through json itself. json escapes every newline inside
+    a string, so each newline in its text is indentation, moved to `nl`."""
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is float and isfinite(v):
+        return float.__repr__(v)
+    return json.dumps(v, sort_keys=True, indent=1).replace("\n", nl)
+
+
+class _Writer:
+    """The parts of one file. Qubits, matrices and circuits are rendered
+    once per file and place, keyed by value or by `id`: the objects stay
+    alive, and so keep their ids, while their file is written.
+    `sorted_keys` gives a gate's keys in sorted order (protocol files), else
+    in the order the strategy file writes them."""
+
+    def __init__(self, sorted_keys: bool):
+        self.sorted_keys = sorted_keys
+        self.qubits: dict = {}
+        self.matrices: dict = {}
+        self.circuits: dict = {}
+
+    def qubit(self, q, nl: str) -> str:
+        text = self.qubits.get((q, nl))
+        if text is None:
+            inner = nl + " "
+            text = self.qubits[q, nl] = (
+                "[" + inner + _value(q[0], inner) + "," + inner
+                + _value(q[1], inner) + nl + "]")
+        return text
+
+    def pairs(self, a: np.ndarray, nl: str) -> list[str]:
+        """The entries of the complex array `a`, flattened, as [re, im]
+        pairs; each distinct entry is rendered once."""
+        # + 0.0 writes a zero component as 0.0 whatever its sign, so saved
+        # bytes do not depend on how a kernel reached the zero, and equal
+        # entries are equal bit for bit
+        vals = (np.asarray(a) + 0.0).ravel().tolist()
+        pair = "[" + nl + " %s," + nl + " %s" + nl + "]"
+        texts = dict.fromkeys(vals)
+        for z in texts:
+            texts[z] = pair % (_float(z.real), _float(z.imag))
+        return list(map(texts.__getitem__, vals))
+
+    def matrix(self, m: np.ndarray, nl: str) -> str:
+        text = self.matrices.get((id(m), nl))
+        if text is None:
+            row_nl = nl + " "
+            items = self.pairs(m, row_nl + " ")
+            cols = m.shape[1]
+            text = self.matrices[id(m), nl] = _seq(
+                [_seq(items[i:i + cols], row_nl)
+                 for i in range(0, len(items), cols)], nl)
+        return text
+
+    def gate(self, g: Gate, nl: str) -> str:
+        inner = nl + " "
+        item = inner + " "
+        named = _NAMED.get(g.name)
+        # a name is saved only with its own matrix: S^dag keeps the name "S"
+        if named is None or (g.matrix is not named
+                             and not np.array_equal(g.matrix, named)):
+            name = '"gate": "U"'
+            matrix = "," + inner + '"matrix": ' + self.matrix(g.matrix, inner)
+        else:
+            name = '"gate": ' + _value(g.name, inner)
+            matrix = ""
+        targets = '"targets": ' + _seq([self.qubit(t, item)
+                                        for t in g.targets], inner)
+        if g.controls:
+            bit = item + " "
+            controls = '"controls": ' + _seq(
+                ["[" + bit + self.qubit(q, bit) + "," + bit + _value(b, bit)
+                 + item + "]" for q, b in g.controls], inner)
+            fields = ((controls, name + matrix, targets) if self.sorted_keys
+                      else (name, targets + matrix, controls))
+        else:
+            fields = ((name + matrix, targets) if self.sorted_keys
+                      else (name, targets + matrix))
+        return "{" + inner + ("," + inner).join(fields) + nl + "}"
+
+    def circuit(self, c: Circuit, nl: str) -> str:
+        text = self.circuits.get((id(c), nl))
+        if text is None:
+            inner = nl + " "
+            text = self.circuits[id(c), nl] = _seq(
+                [self.gate(g, inner) for g in c.gates], nl)
+        return text
+
+    def projector(self, p: ProjectorOp, nl: str) -> str:
+        inner = nl + " "
+        if p.kind == "output_one":
+            return _obj([('"qubit"', self.qubit(p.qubits[0], inner)),
+                         ('"type"', f'"{PROJ_OUTPUT_ONE}"')], nl)
+        if p.kind == "all_zero":
+            return _obj([('"qubits"', _seq([self.qubit(q, inner + " ")
+                                            for q in p.qubits], inner)),
+                         ('"type"', f'"{PROJ_ALL_ZERO}"')], nl)
+        return _obj([('"inner"', self.projector(p.inner, inner)),
+                     ('"type"', f'"{PROJ_COMPLEMENT}"')], nl)
+
+    def projectors(self, ps, nl: str) -> str:
+        return _seq([self.projector(p, nl + " ") for p in ps], nl)
+
+
+def _when(w, nl: str) -> str:
+    if w is None:
+        return "null"
+    return _seq([_value(w[0], nl + " "), _value(w[1], nl + " ")], nl)
+
+
+def _instance_text(instance: ProtocolInstance) -> str:
+    """The protocol file of `instance`, without its final newline.
+
+    Circuits are named as they are first met (verifier turn j's apply steps
+    v<j>, v<j>_2, ...; prover i's turn t p<i>_t<t>; the final steps final)
+    and listed by name."""
+    w = _Writer(sorted_keys=True)
     spec = instance.verifier
-    layout = spec.layout
-    circuits: dict[str, list] = {}
+    n1, n2, n3, n4, n5 = ("\n" + " " * d for d in range(1, 6))
+    circuits: dict[str, str] = {}
 
     def name_circuit(base: str, c: Circuit) -> str:
         nm = base
@@ -308,73 +411,93 @@ def instance_to_dict(instance: ProtocolInstance) -> dict:
         while nm in circuits:
             nm = f"{base}_{i}"
             i += 1
-        circuits[nm] = _circuit_enc(c)
-        return nm
+        circuits[nm] = w.circuit(c, n2)
+        return encode_basestring_ascii(nm)
 
-    def steps_enc(steps, base: str) -> list[dict]:
+    def steps_text(steps, base: str, nl: str) -> str:
+        """The steps as the items of a list closed at `nl`."""
+        item = nl + " "
+        key = item + " "
         out = []
         for s in steps:
             if isinstance(s, ApplyStep):
-                out.append({"apply": name_circuit(base, s.circuit),
-                            "when": _when_enc(s.when)})
+                out.append(_obj([('"apply"', name_circuit(base, s.circuit)),
+                                 ('"when"', _when(s.when, key))], item))
             elif isinstance(s, CoinStep):
-                out.append({"coin": {
-                    "id": s.coin_id, "flips": s.flips,
-                    "recipients": list(s.recipients),
-                    "record": None if s.record is None
-                    else [_qubit_enc(q) for q in s.record]}})
+                inner = key + " "
+                record = "null" if s.record is None else _seq(
+                    [w.qubit(q, inner + " ") for q in s.record], inner)
+                out.append(_obj([('"coin"', _obj([
+                    ('"flips"', _value(s.flips, inner)),
+                    ('"id"', _value(s.coin_id, inner)),
+                    ('"recipients"', _seq([_value(r, inner + " ")
+                                           for r in s.recipients], inner)),
+                    ('"record"', record)], key))], item))
             else:
-                out.append({"accept_now": [_proj_enc(p) for p in s.projectors],
-                            "when": _when_enc(s.when)})
-        return out
+                out.append(_obj([('"accept_now"', w.projectors(s.projectors, key)),
+                                 ('"when"', _when(s.when, key))], item))
+        return _seq(out, nl)
 
-    turns_out: list[dict] = []
-    v_idx = 0
-    p_idx = 0
+    turns: list[str] = []
+    v_idx = p_idx = 0
     for t in range(1, spec.m + 1):
         if turn_owner(spec.m, t) == "V":
             v_idx += 1
-            turns_out.append({"owner": "verifier", "steps": steps_enc(
-                spec.turns[v_idx - 1].steps, f"v{v_idx}")})
+            turns.append(_obj([
+                ('"owner"', '"verifier"'),
+                ('"steps"', steps_text(spec.turns[v_idx - 1].steps,
+                                       f"v{v_idx}", n3))], n2))
         else:
             p_idx += 1
             entry = {}
             for p in instance.provers:
                 entry[str(p.index)] = name_circuit(
                     f"p{p.index}_t{p_idx}", p.circuits[p_idx - 1])
-            turns_out.append({"owner": "provers", "circuits": entry})
+            turns.append(_obj([
+                ('"circuits"', _obj([(encode_basestring_ascii(i), entry[i])
+                                     for i in sorted(entry)], n3)),
+                ('"owner"', '"provers"')], n2))
 
-    final_steps = steps_enc(spec.final.steps, "final")
-    accept = [{"projectors": [_proj_enc(p) for p in rule.projectors],
-               "when": _when_enc(rule.when)} for rule in spec.final.accept]
+    final_steps = steps_text(spec.final.steps, "final", n2)
+    accept = _seq([_obj([('"projectors"', w.projectors(rule.projectors, n4)),
+                         ('"when"', _when(rule.when, n4))], n3)
+                   for rule in spec.final.accept], n2)
 
     meta = instance.meta
-    return {
-        "format": FORMAT_TAG,
-        "meta": {
-            "name": meta.name, "role": meta.role,
-            "claimed_completeness": meta.claimed_completeness,
-            "claimed_soundness": meta.claimed_soundness,
-            "notes": list(meta.notes),
-        },
-        "registers": [{"name": r.name, "qubits": r.qubits, "role": r.role}
-                      for r in layout.registers],
-        "circuits": circuits,
-        "turns": turns_out,
-        "final": {"steps": final_steps, "accept": accept},
-        "output_qubit": None if spec.output_qubit is None
-        else _qubit_enc(spec.output_qubit),
-        "shared_state": _shared_enc(instance.shared),
-    }
-
-
-def _shared_enc(shared: StateVector) -> dict:
-    """The live amplitudes, and the known bits when there are any, so a
-    state without them keeps the bytes it had before known bits existed."""
-    out: dict[str, Any] = {"amplitudes": _complex_enc(shared.amplitudes)}
+    shared = instance.shared
+    shared_fields = [('"amplitudes"', _seq(w.pairs(shared.amplitudes, n3), n2))]
+    # written only when there are known bits, so a state without them keeps
+    # the bytes it had before known bits existed
     if shared.known:
-        out["known"] = [[_qubit_enc(q), bit] for q, bit in shared.known]
-    return out
+        shared_fields.append(('"known"', _seq(
+            [_seq([w.qubit(q, n4), _value(bit, n4)], n3)
+             for q, bit in shared.known], n2)))
+    return _obj([
+        ('"circuits"', _obj([(encode_basestring_ascii(nm), circuits[nm])
+                             for nm in sorted(circuits)], n1)),
+        ('"final"', _obj([('"accept"', accept), ('"steps"', final_steps)], n1)),
+        ('"format"', f'"{FORMAT_TAG}"'),
+        ('"meta"', _obj([
+            ('"claimed_completeness"', _value(meta.claimed_completeness, n2)),
+            ('"claimed_soundness"', _value(meta.claimed_soundness, n2)),
+            ('"name"', _value(meta.name, n2)),
+            ('"notes"', _seq([_value(x, n3) for x in meta.notes], n2)),
+            ('"role"', _value(meta.role, n2))], n1)),
+        ('"output_qubit"', "null" if spec.output_qubit is None
+         else w.qubit(spec.output_qubit, n1)),
+        ('"registers"', _seq([_obj([('"name"', _value(r.name, n3)),
+                                    ('"qubits"', _value(r.qubits, n3)),
+                                    ('"role"', _value(r.role, n3))], n2)
+                              for r in spec.layout.registers], n1)),
+        ('"shared_state"', _obj(shared_fields, n1)),
+        ('"turns"', _seq(turns, n1)),
+    ], "\n")
+
+
+def instance_to_dict(instance: ProtocolInstance) -> dict:
+    """The data of `instance`'s protocol file, read back from the text
+    `save` writes."""
+    return json.loads(_instance_text(instance))
 
 
 def instance_from_dict(data: dict) -> ProtocolInstance:
@@ -386,7 +509,10 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
         regs = []
         for i, rv in enumerate(data.get("registers", [])):
             where = f"registers[{i}]"
-            regs.append(Register(str(rv["name"]), int(rv["qubits"]),
+            if type(rv["qubits"]) is not int:
+                raise _err(where, f"register sizes are integers, "
+                                  f"not {rv['qubits']!r}")
+            regs.append(Register(str(rv["name"]), rv["qubits"],
                                  str(rv["role"])))
         layout = RegisterLayout(tuple(regs))
 
@@ -442,7 +568,7 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
             amps = np.array([_c_dec(z, "shared_state.amplitudes")
                              for z in sv["amplitudes"]], dtype=np.complex128)
             norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > NORM_TOL:
+            if not abs(norm - 1.0) <= NORM_TOL:     # a NaN entry fails too
                 raise _err("shared_state",
                            f"amplitudes not normalized (||psi|| deviates by "
                            f"{abs(norm-1.0):.3e})")
@@ -486,79 +612,6 @@ def instance_from_dict(data: dict) -> ProtocolInstance:
     return instance
 
 
-def canonical_json(data) -> str:
-    """`data` as `json.dumps(data, sort_keys=True, indent=1)` writes it.
-
-    `data` is built of dicts with str keys, lists, str, int, float, bool and
-    None; anything else raises TypeError. `indent` turns off json's C
-    encoder, so this writer stands in for it: a list of [float, float] pairs
-    (amplitudes, matrix rows) is rendered with one format, each distinct
-    pair object once, and floats go through `float.__repr__`, as json's do
-    (numpy 2's `repr` of a float64 differs).
-    """
-    return _json(data, "\n")
-
-
-def _json(o, nl: str) -> str:
-    """`o` rendered with its closing bracket after `nl` (newline + indent)."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, list):
-        if not o:
-            return "[]"
-        inner = nl + " "
-        items = _json_pairs(o, inner)
-        if items is None:
-            items = ("," + inner).join([_json(v, inner) for v in o])
-        return "[" + inner + items + nl + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = nl + " "
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _json(o[k], inner)
-             for k in sorted(o)]) + nl + "}"
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if isfinite(o):
-            return float.__repr__(o)
-        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
-    raise TypeError(f"Object of type {type(o).__name__} "
-                    f"is not JSON serializable")
-
-
-def _json_pairs(o: list, inner: str) -> str | None:
-    """The items of `o`, each after `inner`, if all are [float, float] pairs
-    of finite floats; None otherwise.
-
-    Each distinct item object is checked and rendered once, keyed by `id`,
-    which holds because the tree does not change while it is written.
-    """
-    first = o[0]
-    if (type(first) is not list or len(first) != 2
-            or type(first[0]) is not float):
-        return None
-    ids = list(map(id, o))
-    items = dict(zip(ids, o))
-    distinct = list(items.values())
-    if set(map(type, distinct)) != {list} or set(map(len, distinct)) != {2}:
-        return None
-    flat = list(chain.from_iterable(distinct))
-    if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
-        return None
-    reprs = list(map(float.__repr__, flat))
-    pair = "[" + inner + " %s," + inner + " %s" + inner + "]"
-    texts = dict(zip(items, map(pair.__mod__, zip(reprs[::2], reprs[1::2]))))
-    return ("," + inner).join(map(texts.__getitem__, ids))
-
-
 def save(instance: ProtocolInstance, path: str | Path) -> str:
     """Write `instance` to `path` and return the text written.
 
@@ -567,7 +620,7 @@ def save(instance: ProtocolInstance, path: str | Path) -> str:
     truncating a file starts at close; a crash mid-save can leave old and
     new bytes mixed.
     """
-    text = canonical_json(instance_to_dict(instance)) + "\n"
+    text = _instance_text(instance) + "\n"
     data = memoryview(text.encode("ascii"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
@@ -605,20 +658,27 @@ def digest(path: str | Path) -> str:
 # strategy files (adversary output) and run records
 
 
-def strategy_to_dict(result) -> dict:
-    return {
-        "format": STRATEGY_TAG,
-        "value": result.value,
-        "prover_dims": list(result.prover_dims),
-        "strategies": [
-            {"index": p.index,
-             "turns": [_circuit_enc(c) for c in p.circuits]}
-            for p in result.strategies],
-        "shared": _complex_enc(result.shared.amplitudes),
-        "trace": list(result.trace),
-        "converged": result.converged,
-        "restart_values": list(result.restart_values),
-    }
+def strategy_text(result) -> str:
+    """The strategy file of a see-saw result: the text
+    `json.dumps(data, indent=1)` writes, keys in the order below."""
+    w = _Writer(sorted_keys=False)
+    n1, n2, n3, n4 = ("\n" + " " * d for d in range(1, 5))
+    strategies = [_obj([('"index"', _value(p.index, n3)),
+                        ('"turns"', _seq([w.circuit(c, n4) for c in p.circuits],
+                                         n3))], n2)
+                  for p in result.strategies]
+    return _obj([
+        ('"format"', f'"{STRATEGY_TAG}"'),
+        ('"value"', _value(result.value, n1)),
+        ('"prover_dims"', _seq([_value(d, n2) for d in result.prover_dims],
+                               n1)),
+        ('"strategies"', _seq(strategies, n1)),
+        ('"shared"', _seq(w.pairs(result.shared.amplitudes, n2), n1)),
+        ('"trace"', _seq([_value(x, n2) for x in result.trace], n1)),
+        ('"converged"', _value(result.converged, n1)),
+        ('"restart_values"', _seq([_value(x, n2)
+                                   for x in result.restart_values], n1)),
+    ], "\n")
 
 
 def load_strategy(path: str | Path) -> dict:

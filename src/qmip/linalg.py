@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
@@ -30,6 +30,18 @@ def _as_layout(layout: Iterable[Sequence]) -> Layout:
     for name, n in out:
         if n < 0:
             raise ValidationError(f"register {name} has negative size")
+    return out
+
+
+def read_only(a) -> np.ndarray:
+    """`a` as a read-only C-contiguous complex128 array: `a` itself when it
+    already is one, else a read-only copy, so no caller's writable array is
+    frozen or shared."""
+    if (type(a) is np.ndarray and a.dtype == np.complex128
+            and not a.flags.writeable and a.flags.c_contiguous):
+        return a
+    out = np.array(a, dtype=np.complex128, order="C")
+    out.setflags(write=False)
     return out
 
 
@@ -53,8 +65,7 @@ class StateVector:
     known: tuple[tuple[Qubit, int], ...] = ()
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        amps.setflags(write=False)
+        amps = read_only(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "layout", _as_layout(self.layout))
         if self.known:
@@ -68,9 +79,31 @@ class StateVector:
                 f"amplitude vector has length {amps.shape}, layout{with_known} "
                 f"needs 2^{n}")
         if self.normalized:
-            err = abs(np.linalg.norm(amps) - 1.0)
-            if err > NORM_TOL:
-                raise ValidationError(f"state norm deviates from 1 by {err:.3e}")
+            self._check_norm()
+
+    @classmethod
+    def _unchecked(cls, amps: np.ndarray, layout: Layout,
+                   known: tuple[tuple[Qubit, int], ...],
+                   normalized: bool = False) -> "StateVector":
+        """A state on `amps`, which the caller hands over and no longer
+        writes, with `layout` and `known` taken as they are: a checked
+        layout and (qubit, 0/1 bit) pairs in layout order, as `run` gives
+        them for its snapshots and `placed` for its states. Only the norm
+        of a normalized state is checked."""
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amps)
+        object.__setattr__(state, "layout", layout)
+        object.__setattr__(state, "normalized", normalized)
+        object.__setattr__(state, "known", known)
+        if normalized:
+            state._check_norm()
+        return state
+
+    def _check_norm(self) -> None:
+        err = abs(np.linalg.norm(self.amplitudes) - 1.0)
+        if not err <= NORM_TOL:             # a NaN amplitude fails too
+            raise ValidationError(f"state norm deviates from 1 by {err:.3e}")
 
     def _checked_known(self) -> tuple[tuple[Qubit, int], ...]:
         """`known` with each qubit checked against the layout and each bit
@@ -175,8 +208,8 @@ class StateVector:
             raise ValidationError(
                 "groups and zeroed registers must partition the layout")
         sizes = dict(self.layout)
-        layout = tuple((name, sum(sizes[m] for m in members))
-                       for name, members in groups)
+        layout = _as_layout((name, sum(sizes[m] for m in members))
+                            for name, members in groups)
         kept = self._axes(order)
         index = self.full_index
         qubits = [(name, j) for name, n in layout for j in range(n)]
@@ -189,7 +222,8 @@ class StateVector:
             src, axes = projected
             at = {a: j for j, a in enumerate(axes)}
             live = src.transpose([at[a] for a in kept if a in at]).ravel()
-        return StateVector(live, layout, normalized, known)
+        # the known bits are this state's, in the new layout's order
+        return StateVector._unchecked(live, layout, known, normalized)
 
     def with_amplitudes(self, amps: np.ndarray, normalized: bool | None = None) -> "StateVector":
         """The state with dense amplitudes `amps` over the same layout."""
@@ -205,14 +239,16 @@ def zero_state(layout: Iterable[Sequence]) -> StateVector:
             f"no array holds the 2^{n} amplitudes of {n} qubits")
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = 1.0
+    amps.setflags(write=False)
     return StateVector(amps, lay)
 
 
 def tensor_states(a: StateVector, b: StateVector) -> StateVector:
     """a (x) b, with a's registers preceding b's, at its live width: the
     product of the live amplitudes and both states' known bits."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes),
-                       a.layout + b.layout,
+    amps = np.kron(a.amplitudes, b.amplitudes)
+    amps.setflags(write=False)
+    return StateVector(amps, a.layout + b.layout,
                        a.normalized and b.normalized, a.known + b.known)
 
 
@@ -322,6 +358,32 @@ def permutation_sources(matrix: np.ndarray) -> np.ndarray | None:
     return None
 
 
+LAYOUT_CACHE_SIZE = 4096
+"""How many kernel and slice layouts (`_kernel_layout`, `_slice_layout`) are
+kept. A layout is a few small tuples and depends on the axes alone, so the
+protocols a process runs again and again compile from kept layouts."""
+
+
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _kernel_layout(targets: tuple[int, ...], controls: Fixed
+                   ) -> tuple[tuple[int, ...], tuple, tuple[int, ...]]:
+    """`MatrixKernel`'s buffer shape, slice index and axis order for a
+    matrix on the axes `targets` under the (axis, bit) `controls`."""
+    shape, index, where = _merged(dict(controls), targets)
+    kept = [pos for pos, i in enumerate(index) if isinstance(i, slice)]
+    tdims = [kept.index(where[a]) for a in targets]
+    # the slice's axes with the targets first, as np.moveaxis orders them
+    order = tdims + [a for a in range(len(kept)) if a not in tdims]
+    return shape, tuple(index), tuple(order)
+
+
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _slice_layout(fixed: Fixed) -> tuple[tuple[int, ...], tuple]:
+    """The buffer shape and index of the slice that fixes `fixed`."""
+    shape, index, _ = _merged(dict(fixed))
+    return shape, tuple(index)
+
+
 class MatrixKernel:
     """A (controlled) matrix compiled against the axes of a buffer (`_merged`)
     and applied in place to the control-satisfied slice only;
@@ -342,12 +404,8 @@ class MatrixKernel:
         if self.matrix.shape != (self.dim, self.dim):
             raise ValidationError(
                 f"matrix shape {self.matrix.shape} does not fit {d} targets")
-        self.shape, index, where = _merged(dict(controls), targets)
-        self.index = tuple(index)
-        kept = [pos for pos, i in enumerate(index) if isinstance(i, slice)]
-        tdims = [kept.index(where[a]) for a in targets]
-        # the slice's axes with the targets first, as np.moveaxis orders them
-        self.order = tdims + [a for a in range(len(kept)) if a not in tdims]
+        self.shape, self.index, self.order = _kernel_layout(tuple(targets),
+                                                            tuple(controls))
 
     def __call__(self, buf: np.ndarray) -> None:
         """Apply in place to `buf`, a writable C-contiguous amplitude buffer."""
@@ -410,8 +468,7 @@ class Slices:
     (`_merged`): the basis projector onto every amplitude in any of them."""
 
     def __init__(self, slices: Iterable[Fixed]):
-        self.views = [(shape, tuple(index))
-                      for shape, index, _ in (_merged(dict(s)) for s in slices)]
+        self.views = [_slice_layout(tuple(s)) for s in slices]
 
     def mass(self, buf: np.ndarray) -> float:
         """||P psi||^2."""

@@ -362,14 +362,15 @@ def _projector_off_provers(p: ProjectorOp, layout: RegisterLayout, where: str,
                         f"{', '.join(read)}")
 
 
-def _circuit_in_registers(c: Circuit, allowed: set[str], layout: RegisterLayout,
-                          where: str, problems: list[str]) -> None:
-    for qreg, qidx in c.qubits():
+def _circuit_in_registers(qubits: set[Qubit], allowed: set[str],
+                          layout: RegisterLayout, where: str,
+                          problems: list[str]) -> None:
+    """The problem, if any, with a circuit acting on `qubits`."""
+    for qreg, qidx in qubits:
         if qreg not in allowed:
             problems.append(f"{where} acts outside its registers (touches {qreg})")
             return
-        r = layout.register(qreg)
-        if not 0 <= qidx < r.qubits:
+        if not 0 <= qidx < layout.register(qreg).qubits:
             problems.append(f"{where}: qubit index {qidx} out of range for {qreg}")
             return
 
@@ -421,7 +422,8 @@ def _problems_of(instance: ProtocolInstance) -> list[str]:
             loc = f"{where} step {si+1}"
             if isinstance(step, ApplyStep):
                 check_condition(step.when, loc)
-                _circuit_in_registers(step.circuit, vm, layout, loc, problems)
+                _circuit_in_registers(step.circuit.qubits(), vm, layout, loc,
+                                      problems)
             elif isinstance(step, CoinStep) and where == "final":
                 problems.append(
                     f"{loc}: coin steps are not allowed in the final circuit")
@@ -437,10 +439,14 @@ def _problems_of(instance: ProtocolInstance) -> list[str]:
                     if not 1 <= i <= layout.k:
                         problems.append(f"{loc}: recipient {i} out of range")
                 if step.record is not None:
-                    for reg, _ in step.record:
+                    for reg, idx in step.record:
                         if reg not in v_side:
                             problems.append(
                                 f"{loc}: coin record must sit in verifier registers")
+                            break
+                        if not 0 <= idx < layout.register(reg).qubits:
+                            problems.append(f"{loc}: coin record qubit index "
+                                            f"{idx} out of range for {reg}")
                             break
             elif isinstance(step, AcceptNowStep):
                 check_condition(step.when, loc)
@@ -486,13 +492,14 @@ def _problems_of(instance: ProtocolInstance) -> list[str]:
                 f"prover {i} has {len(prover.circuits)} turn circuits, "
                 f"{v.prover_turn_count()} expected")
         for t, c in enumerate(prover.circuits):
-            names = c.registers()
-            if not names <= allowed:
+            qubits = c.qubits()
+            if not {r for r, _ in qubits} <= allowed:
                 pr = layout.provers[i - 1].name
                 mr = layout.messages[i - 1].name
                 problems.append(f"prover {i} acts outside ({pr}, {mr})")
                 break
-            _circuit_in_registers(c, allowed, layout, f"prover {i} turn {t+1}", problems)
+            _circuit_in_registers(qubits, allowed, layout,
+                                  f"prover {i} turn {t+1}", problems)
 
     if instance.shared.layout != layout.shared_layout:
         problems.append("shared state layout does not match the prover registers")
@@ -730,24 +737,29 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
         if op.kind == "gate":
             g = op.gate
             if is_swap(g):
-                a, b = (axis[q] for q in g.targets)
+                a, b = axis[g.targets[0]], axis[g.targets[1]]
                 phys[a], phys[b] = phys[b], phys[a]
                 continue
-            controls = [(phys[axis[q]], bit) for q, bit in g.controls]
-            if any(bits.get(a, b) != b for a, b in controls):
-                continue
-            controls = [(a, b) for a, b in controls if a not in bits]
-            targets = [phys[axis[q]] for q in g.targets]
-            if (not controls and all(t in bits for t in targets)
-                    and g.permutation is not None):
-                j = g.permutation.index(int("".join(str(bits[t]) for t in targets), 2))
-                for i, t in enumerate(reversed(targets)):
-                    bits[t] = (j >> i) & 1
-                continue
-            grow(targets)
-            steps.append(("gate", MatrixKernel(
-                g.matrix, [at[t] for t in targets],
-                tuple((at[a], b) for a, b in controls))))
+            controls = []           # the live controls
+            for q, bit in g.controls:
+                a = phys[axis[q]]
+                held = bits.get(a)
+                if held is None:
+                    controls.append((a, bit))
+                elif held != bit:
+                    break           # a classical control at the other bit
+            else:
+                targets = [phys[axis[q]] for q in g.targets]
+                if (not controls and all(t in bits for t in targets)
+                        and g.permutation is not None):
+                    j = g.permutation.index(int("".join(str(bits[t]) for t in targets), 2))
+                    for i, t in enumerate(reversed(targets)):
+                        bits[t] = (j >> i) & 1
+                    continue
+                grow(targets)
+                steps.append(("gate", MatrixKernel(
+                    g.matrix, tuple(at[t] for t in targets),
+                    tuple((at[a], b) for a, b in controls))))
         elif op.kind == "prover":
             targets = [phys[axis[q]] for q in op.qubits]
             grow(targets)
@@ -830,8 +842,9 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
                 # one copy of the buffer, in the layout's order
                 live = buf.reshape([2] * len(step[3])).transpose(step[3])
                 known = tuple((qubits[j], bit) for j, bit in step[2])
-                snapshots.append(Snapshot(step[1], br.history_key(), StateVector(
-                    live.flatten(), state_layout, False, known)))
+                snapshots.append(Snapshot(
+                    step[1], br.history_key(),
+                    StateVector._unchecked(live.flatten(), state_layout, known)))
         final_prob = accept.mass(buf)
         records.append(BranchRecord(br.history_key(), br.weight,
                                     tuple(events), final_prob, br.history))

@@ -16,7 +16,8 @@ validates, measures and checks the identity to `RunConfig.probability_tol`
 (1e-9 by default), and writes the report. `parallelize_to_three` is the one
 pass that is not a construction: it composes halvings, which validate and
 measure, and returns the last one's output under its own name.
-Each pass simulates its input at most once.
+Each pass simulates its input at most once, and `run_pipeline` runs each
+protocol once.
 """
 
 from __future__ import annotations
@@ -241,7 +242,10 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
               config: RunConfig,
               build: Callable[..., _Built],
               prepare: Callable | None = _ensure_unitary,
-              suffix: str | None = None) -> TransformResult:
+              suffix: str | None = None,
+              input_run: Transcript | None = None,
+              keep_turns: Sequence[int] = ()
+              ) -> tuple[TransformResult, Transcript | None]:
     """Run one pass: `prepare(instance, notes)` gives the input (default:
     coins purified), `build(inst, notes, snapshot)` the `_Built` output.
     `snapshot(turn, groups, zeroed)` is the honest state after `turn`, as
@@ -249,14 +253,20 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
     (`StateVector.placed`), with its known bits. The registers in `zeroed`,
     the old verifier's workspace, must be back at |0...0>; they are left
     out. Its run also gives the input's honest value, and only that float
-    and the state outlive it."""
+    and the state outlive it. `input_run`, when given, is that run already
+    made: a run of the input that kept its state after the turn read.
+
+    Returns the result and, with `check`, the output's honest run, which
+    keeps its states after `keep_turns` for a next pass's snapshot."""
     notes: list[str] = []
     inst = prepare(instance, notes) if prepare else instance
     measured: list[float] = []
 
     def snapshot(turn: int, groups: Sequence[tuple[str, Sequence[str]]],
                  zeroed: Sequence[str] = ()) -> StateVector:
-        tr = run(inst, snapshot_turns=(turn,), config=config)
+        tr = input_run
+        if tr is None:
+            tr = run(inst, snapshot_turns=(turn,), config=config)
         measured.append(tr.acceptance)
         state = _snapshot_after(tr, turn)
         if zeroed and abs(state.norm(zeroed) - 1.0) > NORM_TOL:
@@ -279,10 +289,10 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
         b.verify(out)
 
     extras = {**b.extras, "dim_caveat": DIM_CAP_NOTE}
-    honest_in = honest_out = None
+    honest_in = honest_out = tr = None
     if check:
         honest_in = measured[0] if measured else run(inst, config=config).acceptance
-        tr = run(out, config=config)
+        tr = run(out, snapshot_turns=keep_turns, config=config)
         honest_out = tr.acceptance
         if b.out_extras is not None:
             extras.update(b.out_extras(tr))
@@ -297,7 +307,7 @@ def _run_pass(name: str, instance: ProtocolInstance, check: bool,
         b.claimed, inst.verifier.layout.total_qubits,
         out.verifier.layout.total_qubits, tuple(b.warnings), tuple(notes),
         extras)
-    return TransformResult(out, report)
+    return TransformResult(out, report), tr
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +503,7 @@ def make_perfectly_rewindable(instance: ProtocolInstance,
                 raise NumericalCheckError(
                     f"rewindable optimum is {p_out:.12f}, expected 0.5")
 
-    return _run_pass("rewindable", instance, check, config, build)
+    return _run_pass("rewindable", instance, check, config, build)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +611,7 @@ def rewind_to_perfect_completeness(instance: ProtocolInstance,
             warnings=warnings, out_extras=_rewind_routes)
 
     return _run_pass("rewind", instance, check, config, build,
-                     prepare=_purified_even)
+                     prepare=_purified_even)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +676,7 @@ def halve_turns(instance: ProtocolInstance, check: bool = True,
         return _Built(new_spec, tuple(provers), shared,
                       **_halving_terms(inst, "halving"))
 
-    return _run_pass("halve", instance, check, config, build)
+    return _run_pass("halve", instance, check, config, build)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -739,50 +749,52 @@ def to_public_coin_3turn(instance: ProtocolInstance, check: bool = True,
     """Three-turn to three-turn public-coin: the verifier's workspace travels
     as the first message, a single broadcast bit selects forward or backward
     checking."""
+    return _run_pass("public-coin", instance, check, config, _public_coin)[0]
 
-    def build(inst, notes, snapshot):
-        spec = inst.verifier
-        if spec.m != 3:
-            raise PreconditionError(f"input must have 3 turns, got {spec.m}")
-        layout = spec.layout
-        k, q, n_v, p_sizes = _sizes(layout)
-        v_circuits, v_final, accept = _standard_components(inst)
-        new_layout = _new_layout(
-            (Register("VS", n_v, "verifier"), Register("QPC", 1, "verifier")),
-            [max(n_v, q)] * k, [n_v + q + p_sizes[0]] + [q + s for s in p_sizes[1:]])
 
-        opening, final = _forward_backward_check(
-            _verifier_map(layout, "VS", "M", 0), v_circuits[0], v_final,
-            accept, _block("VS", n_v), ("QPC", 0), k, received="M1")
-        new_spec = VerifierSpec(new_layout, 3, (VerifierTurn(opening),), final)
+def _public_coin(inst: ProtocolInstance, notes: list[str],
+                 snapshot: Callable) -> _Built:
+    """The construction of `to_public_coin_3turn`."""
+    spec = inst.verifier
+    if spec.m != 3:
+        raise PreconditionError(f"input must have 3 turns, got {spec.m}")
+    layout = spec.layout
+    k, q, n_v, p_sizes = _sizes(layout)
+    v_circuits, v_final, accept = _standard_components(inst)
+    new_layout = _new_layout(
+        (Register("VS", n_v, "verifier"), Register("QPC", 1, "verifier")),
+        [max(n_v, q)] * k, [n_v + q + p_sizes[0]] + [q + s for s in p_sizes[1:]])
 
-        provers = []
-        for p in inst.provers:
-            i = p.index
-            # prover 1 keeps the workspace in front of its old message
-            answer_off = n_v if i == 1 else 0
-            fn = _prover_map(layout, i, (f"P{i}", answer_off),
-                             (f"P{i}", answer_off + q))
-            if i == 1:
-                first = Circuit(tuple(swap_slices(_block("P1", n_v),
-                                                  _block("M1", n_v))),
-                                label="send workspace")
-            else:
-                first = Circuit((), label="send nothing")
-            play = p.circuits[1].remap(fn).controlled((((f"M{i}", 0), 0),))
-            hand_over = swap_slices(_block(f"P{i}", q, answer_off),
-                                    _block(f"M{i}", q))
-            second = Circuit(play.gates + tuple(hand_over),
-                             label="answer on broadcast 0, play back message")
-            provers.append(ProverStrategy(i, (first, second)))
+    opening, final = _forward_backward_check(
+        _verifier_map(layout, "VS", "M", 0), v_circuits[0], v_final,
+        accept, _block("VS", n_v), ("QPC", 0), k, received="M1")
+    new_spec = VerifierSpec(new_layout, 3, (VerifierTurn(opening),), final)
 
-        shared = snapshot(2, _snapshot_groups(layout, "P",
-                                              workspace_first=True))
-        return _Built(new_spec, tuple(provers), shared,
-                      **_halving_terms(inst, "public-coin"),
-                      extras={"coin_bits": 1}, verify=_require_public_coin)
+    provers = []
+    for p in inst.provers:
+        i = p.index
+        # prover 1 keeps the workspace in front of its old message
+        answer_off = n_v if i == 1 else 0
+        fn = _prover_map(layout, i, (f"P{i}", answer_off),
+                         (f"P{i}", answer_off + q))
+        if i == 1:
+            first = Circuit(tuple(swap_slices(_block("P1", n_v),
+                                              _block("M1", n_v))),
+                            label="send workspace")
+        else:
+            first = Circuit((), label="send nothing")
+        play = p.circuits[1].remap(fn).controlled((((f"M{i}", 0), 0),))
+        hand_over = swap_slices(_block(f"P{i}", q, answer_off),
+                                _block(f"M{i}", q))
+        second = Circuit(play.gates + tuple(hand_over),
+                         label="answer on broadcast 0, play back message")
+        provers.append(ProverStrategy(i, (first, second)))
 
-    return _run_pass("public-coin", instance, check, config, build)
+    shared = snapshot(2, _snapshot_groups(layout, "P",
+                                          workspace_first=True))
+    return _Built(new_spec, tuple(provers), shared,
+                  **_halving_terms(inst, "public-coin"),
+                  extras={"coin_bits": 1}, verify=_require_public_coin)
 
 
 # ---------------------------------------------------------------------------
@@ -795,76 +807,79 @@ def public_coin_to_one_round(instance: ProtocolInstance, check: bool = True,
     """Three-turn public-coin to two turns with one extra prover, preserving
     completeness and soundness exactly: the extra prover supplies the original
     first messages unprompted."""
+    return _run_pass("one-round", instance, check, config, _one_round,
+                     prepare=None)[0]
 
-    def build(inst, notes, snapshot):
-        spec = inst.verifier
-        if spec.m != 3:
-            raise PreconditionError(f"input must have 3 turns, got {spec.m}")
-        if not is_public_coin(spec):
-            raise PreconditionError("input verifier is not public-coin")
-        layout = spec.layout
-        k, q, _, p_sizes = _sizes(layout)
 
-        turn = spec.turns[0]
-        pre_steps = turn.steps[:-1]
-        coin: CoinStep = turn.steps[-1]
-        f = coin.flips
-        old_msgs = [r.name for r in layout.messages]
-        new_layout = _new_layout(layout.verifier_side, [max(f, q, k * q)] * (k + 1),
-                                 p_sizes + [k * q], "N", "R")
-        # the extra prover's bundle of first messages, and the answers
-        keep = {r.name: (r.name, 0) for r in layout.verifier_side}
-        bundle_map = _remap({**keep, **_packed(layout.messages, f"N{k+1}")},
-                            "verifier")
-        answer_map = _remap({**keep, **{m: (f"N{i+1}", 0)
-                                        for i, m in enumerate(old_msgs)}},
-                            "verifier")
+def _one_round(inst: ProtocolInstance, notes: list[str],
+               snapshot: Callable) -> _Built:
+    """The construction of `public_coin_to_one_round`."""
+    spec = inst.verifier
+    if spec.m != 3:
+        raise PreconditionError(f"input must have 3 turns, got {spec.m}")
+    if not is_public_coin(spec):
+        raise PreconditionError("input verifier is not public-coin")
+    layout = spec.layout
+    k, q, _, p_sizes = _sizes(layout)
 
-        def remap_condition(when) -> tuple[str, str] | None:
-            if when is None:
-                return None
-            return ("r", when[1]) if when[0] == coin.coin_id else when
+    turn = spec.turns[0]
+    pre_steps = turn.steps[:-1]
+    coin: CoinStep = turn.steps[-1]
+    f = coin.flips
+    old_msgs = [r.name for r in layout.messages]
+    new_layout = _new_layout(layout.verifier_side, [max(f, q, k * q)] * (k + 1),
+                             p_sizes + [k * q], "N", "R")
+    # the extra prover's bundle of first messages, and the answers
+    keep = {r.name: (r.name, 0) for r in layout.verifier_side}
+    bundle_map = _remap({**keep, **_packed(layout.messages, f"N{k+1}")},
+                        "verifier")
+    answer_map = _remap({**keep, **{m: (f"N{i+1}", 0)
+                                    for i, m in enumerate(old_msgs)}},
+                        "verifier")
 
-        new_turn = VerifierTurn((
-            CoinStep("r", f, recipients=tuple(range(1, k + 1)),
-                     record=coin.record),))
-        final_steps: list[ApplyStep] = [
-            ApplyStep(s.circuit.remap(bundle_map), when=remap_condition(s.when))
-            for s in pre_steps]
-        for s in spec.final.steps:
-            if not isinstance(s, ApplyStep):
-                raise PreconditionError(
-                    "input final circuit must be measurement-free")
-            final_steps.append(ApplyStep(s.circuit.remap(answer_map),
-                                         when=remap_condition(s.when)))
-        accept = tuple(
-            AcceptRule(tuple(_remap_projector(p, answer_map)
-                             for p in rule.projectors),
-                       when=remap_condition(rule.when))
-            for rule in spec.final.accept)
-        new_spec = VerifierSpec(new_layout, 2, (new_turn,),
-                                FinalDecision(tuple(final_steps), accept),
-                                output_qubit=spec.output_qubit)
+    def remap_condition(when) -> tuple[str, str] | None:
+        if when is None:
+            return None
+        return ("r", when[1]) if when[0] == coin.coin_id else when
 
-        provers = []
-        for p in inst.provers:
-            i = p.index
-            fn = _prover_map(layout, i, (f"N{i}", 0), (f"R{i}", 0))
-            provers.append(ProverStrategy(i, (p.circuits[1].remap(fn),)))
-        hand_over = swap_slices(_block(f"R{k+1}", k * q), _block(f"N{k+1}", k * q))
-        provers.append(ProverStrategy(
-            k + 1, (Circuit(tuple(hand_over), label="send stored first messages"),)))
+    new_turn = VerifierTurn((
+        CoinStep("r", f, recipients=tuple(range(1, k + 1)),
+                 record=coin.record),))
+    final_steps: list[ApplyStep] = [
+        ApplyStep(s.circuit.remap(bundle_map), when=remap_condition(s.when))
+        for s in pre_steps]
+    for s in spec.final.steps:
+        if not isinstance(s, ApplyStep):
+            raise PreconditionError(
+                "input final circuit must be measurement-free")
+        final_steps.append(ApplyStep(s.circuit.remap(answer_map),
+                                     when=remap_condition(s.when)))
+    accept = tuple(
+        AcceptRule(tuple(_remap_projector(p, answer_map)
+                         for p in rule.projectors),
+                   when=remap_condition(rule.when))
+        for rule in spec.final.accept)
+    new_spec = VerifierSpec(new_layout, 2, (new_turn,),
+                            FinalDecision(tuple(final_steps), accept),
+                            output_qubit=spec.output_qubit)
 
-        groups = [(f"R{i+1}", [layout.provers[i].name]) for i in range(k)]
-        groups.append((f"R{k+1}", old_msgs))
-        # the verifier side must still be |0...0> after the provers' first turn
-        shared = snapshot(1, groups, zeroed=[r.name for r in layout.verifier_side])
-        c_in, s_in = _claims(inst)
-        return _Built(new_spec, tuple(provers), shared,
-                      _claimed("c (preserved)", c_in, "s (preserved)", s_in),
-                      expected=lambda c: c)
+    provers = []
+    for p in inst.provers:
+        i = p.index
+        fn = _prover_map(layout, i, (f"N{i}", 0), (f"R{i}", 0))
+        provers.append(ProverStrategy(i, (p.circuits[1].remap(fn),)))
+    hand_over = swap_slices(_block(f"R{k+1}", k * q), _block(f"N{k+1}", k * q))
+    provers.append(ProverStrategy(
+        k + 1, (Circuit(tuple(hand_over), label="send stored first messages"),)))
 
-    return _run_pass("one-round", instance, check, config, build, prepare=None)
+    groups = [(f"R{i+1}", [layout.provers[i].name]) for i in range(k)]
+    groups.append((f"R{k+1}", old_msgs))
+    # the verifier side must still be |0...0> after the provers' first turn
+    shared = snapshot(1, groups, zeroed=[r.name for r in layout.verifier_side])
+    c_in, s_in = _claims(inst)
+    return _Built(new_spec, tuple(provers), shared,
+                  _claimed("c (preserved)", c_in, "s (preserved)", s_in),
+                  expected=lambda c: c)
 
 
 def direct_two_turn(instance: ProtocolInstance, check: bool = True,
@@ -908,7 +923,7 @@ def direct_two_turn(instance: ProtocolInstance, check: bool = True,
         return _Built(new_spec, tuple(provers), shared,
                       **_halving_terms(inst, "two-turn"))
 
-    return _run_pass("direct-one-round", instance, check, config, build)
+    return _run_pass("direct-one-round", instance, check, config, build)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1037,7 @@ def _copy_blocks(name: str, instance: ProtocolInstance, n: int, check: bool,
                       expected=lambda h: h ** n, extras={"n": n})
 
     return _run_pass(name, instance, check, config, build_copies,
-                     suffix=f"{name}{n}")
+                     suffix=f"{name}{n}")[0]
 
 
 def sequential_repetition(instance: ProtocolInstance, n: int,
@@ -1107,6 +1122,10 @@ def run_pipeline(instance: ProtocolInstance, check: bool = True,
     (and, on yes-instances, measurably has) completeness 1: the rewinding
     construction's register growth makes the full chain infeasible at desk
     scale otherwise, and the remaining stages preserve perfect completeness.
+
+    Each protocol is run once: the public-coin output's honest run keeps
+    its state after turn 1 and is handed to the one-round pass as its
+    input run.
     """
     c_in, s_in = _claims(instance)
     if c_in is None or s_in is None:
@@ -1117,6 +1136,19 @@ def run_pipeline(instance: ProtocolInstance, check: bool = True,
             "stage rewindable: completeness does not exceed soundness (gap <= 0)")
     stages: list[TransformResult] = []
     verify_honest = check and instance.meta.role != "no"
+    # the public-coin output's honest run, which keeps its state after turn
+    # 1: it is also the one-round pass's input run
+    handed: Transcript | None = None
+
+    def public_coin(inst, check, config) -> TransformResult:
+        nonlocal handed
+        res, handed = _run_pass("public-coin", inst, check, config,
+                                _public_coin, keep_turns=(1,))
+        return res
+
+    def one_round(inst, check, config) -> TransformResult:
+        return _run_pass("one-round", inst, check, config, _one_round,
+                         prepare=None, input_run=handed)[0]
 
     def stage(name: str, fn: Callable, inst: ProtocolInstance, **kw
               ) -> ProtocolInstance:
@@ -1138,8 +1170,8 @@ def run_pipeline(instance: ProtocolInstance, check: bool = True,
         inst = pad_turns(inst, 5)
     if inst.m > 3:
         inst = stage("three-turn", parallelize_to_three, inst)
-    inst = stage("public-coin", to_public_coin_3turn, inst)
-    inst = stage("one-round", public_coin_to_one_round, inst)
+    inst = stage("public-coin", public_coin, inst)
+    inst = stage("one-round", one_round, inst)
 
     s_final = inst.meta.claimed_soundness
     p_prime = None

@@ -153,3 +153,45 @@ def test_self_adjoint_dagger_keeps_its_matrix():
     phase = s(q0)
     assert phase.dagger().matrix is not phase.matrix
     assert np.array_equal(phase.dagger().matrix, phase.matrix.conj().T)
+
+
+# --- derived gates: adopted matrices, kept checks ----------------------------
+
+
+def test_gate_copies_a_writable_matrix_and_leaves_it_writable():
+    # a caller's writable array is copied, not frozen or shared; a matrix
+    # that is already read-only complex128 and C-contiguous is adopted
+    m = np.array([[0, 1], [1, 0]], dtype=complex)
+    g = Gate("U", m, (("Q", 0),))
+    assert m.flags.writeable and g.matrix is not m
+    m[0, 0] = 5.0
+    assert g.matrix[0, 0] == 0 and not g.matrix.flags.writeable
+    assert Gate("U", g.matrix, (("Q", 1),)).matrix is g.matrix
+
+
+def test_derived_gates_adopt_their_matrix_and_normalise_new_qubits():
+    g = Gate("U", ry(0.3), (("Q", 0),), ((("Q", 1), 1),))
+    moved = g.remap(lambda q: ["R", np.int64(q[1])])
+    assert moved.matrix is g.matrix
+    assert moved.targets == (("R", 0),) and type(moved.targets[0][1]) is int
+    more = g.controlled([(["Q", np.int64(2)], 3)])
+    assert more.matrix is g.matrix
+    assert more.controls == ((("Q", 2), 1), (("Q", 1), 1))
+    inverse = g.dagger()
+    assert inverse.matrix.flags.c_contiguous
+    assert not inverse.matrix.flags.writeable
+    assert np.array_equal(inverse.matrix, g.matrix.conj().T)
+
+
+def test_remap_onto_an_occupied_qubit_is_rejected():
+    g = cnot(("Q", 0), ("Q", 1))
+    with pytest.raises(ValidationError, match="overlapping"):
+        g.remap(lambda q: ("Q", 0))
+
+
+def test_control_on_a_target_is_rejected():
+    g = x(("Q", 0))
+    with pytest.raises(ValidationError, match="overlapping"):
+        g.controlled(((("Q", 0), 1),))
+    with pytest.raises(ValidationError, match="spans 13 qubits"):
+        g.controlled([(("C", j), 1) for j in range(12)])

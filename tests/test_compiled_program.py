@@ -925,8 +925,67 @@ def test_load_save_round_trip(spec, seed, tmp_path_factory):
 @settings(max_examples=40, deadline=None)
 @given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1))
 def test_save_writes_what_json_dumps_writes(spec, seed):
-    """`save`'s own writer, with its shared pairs, writes the text json's
-    encoder writes for the same data."""
-    text = files.save(_setup(spec, seed)[3], os.devnull)
-    data = json.loads(text)
-    assert text == json.dumps(data, sort_keys=True, indent=1) + "\n"
+    """`save`'s own writer writes the text json's encoder writes for the
+    data that the text holds."""
+    _assert_json_text(files.save(_setup(spec, seed)[3], os.devnull))
+
+
+def _assert_json_text(text: str) -> None:
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+
+
+def _oneshot_pass_outputs():
+    """Every pass output on the inputs of the benchmark's `oneshot` ops."""
+    load = fixtures.fixtures_dir().joinpath
+    three = files.load(load("three_turn.json"))
+    runs = [("rewindable", n, {}) for n in ("good", "always")]
+    runs += [("rewind", n, {}) for n in ("rw_good", "rw_always", "rw_ent")]
+    runs += [("halve", n, {}) for n in ("five_turn_yes", "nine_turn_yes")]
+    runs += [(p, "three_turn", {})
+             for p in ("public-coin", "direct-one-round")]
+    runs += [(p, "good", {"n": 3}) for p in ("seq-rep", "par-rep")]
+    for name, n, kw in runs:
+        yield transforms.PASSES[name](files.load(load(f"{n}.json")), **kw)
+    yield transforms.PASSES["one-round"](
+        transforms.to_public_coin_3turn(three).instance)
+    cascade = transforms.parallelize_to_three(
+        files.load(load("five_turn_yes.json")))
+    yield cascade
+    yield transforms.PASSES["direct-one-round"](cascade.instance)
+
+
+def _odd_value_instances():
+    """`guess` with a register named with non-ASCII letters, a quote and a
+    backslash, a non-ASCII note, -0.0 and subnormal amplitudes and matrix
+    entries, and claims that are an int, a bool and null."""
+    text = files.save(fixtures.guess(), os.devnull)
+    data = json.loads(text.replace('"P1"', json.dumps('P\u00fc"\\1')))
+    data["meta"]["notes"] = ["\u00fcber \u2713", 'a "quote" and \\ too']
+    data["meta"]["name"] = 'n\u00e4me "q" \\'
+    tiny = 5e-324
+    data["shared_state"]["amplitudes"] = [[-0.0, -0.0], [1.0, -tiny]]
+    data["circuits"]["final"].append(
+        {"gate": "U", "targets": [["V", 0]],
+         "matrix": [[[1.0, -0.0], [tiny, 0.0]], [[-tiny, -0.0], [1.0, 0.0]]]})
+    for claims in ((1, True), (None, None), (False, 0)):
+        data["meta"]["claimed_completeness"], data["meta"]["claimed_soundness"] = claims
+        yield files.instance_from_dict(data)
+
+
+def test_save_writes_what_json_dumps_writes_on_outputs_and_odd_values():
+    """The same on every oneshot pass output, every pipeline stage (known
+    bits included) and on names, notes, amplitudes and claims that json
+    writes in its own ways."""
+    outputs = [r.instance for r in _oneshot_pass_outputs()]
+    for name in ("five_turn_yes", "sound_yes", "sound_no"):
+        stages = transforms.run_pipeline(getattr(fixtures, name)()).stages
+        outputs += [stage.instance for stage in stages]
+    assert sum(bool(inst.shared.known) for inst in outputs) >= 9
+    odd = list(_odd_value_instances())
+    for inst in outputs + odd:
+        _assert_json_text(files.save(inst, os.devnull))
+    texts = [files.save(inst, os.devnull) for inst in odd]
+    assert all("\\u00fc" in t and "5e-324" in t and "-0.0" not in t
+               for t in texts)
+    assert '"claimed_soundness": true' in texts[0]
+    assert '"claimed_completeness": null' in texts[1]

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from qmip import fixtures, files
 from qmip.circuits import Circuit, Gate, ry, s as s_gate
@@ -102,88 +101,29 @@ def test_signed_zeros_are_saved_as_zeros():
     assert "-0.0" not in text
 
 
-def test_amplitudes_changed_after_encoding_are_written_as_they_are():
-    # `instance_to_dict` keeps each amplitude vector's distinct pairs for the
-    # writer; a caller that then replaces an entry gets what json writes
-    data = files.instance_to_dict(fixtures.chsh())
-    amps = data["shared_state"]["amplitudes"]
-    amps[0] = [-0.0, 0.25]
-    assert files.canonical_json(data) == json.dumps(data, sort_keys=True,
-                                                    indent=1)
-
-
 def test_save_to_a_device():
     # only a regular file is cut to length: a device cannot be truncated
     assert files.save(fixtures.guess(), os.devnull).startswith("{")
 
 
-_PY_FLOATS = st.one_of(
-    st.floats(),
-    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5,
-                     float("nan"), float("inf"), float("-inf")]))
-_FLOATS = st.one_of(_PY_FLOATS, _PY_FLOATS.map(np.float64))
-
-
-def _float_lists(n: int):
-    return st.lists(_PY_FLOATS, min_size=n, max_size=n)
-
-
-# pair objects a tree holds several times (0.0 and -0.0 in separate pairs,
-# which are equal but render differently), and one list of them that a tree
-# holds at several depths, as a pair list and as an item of other lists
-_SHARED_PAIRS = st.sampled_from([[0.0, 1.0], [-0.0, 1.0], [0.5, -0.0]])
-_SHARED_PAIR_LIST = st.shared(st.lists(_SHARED_PAIRS, min_size=1, max_size=4),
-                              key="pair list")
-_PAIRS = st.lists(st.one_of(_float_lists(2), _SHARED_PAIRS), min_size=1,
-                  max_size=6)
-# items that must send a list of pairs down the general path: a pair holding
-# an int or a float64, a length-1 or length-3 item (or both, so that the
-# lengths add up to two pairs'), a pair of pairs, and a scalar
-_NEAR_MISSES = st.one_of(
-    st.tuples(_PY_FLOATS, st.one_of(st.integers(), _FLOATS)).map(
-        lambda p: [list(p)]),
-    st.lists(st.one_of(_float_lists(1), _float_lists(3)), min_size=1,
-             max_size=2),
-    st.lists(_float_lists(2), min_size=2, max_size=2).map(lambda p: [p]),
-    st.one_of(st.none(), st.text(), _FLOATS).map(lambda x: [x]))
-
-
-@st.composite
-def _near_miss_pairs(draw):
-    pairs = draw(_PAIRS)
-    for item in draw(_NEAR_MISSES):
-        pairs.insert(draw(st.integers(0, len(pairs))), item)
-    return pairs
-
-
-_PAIR, _NEG_PAIR = [0.0, 2.0], [-0.0, 2.0]
-_PAIR_LIST = [_PAIR, _NEG_PAIR, _PAIR]
-_SCALARS = st.one_of(st.none(), st.booleans(),
-                     st.integers(-2 ** 200, 2 ** 200), _FLOATS, st.text())
-_JSON_TREES = st.recursive(
-    st.one_of(_SCALARS, _PAIRS, _near_miss_pairs(), _SHARED_PAIRS,
-              _SHARED_PAIR_LIST),
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(st.text(), inner, max_size=4)),
-    max_leaves=12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(tree=_JSON_TREES)
-@example(tree=[[1.0], [2.0, 3.0, 4.0]])
-@example(tree={"a": [[1.0, 2], [-0.0, np.float64(0.1)]]})
-@example(tree=[_PAIR, _PAIR_LIST, [_PAIR_LIST, [_PAIR_LIST]],
-               {"a": [_PAIR_LIST] * 2, "b": [_NEG_PAIR, _PAIR, _NEG_PAIR]}])
-def test_canonical_json_writes_what_json_dumps_writes(tree):
-    assert files.canonical_json(tree) == json.dumps(tree, sort_keys=True,
-                                                    indent=1)
-
-
 @pytest.mark.parametrize("value", [(1.0, 2.0), np.int64(1), np.bool_(True),
                                    {1.0}, {1: 2}, [object()]])
-def test_canonical_json_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        files.canonical_json(value)
+def test_meta_values_are_written_as_json_writes_them(value):
+    # the meta's role and notes hold whatever a file or a caller put there:
+    # save writes them as json does, and raises TypeError where json does
+    inst = fixtures.guess()
+    inst = replace(inst, meta=replace(inst.meta, role=value, notes=("n", value)))
+    try:
+        expected = json.loads(json.dumps(value))
+    except TypeError:
+        with pytest.raises(TypeError):
+            files.save(inst, os.devnull)
+        return
+    text = files.save(inst, os.devnull)
+    data = json.loads(text)
+    assert data["meta"]["role"] == expected
+    assert data["meta"]["notes"] == ["n", expected]
+    assert text == json.dumps(data, sort_keys=True, indent=1) + "\n"
 
 
 def test_non_unitary_gate_rejected(tmp_path):
@@ -296,6 +236,88 @@ def test_huge_register_is_rejected_before_any_allocation(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for error, seconds, exit_code in json.loads(proc.stdout.splitlines()[-1]):
         assert error is not None and seconds < 1.0 and exit_code == 2
+
+
+_MUTATION_PROBE = """
+import contextlib, io, json, os, resource, sys
+from pathlib import Path
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qmip import adversary, cli, files, fixtures, transforms
+from qmip.config import ValidationError
+
+def paths(v, at=()):
+    items = (v.items() if isinstance(v, dict)
+             else enumerate(v) if isinstance(v, list) else ())
+    for key, item in items:
+        yield at + (key,)
+        yield from paths(item, at + (key,))
+
+def mutated(data, path, value):
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+work = Path(sys.argv[1])
+chsh = work / "chsh.json"
+files.save(fixtures.chsh(), chsh)
+stage = transforms.run_pipeline(fixtures.sound_yes()).stages[0].instance
+assert stage.shared.known
+see_saw = adversary.seesaw(fixtures.chsh().verifier, adversary.SeesawConfig(
+    prover_dims=(1, 1), restarts=1, seed=0))
+cases = [("protocol", files.save(fixtures.guess(), os.devnull)),
+         ("protocol", files.save(stage, os.devnull)),
+         ("strategy", files.strategy_text(see_saw))]
+values = (5, -1, 1.5, "x", None, [], {}, float("nan"), 1e30)
+escapes, tried = [], 0
+for kind, text in cases:
+    data = json.loads(text)
+    for path in paths(data):
+        for value in values:
+            tried += 1
+            f = work / "mutated.json"
+            f.write_text(json.dumps(mutated(data, path, value)))
+            try:
+                if kind == "protocol":
+                    files.load(f)
+                    argv = ["simulate", str(f)]
+                else:
+                    files.load_strategy(f)
+                    argv = ["simulate", str(chsh), "--strategy", str(f)]
+            except ValidationError as e:
+                if str(f) not in str(e):
+                    escapes.append([kind, path, repr(value), f"unnamed: {e}"])
+                # simulate reads the file first and exits 2 on this error
+                continue
+            except Exception as e:
+                escapes.append([kind, path, repr(value), repr(e)])
+                continue
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv + ["--out", str(work / "out")])
+            if code not in (0, 2):
+                escapes.append([kind, path, repr(value), f"simulate exit {code}"])
+print(json.dumps({"tried": tried, "escapes": escapes}))
+"""
+
+
+def test_one_value_mutations_load_or_fail_validation(tmp_path):
+    # every one-value mutation of a fixture, of a stage file with known bits
+    # and of a strategy file loads as a valid object or raises
+    # ValidationError naming the file, and `qmip simulate` on it exits 0 or
+    # 2; run under a 1 GiB address space cap so that a regression cannot
+    # exhaust the machine
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(files.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _MUTATION_PROBE,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["tried"] > 4000
+    assert result["escapes"] == []
 
 
 def test_named_gate_sugar(tmp_path):

@@ -203,3 +203,16 @@ def test_polar_beats_random_unitaries():
 def test_polar_rank_deficient_still_unitary():
     u = polar_unitary(np.zeros((4, 4), dtype=complex))
     assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10
+
+
+def test_state_copies_a_writable_array_and_leaves_it_writable():
+    # a caller's writable buffer is copied, not frozen or shared; an array
+    # that is already read-only complex128 and C-contiguous is adopted
+    a = np.zeros(2, complex)
+    a[0] = 1
+    state = StateVector(a, (("A", 1),))
+    assert a.flags.writeable and state.amplitudes is not a
+    a[0] = 0
+    a[1] = 1
+    assert state.amplitudes[0] == 1 and not state.amplitudes.flags.writeable
+    assert StateVector(state.amplitudes, (("B", 1),)).amplitudes is state.amplitudes

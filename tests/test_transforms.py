@@ -600,7 +600,9 @@ def test_pipeline_keeps_the_stage_error_class(monkeypatch):
     def failing(*args, **kwargs):
         raise NumericalCheckError("re-simulation mismatch")
 
-    monkeypatch.setattr(transforms, "to_public_coin_3turn", failing)
+    # the pipeline runs the public-coin construction itself, so that its
+    # honest output run can serve the one-round stage
+    monkeypatch.setattr(transforms, "_public_coin", failing)
     with pytest.raises(NumericalCheckError) as info:
         run_pipeline(fixtures.five_turn_yes())
     assert str(info.value) == "stage public-coin: re-simulation mismatch"

@@ -30,6 +30,8 @@ is a sha256, a `repr`'d float or an error's class and message:
 * see-saw values, traces, restart values, states and strategies on the
   verifier of the rewound sound_no (the benchmark's audit, seeds 0-3) and on
   chsh with and without product groups;
+* the bytes `qmip audit --out-strategy` writes for a chsh see-saw (4
+  restarts, seed 0);
 * the value and trace of one see-saw sweep from one restart on two programs
   above `adversary.FUSE_MAX_DIM`: criterion 08's (the one-round output of
   five_turn_no, 14 qubits at prover dimensions (2, 2)) and par-rep(chsh, 2)
@@ -42,7 +44,9 @@ is a sha256, a `repr`'d float or an error's class and message:
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -51,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qmip import adversary, files, fixtures, model, transforms
+from qmip import adversary, cli, files, fixtures, model, transforms
 
 PIPELINE_INPUTS = ("five_turn_yes", "sound_yes", "five_turn_no", "sound_no")
 
@@ -172,6 +176,12 @@ def digests(work: Path) -> dict[str, str]:
         _seesaw(out, f"seesaw chsh groups={groups}", loaded["chsh"].verifier,
                 adversary.SeesawConfig(prover_dims=(1, 1), restarts=4, seed=0,
                                        product_groups=groups))
+    strategy = work / "strategy.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["audit", str(fix / "chsh.json"), "--restarts", "4",
+                         "--seed", "0", "--out-strategy", str(strategy)])
+    out["audit chsh strategy file"] = (_sha(strategy.read_bytes())
+                                       if code == 0 else f"exit {code}")
     above = (
         ("criterion 08", transforms.run_pipeline(loaded["five_turn_no"])
          .instance, (2, 2), None, 5),
