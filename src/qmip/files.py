@@ -402,7 +402,7 @@ def _instance_text(instance: ProtocolInstance) -> str:
     and listed by name."""
     w = _Writer(sorted_keys=True)
     spec = instance.verifier
-    n1, n2, n3, n4, n5 = ("\n" + " " * d for d in range(1, 6))
+    n1, n2, n3, n4 = ("\n" + " " * d for d in range(1, 5))
     circuits: dict[str, str] = {}
 
     def name_circuit(base: str, c: Circuit) -> str:

@@ -26,7 +26,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Collection, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -536,6 +536,12 @@ class FlatOp(NamedTuple):
     projectors: tuple[ProjectorOp, ...] = ()
     turn: int = 0
 
+    @classmethod
+    def gates(cls, gates: Iterable[Gate]) -> list["FlatOp"]:
+        """One "gate" op per gate, built without NamedTuple's keyword path,
+        which costs more than the rest of `flatten`'s work on a gate."""
+        return [tuple.__new__(cls, ("gate", g, None, (), (), 0)) for g in gates]
+
 
 @dataclass(frozen=True)
 class FlatBranch:
@@ -592,9 +598,9 @@ def flatten(spec: VerifierSpec, provers: Sequence[ProverStrategy] | None = None,
             regs = [step.record] if step.record is not None else []
             regs += [[(layout.messages[i - 1].name, j)
                       for j in range(step.flips)] for i in step.recipients]
-            return [[FlatOp("gate", gate=x_gate(q)) for q in qs] for qs in regs]
+            return [FlatOp.gates(map(x_gate, qs)) for qs in regs]
         if isinstance(step, ApplyStep):
-            return [FlatOp("gate", gate=g) for g in step.circuit]
+            return FlatOp.gates(step.circuit)
         return [FlatOp("event", projectors=step.projectors)]
 
     # (ops before the steps, verifier steps with their ops, ops after); the
@@ -611,7 +617,7 @@ def flatten(spec: VerifierSpec, provers: Sequence[ProverStrategy] | None = None,
         ops: list[FlatOp] = []
         for i in range(1, layout.k + 1):
             if provers is not None:
-                ops += [FlatOp("gate", gate=g) for g in circuits[(i, pt)]]
+                ops += FlatOp.gates(circuits[(i, pt)])
             else:
                 ops.append(FlatOp("prover", prover_key=(i, pt),
                                   qubits=layout.slot_qubits(i)))
@@ -803,9 +809,11 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     (`Gate.permutation`, read by the SWAP and bit-rewrite tests) per matrix
     object, shared by every gate that wraps it and dropped with the matrix.
     They are sound to keep because every record is a frozen dataclass whose
-    sequence fields are tuples and every array is read-only. Nothing
-    compiled outlives the call: kernels, slices and buffers are built per
-    branch and dropped.
+    sequence fields are tuples and every array is read-only. Kernels,
+    slices and buffers are built per branch and dropped; only their
+    layouts, which depend on the axes alone, are kept, in `linalg`'s
+    bounded cache. A snapshot's state is built without checking its known
+    bits again: the compiler gives them in layout order, each 0 or 1.
     """
     require_valid(instance)
     layout = instance.verifier.layout
