@@ -576,6 +576,23 @@ def test_nine_turn_pipeline_runs_at_its_live_width():
     assert peak < 8 * 2**20
 
 
+def test_pipeline_runs_each_protocol_once(monkeypatch):
+    """The public-coin output's honest run, which keeps its state after
+    turn 1, is also the one-round pass's input run."""
+    seen = []
+    real_run = transforms.run
+
+    def counting_run(instance, **kwargs):
+        seen.append(instance)
+        return real_run(instance, **kwargs)
+
+    monkeypatch.setattr(transforms, "run", counting_run)
+    res = run_pipeline(fixtures.five_turn_yes(), check=True)
+    assert len(seen) == len({id(inst) for inst in seen}) == 5
+    assert seen[-2] is res.stages[-2].instance
+    assert res.stages[-1].report.input_honest == res.stages[-2].report.output_honest
+
+
 def test_pipeline_classifies_no_matrix_after_its_first_op():
     # every matrix a pipeline op wraps is the input's, a constant, or the
     # dagger of a self-adjoint one, which keeps its object: a second op
