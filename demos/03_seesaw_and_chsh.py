@@ -5,7 +5,9 @@
 # At fixed prover dimension we can search: alternate exact best-response
 # updates (the polar factor of the environment operator for each prover-turn
 # unitary, the top eigenvector of the acceptance operator for the shared
-# state). Every sweep is monotone, so the trace tells the whole story.
+# state), then take L-BFGS steps on all unitaries at once with the state
+# kept at that top eigenvector. No iteration lowers the value, so the trace
+# tells the whole story.
 
 import math
 
@@ -21,7 +23,7 @@ result = seesaw(chsh.verifier,
                 SeesawConfig(prover_dims=(1, 1), restarts=20, seed=0,
                              convergence_tol=1e-11, max_sweeps=120))
 print(f"see-saw value: {result.value:.9f} "
-      f"({'converged' if result.converged else 'hit the sweep cap'})")
+      f"({'converged' if result.converged else 'hit the iteration cap'})")
 print("ascent trace:", " ".join(f"{v:.6f}" for v in result.trace[:8]), "...")
 
 # An independent lower-bound oracle: exhaustive grid over message-controlled

@@ -7,19 +7,31 @@ Two engines:
   exactly by simulating computational basis vectors, and the best shared
   state is the top eigenvector.
 
-* `seesaw`: alternating best-response ascent. Each prover-turn unitary is
-  relaxed through the bilinear form Re<phi| (tail) (U x I) (head) |psi> whose
-  exact maximizer over unitaries is the polar factor of the environment
-  operator E (assembled by a forward and a backward pass through the tail of
-  each coin branch, with environment operators averaged across branches).
-  One sweep updates the shared state, then the turns in (turn, prover)
-  order, and walks each branch forward once. It carries the first product
-  group's eigen-update columns (the d_p basis without product groups): at
-  each slot it takes the shared state's column from them, and past the last
-  slot they give the acceptance operator A over those columns, hence the
-  sweep's value and the next sweep's first eigen-update. The shared state is
-  re-optimized by the eigensolver. Both moves are exact maximizations of the
-  surrogate, so the per-sweep value trace is non-decreasing.
+* `seesaw`: alternating best-response ascent (Werner & Wolf, QIC 2001).
+  Each prover-turn unitary is relaxed through the bilinear form
+  Re<phi| (tail) (U x I) (head) |psi> whose exact maximizer over unitaries
+  is the polar factor of the environment operator E (assembled by a forward
+  and a backward pass through the tail of each coin branch, with
+  environment operators averaged across branches). One sweep updates the
+  shared state, then the turns in (turn, prover) order, and walks each
+  branch forward once. It carries the first product group's eigen-update
+  columns (the d_p basis without product groups): at each slot it takes the
+  shared state's column from them, and past the last slot they give the
+  acceptance operator A over those columns, hence the sweep's value and the
+  next sweep's first eigen-update. The shared state is re-optimized by the
+  eigensolver. Both moves are exact maximizations of the surrogate, so a
+  sweep never lowers the value.
+
+  Without product groups the shared state is always A's top eigenvector, so
+  a restart ascends f(U) = lambda_max(A(U)) over all prover unitaries at
+  once: after `WARMUP_SWEEPS` sweeps it takes Riemannian L-BFGS steps
+  (Abrudan, Eriksson & Koivunen, IEEE TSP 56(3), 2008) with a Cayley
+  retraction and an Armijo line search, and goes back to a sweep whenever a
+  step fails or stalls. `_Program.evaluate` gives A from one forward walk
+  and the environments of every key from the columns it kept before each
+  slot; the gradient of f along U_k exp(t Omega) is Re tr(Omega^dag G_k)
+  with G_k = U_k^dag E_k - E_k^dag U_k. Every step raises f, so the
+  per-iteration trace is non-decreasing too.
 
 Both engines, `random_search` and `brute_force_value` execute a `_Program`:
 every coin branch compiled once per call into a short list of steps. At or
@@ -73,7 +85,7 @@ from .config import (DEFAULT_RUN_CONFIG, NumericalCheckError,
                      PreconditionError, RunConfig, ValidationError)
 from .linalg import (MatrixKernel, ProjectorOp, Slices, StateVector,
                      polar_unitary, projector_slices, random_state,
-                     random_unitary)
+                     random_unitary, require_unitary)
 from .model import (FlatBranch, ProtocolInstance, ProverStrategy, Register,
                     RegisterLayout, VerifierSpec, _compile_branch, flatten,
                     require_budget, run)
@@ -448,14 +460,23 @@ class _Program:
                 banked.append(rows)
         return cols
 
-    def _acceptance(self, walks: Sequence[_Walk], ops: _Operators,
-                    b: int) -> np.ndarray:
+    def _acceptance(self, walks: Sequence[_Walk], ops: _Operators, b: int,
+                    kept: list | None = None) -> np.ndarray:
         """The acceptance operator over the b columns of `walks`, each
         branch walked on from where its walk stopped: the gram of the rows
-        every step banks."""
+        every step banks. With `kept`, one {key: (index, columns)} per
+        branch is appended: the columns it reached before each slot."""
         a = np.zeros((b, b), dtype=np.complex128)
-        for steps, (start, cols, done) in zip(self.branches, walks):
+        for j, (steps, (start, cols, done)) in enumerate(
+                zip(self.branches, walks)):
             banked = list(done)
+            if kept is not None:
+                at = {}
+                for key, idx in self.slot_at[j].items():
+                    # a slot's forward leaves its input as it was
+                    cols = self._forward(steps[start:idx], cols, ops, banked)
+                    at[key], start = (idx, cols), idx
+                kept.append(at)
             self._forward(steps[start:], cols, ops, banked)
             for v in banked:
                 v = v.reshape(-1, b)
@@ -469,40 +490,52 @@ class _Program:
                                 self._operators(assignment),
                                 prover_cols.shape[1])
 
+    @staticmethod
+    def _outer(steps: Sequence, idx: int, x: np.ndarray,
+               ops: _Operators) -> np.ndarray:
+        """One branch's term of the environment of the slot at steps[idx],
+        for the columns x entering it: x walked forward through the slot and
+        the tail, keeping what each step banks, then back to just after the
+        slot, and the slot's `outer` of the two."""
+        slot = steps[idx]
+        tail = steps[idx + 1:-1]
+        cols, banked = slot.forward(x, ops)[0], []
+        for step in tail:
+            cols, rows = step.forward(cols, ops)
+            banked.append(rows)
+        mu = steps[-1].gram(cols)
+        for step, rows in zip(reversed(tail), reversed(banked)):
+            mu = step.backward(mu, rows, ops)
+        return slot.outer(mu, x)
+
+    def _scaled(self, key: tuple[int, int], e: np.ndarray | None) -> np.ndarray:
+        """The environment operator of `key` from its summed branch terms."""
+        if e is None:
+            return np.zeros((self.dims[key],) * 2, dtype=np.complex128)
+        return self.weight * self.slots[key].environment(e)
+
     def _environment(self, walks: list[_Walk], ops: _Operators,
                      key: tuple[int, int],
                      coeffs: np.ndarray | None) -> np.ndarray:
         """The environment operator of slot `key`, before the polar step.
 
         Per branch: carry the walk, on all its columns, on to just before
-        the slot (it must not have passed it). Take the shared state's
-        column x = chi @ coeffs (chi itself when coeffs is None), walk it
-        forward through the slot and the tail, keeping what each step banks,
-        then back to just after the slot. A branch whose slot lies past its
-        last banking step adds nothing."""
+        the slot (it must not have passed it), and add the `_outer` term of
+        the shared state's column x = chi @ coeffs (chi itself when coeffs
+        is None). A branch whose slot lies past its last banking step adds
+        nothing."""
         e = None
         for j, steps in enumerate(self.branches):
             idx = self.slot_at[j].get(key)
             if idx is None:
                 continue
             start, chi, done = walks[j]
-            slot = steps[idx]
             chi = self._forward(steps[start:idx], chi, ops, done)
             walks[j] = (idx, chi, done)
-            x = chi if coeffs is None else chi @ coeffs
-            tail = steps[idx + 1:-1]
-            cols, banked = slot.forward(x, ops)[0], []
-            for step in tail:
-                cols, rows = step.forward(cols, ops)
-                banked.append(rows)
-            mu = steps[-1].gram(cols)
-            for step, rows in zip(reversed(tail), reversed(banked)):
-                mu = step.backward(mu, rows, ops)
-            outer = slot.outer(mu, x)
+            outer = self._outer(steps, idx,
+                                chi if coeffs is None else chi @ coeffs, ops)
             e = outer if e is None else e + outer
-        if e is None:
-            return np.zeros((self.dims[key],) * 2, dtype=np.complex128)
-        return self.weight * self.slots[key].environment(e)
+        return self._scaled(key, e)
 
     def environment(self, prover_col: np.ndarray, assignment: Assignment,
                     key: tuple[int, int]) -> np.ndarray:
@@ -510,6 +543,27 @@ class _Program:
         prover_col, before the polar step."""
         return self._environment(self._walks(prover_col),
                                  self._operators(assignment), key, None)
+
+    def evaluate(self, assignment: Assignment, prover_cols: np.ndarray):
+        """A = `acceptance_operator(assignment, prover_cols)` from one
+        forward walk of every branch, and a function of coeffs giving every
+        key's environment operator at the shared state prover_cols @
+        coeffs. The walk keeps each branch's columns before each of its
+        slots, and the environments start from those."""
+        ops = self._operators(assignment)
+        kept: list[dict] = []
+        a = self._acceptance(self._walks(prover_cols), ops,
+                             prover_cols.shape[1], kept)
+
+        def environments(coeffs: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+            c = coeffs[:, None]
+            e: dict[tuple[int, int], np.ndarray] = {}
+            for steps, at in zip(self.branches, kept):
+                for key, (idx, chi) in at.items():
+                    outer = self._outer(steps, idx, chi @ c, ops)
+                    e[key] = e[key] + outer if key in e else outer
+            return {key: self._scaled(key, e.get(key)) for key in self.keys}
+        return a, environments
 
     def sweep(self, cols: np.ndarray, coeffs: np.ndarray,
               assignment: Assignment, keys: Sequence[tuple[int, int]]
@@ -577,11 +631,18 @@ def optimal_shared_state(verifier: VerifierSpec,
 class SeesawConfig:
     """See-saw settings.
 
+    `max_sweeps` caps a restart's iterations, each a sweep or an L-BFGS
+    step. A restart has converged when a plain sweep gains less than
+    `convergence_tol`.
+
     `product_groups` splits the provers into groups that may not share
     entanglement across group boundaries (see parallel repetition audits):
     the shared state is a product of one state per group. The groups must
     be non-empty and, read in order, list the provers 1..k in order, so
-    each group is a run of consecutive prover registers.
+    each group is a run of consecutive prover registers. Under product
+    groups every iteration is a sweep: the state is then not the top
+    eigenvector of A(U), so f(U) = lambda_max(A(U)), which the L-BFGS steps
+    ascend, is not the value. One group of all provers counts as no groups.
     """
 
     prover_dims: tuple[int, ...]          # qubits of each P_i
@@ -613,7 +674,7 @@ class AdversaryResult:
     value: float
     strategies: tuple[ProverStrategy, ...]
     shared: StateVector
-    trace: tuple[float, ...]              # per-sweep values of the best restart
+    trace: tuple[float, ...]              # per-iteration values of the best restart
     converged: bool
     restart_values: tuple[float, ...]
     prover_dims: tuple[int, ...]
@@ -668,16 +729,158 @@ def _product_state_update(program: _Program, assignment: Assignment,
             assignment, _group_columns(group_states, gi)))
 
 
+WARMUP_SWEEPS = 2
+"""Plain sweeps that start each restart without product groups, before its
+first L-BFGS step."""
+LBFGS_MEMORY = 8
+"""(step, gradient change) pairs the L-BFGS two-loop keeps."""
+ARMIJO = 1e-4
+"""A step of length t along d is taken once it gains ARMIJO * t * <d, G>."""
+FIRST_STEP = 0.01
+"""The Frobenius norm of a step at t = 1 when the L-BFGS memory is empty."""
+BACKTRACKS = 12
+"""Halvings of t after which a line search fails."""
+
+
+class _Point:
+    """An assignment with f = lambda_max(A) over the prover columns `eye`,
+    its top eigenvector psi and, on demand, the Riemannian gradient of f in
+    the Lie algebra, G_k = U_k^dag E_k - E_k^dag U_k, packed into one flat
+    vector. `blocks` (`_blocks`) orders the packing; a block's unitaries
+    are stacked and moved together."""
+
+    def __init__(self, program: _Program, assignment: Assignment,
+                 blocks: Sequence[Sequence[tuple[int, int]]], eye: np.ndarray):
+        self.program = program
+        self.assignment = assignment
+        self.blocks = blocks
+        self.eye = eye
+        a, self._environments = program.evaluate(assignment, eye)
+        vals, vecs = np.linalg.eigh(a)
+        self.f = float(vals[-1])
+        self.psi = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
+
+    def _stack(self, keys: Sequence[tuple[int, int]]) -> np.ndarray:
+        return np.stack([self.assignment[key] for key in keys])
+
+    def gradient(self) -> np.ndarray:
+        envs = self._environments(self.psi)
+        parts = []
+        for keys in self.blocks:
+            ue = self._stack(keys).conj().transpose(0, 2, 1) @ np.stack(
+                [envs[key] for key in keys])
+            parts.append((ue - ue.conj().transpose(0, 2, 1)).ravel())
+        return np.concatenate(parts)
+
+    def moved(self, direction: np.ndarray, t: float) -> "_Point":
+        """The point reached along t * direction by the Cayley retraction
+        U (I - t Omega/2)^-1 (I + t Omega/2), unitary for skew-Hermitian
+        Omega."""
+        out, at = {}, 0
+        for keys in self.blocks:
+            us = self._stack(keys)
+            half = (t / 2) * direction[at:at + us.size].reshape(us.shape)
+            one = np.eye(us.shape[1], dtype=np.complex128)
+            out.update(zip(keys, us @ np.linalg.solve(one - half, one + half)))
+            at += us.size
+        return _Point(self.program, out, self.blocks, self.eye)
+
+
+def _blocks(program: _Program, keys: Sequence[tuple[int, int]]
+            ) -> list[list[tuple[int, int]]]:
+    """`keys` grouped by the dimension of their unitaries, smallest first."""
+    return [[key for key in keys if program.dims[key] == d]
+            for d in sorted(set(program.dims.values()))]
+
+
+def _direction(g: np.ndarray, memory: list) -> np.ndarray:
+    """The L-BFGS two-loop ascent direction for gradient g, with (s, y, rho)
+    pairs oldest first (y = previous gradient - next, the change of the
+    gradient of -f); without memory, g scaled to length FIRST_STEP. Inner
+    products are Re vdot."""
+    if not memory:
+        return g * (FIRST_STEP / np.linalg.norm(g))
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alpha = rho * np.vdot(s, q).real
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, _ = memory[-1]
+    q *= np.vdot(s, y).real / np.vdot(y, y).real
+    for (s, y, rho), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - rho * np.vdot(y, q).real) * s
+    return q
+
+
+def _ascend(program: _Program, assignment: Assignment,
+            keys: Sequence[tuple[int, int]], cfg: SeesawConfig
+            ) -> tuple[Assignment, np.ndarray, list[float], bool]:
+    """One restart without product groups: `WARMUP_SWEEPS` plain sweeps,
+    then Riemannian L-BFGS steps on f(U) = lambda_max(A(U)), the shared
+    state always A's top eigenvector. A step that fails its Armijo line
+    search or gains less than `cfg.convergence_tol` is followed by a plain
+    sweep from where it stopped at psi, which clears the memory. The
+    restart stops when a plain sweep gains less than `cfg.convergence_tol`,
+    or after `cfg.max_sweeps` iterations (steps and sweeps, one trace value
+    each; a failed line search adds none). Returns the assignment, the
+    shared state of the last value, the trace and whether it converged."""
+    eye = np.eye(program.d_p, dtype=np.complex128)
+    blocks = _blocks(program, keys)
+    psi = _top_eigenvector(program.acceptance_operator(assignment, eye))
+    trace: list[float] = []
+    point: _Point | None = None
+    memory: list = []
+    step_next = False
+    while len(trace) < cfg.max_sweeps:
+        if not step_next:
+            value, a = program.sweep(eye, psi, assignment, keys)
+            gain = value - (trace[-1] if trace else -1.0)
+            trace.append(value)
+            if gain < cfg.convergence_tol or len(trace) == cfg.max_sweeps:
+                return assignment, psi, trace, gain < cfg.convergence_tol
+            psi = _top_eigenvector(a)
+            point, memory = None, []
+            step_next = len(trace) >= WARMUP_SWEEPS
+            continue
+        if point is None:
+            point = _Point(program, assignment, blocks, eye)
+            g = point.gradient()
+        d = _direction(g, memory) if g.any() else g
+        slope = np.vdot(d, g).real
+        t = 1.0
+        for _ in range(BACKTRACKS if slope > 0 else 0):
+            trial = point.moved(d, t)
+            if trial.f >= point.f + ARMIJO * t * slope:
+                break
+            t /= 2
+        else:
+            step_next = False
+            continue
+        g_next = trial.gradient()
+        s, y = t * d, g - g_next
+        if np.vdot(s, y).real > 0:
+            memory = memory[1 - LBFGS_MEMORY:] + [(s, y, 1.0 / np.vdot(s, y).real)]
+        step_next = trial.f - point.f >= cfg.convergence_tol
+        point, g = trial, g_next
+        assignment, psi = point.assignment, point.psi
+        trace.append(point.f)
+    return assignment, psi, trace, False
+
+
 def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
            config: RunConfig = DEFAULT_RUN_CONFIG) -> AdversaryResult:
     """Alternating maximization over prover unitaries and the shared state.
 
-    Returns the best restart. The trace holds one value per sweep and is
-    non-decreasing; the final value is re-simulated through the plain
-    executor and must agree within `config.probability_tol`. A sweep
-    updates the shared state group by group, then every turn; the first
-    group's eigen-update reads the operator the previous sweep returned (one
-    group of all provers is the unconstrained update).
+    Returns the best restart. The trace holds one value per iteration and
+    is non-decreasing; the final value is re-simulated through the plain
+    executor and must agree within `config.probability_tol`, and every
+    returned unitary must pass `polar_unitary`'s unitarity check. Without
+    product groups (or with one group of all provers) a restart is
+    `_ascend`'s sweeps and L-BFGS steps. With product groups every
+    iteration is a sweep: it updates the shared state group by group, then
+    every turn; the first group's eigen-update reads the operator the
+    previous sweep returned.
     """
     spec = resize_prover_registers(verifier, cfg.prover_dims)
     layout = spec.layout
@@ -691,32 +894,24 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
         rng = np.random.default_rng([cfg.seed, r])
         assignment: Assignment = {k: random_unitary(program.dims[k], rng)
                                   for k in keys}
-        group_states = [random_state(2 ** sum(cfg.prover_dims[i - 1] for i in g),
-                                     rng) for g in groups]
-        a = None
-        trace: list[float] = []
-        converged = False
-        prev = -1.0
-        for _ in range(cfg.max_sweeps):
-            if a is None:
-                a = program.acceptance_operator(
-                    assignment, _group_columns(group_states, 0))
-            group_states[0] = _top_eigenvector(a)
-            _product_state_update(program, assignment, group_states)
-            value, a = program.sweep(_group_columns(group_states, 0),
-                                     group_states[0], assignment, keys)
-            trace.append(value)
-            if value - prev < cfg.convergence_tol:
-                converged = True
-                break
-            prev = value
-        shared = functools.reduce(np.kron, group_states)
+        if len(groups) == 1:
+            assignment, shared, trace, converged = _ascend(
+                program, assignment, keys, cfg)
+        else:
+            group_states = [random_state(2 ** sum(cfg.prover_dims[i - 1]
+                                                  for i in g), rng)
+                            for g in groups]
+            trace, converged = _product_sweeps(program, assignment, keys,
+                                               group_states, cfg)
+            shared = functools.reduce(np.kron, group_states)
         restart_values.append(trace[-1])
         cand = (trace[-1], -r, assignment, shared, trace, converged)
         if best is None or cand[:2] > best[:2]:
             best = cand
 
     value, _, assignment, shared, trace, converged = best
+    for u in assignment.values():
+        require_unitary(u)
     strategies = strategies_from_assignment(spec, assignment)
     shared_state = StateVector(shared, layout.shared_layout)
     inst = ProtocolInstance(spec, strategies, shared_state)
@@ -726,6 +921,31 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
             f"see-saw value {value:.12f} vs re-simulated {resim:.12f}")
     return AdversaryResult(resim, strategies, shared_state, tuple(trace),
                            converged, tuple(restart_values), cfg.prover_dims)
+
+
+def _product_sweeps(program: _Program, assignment: Assignment,
+                    keys: Sequence[tuple[int, int]],
+                    group_states: list[np.ndarray], cfg: SeesawConfig
+                    ) -> tuple[list[float], bool]:
+    """One restart under product groups, in place: plain sweeps until one
+    gains less than `cfg.convergence_tol` or `cfg.max_sweeps` have run.
+    Returns the trace and whether it converged."""
+    a = None
+    trace: list[float] = []
+    prev = -1.0
+    for _ in range(cfg.max_sweeps):
+        if a is None:
+            a = program.acceptance_operator(
+                assignment, _group_columns(group_states, 0))
+        group_states[0] = _top_eigenvector(a)
+        _product_state_update(program, assignment, group_states)
+        value, a = program.sweep(_group_columns(group_states, 0),
+                                 group_states[0], assignment, keys)
+        trace.append(value)
+        if value - prev < cfg.convergence_tol:
+            return trace, True
+        prev = value
+    return trace, False
 
 
 def random_search(verifier: VerifierSpec, prover_dims: Sequence[int],

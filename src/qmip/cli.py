@@ -151,7 +151,7 @@ def cmd_audit(args) -> int:
                        "trace": list(res.trace), "converged": res.converged,
                        "restart_values": list(res.restart_values),
                        "prover_dims": list(res.prover_dims)}
-        trace_note = (f" ({len(res.trace)} sweeps, "
+        trace_note = (f" ({len(res.trace)} iterations, "
                       f"{'converged' if res.converged else 'not converged'})")
         if args.out_strategy:
             Path(args.out_strategy).write_text(files.strategy_text(res))
@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--method", choices=("seesaw", "grid"), default="seesaw")
     p.add_argument("--restarts", type=int, default=adversary.SeesawConfig.restarts)
-    p.add_argument("--sweeps", type=int, default=adversary.SeesawConfig.max_sweeps)
+    p.add_argument("--sweeps", type=int, default=adversary.SeesawConfig.max_sweeps,
+                   help="iterations (sweeps or L-BFGS steps) per restart")
     p.add_argument("--tol", type=float,
                    default=adversary.SeesawConfig.convergence_tol)
     p.add_argument("--dims", default=None,

@@ -77,13 +77,24 @@ def _mat_dec(v, path: str) -> np.ndarray:
                     dtype=np.complex128)
 
 
+def _int_dec(v, path: str, what: str) -> int:
+    """A JSON integer; a float or a bool is refused, not truncated."""
+    if type(v) is not int:
+        raise _err(path, f"{what} are integers, not {v!r}")
+    return v
+
+
 def _qubit_dec(v, path: str) -> tuple[str, int]:
     if not (isinstance(v, list) and len(v) == 2):
         raise _err(path, "qubits are [register, index] pairs")
-    try:
-        return (str(v[0]), int(v[1]))
-    except (TypeError, ValueError):
-        raise _err(path, f"qubit indices are integers, not {v[1]!r}") from None
+    return (str(v[0]), _int_dec(v[1], path, "qubit indices"))
+
+
+def _control_dec(v, path: str) -> tuple[tuple[str, int], int]:
+    """A [qubit, bit] control; the bit is the integer 0 or 1."""
+    if v[1] not in (0, 1) or type(v[1]) is not int:
+        raise _err(path, f"control bits are 0 or 1, not {v[1]!r}")
+    return _qubit_dec(v[0], path), v[1]
 
 
 def _known_dec(v, path: str) -> tuple:
@@ -123,7 +134,7 @@ def _gate_dec(v, circuits: dict[str, Circuit], path: str) -> list[Gate]:
         raise _err(path, "gate entries are objects with a 'gate' field")
     try:
         name = v["gate"]
-        controls = tuple((_qubit_dec(c[0], f"{path}.controls"), int(c[1]) & 1)
+        controls = tuple(_control_dec(c, f"{path}.controls")
                          for c in v.get("controls", []))
         if name == "CIRCUIT":
             ref = v.get("ref")
@@ -226,8 +237,12 @@ def _steps_dec(values, circuits: dict[str, Circuit], path: str,
                 cv = sv["coin"]
                 rec = cv.get("record")
                 steps.append(CoinStep(
-                    str(cv.get("id", f"coin{turn}")), int(cv.get("flips", 1)),
-                    tuple(int(r) for r in cv.get("recipients", [])),
+                    str(cv.get("id", f"coin{turn}")),
+                    _int_dec(cv.get("flips", 1), f"{spath}.coin.flips",
+                             "coin flips"),
+                    tuple(_int_dec(r, f"{spath}.coin.recipients[{j}]",
+                                   "coin recipients")
+                          for j, r in enumerate(cv.get("recipients", []))),
                     None if rec is None else tuple(
                         _qubit_dec(q, spath) for q in rec)))
             elif "accept_now" in sv:
@@ -688,13 +703,16 @@ def load_strategy(path: str | Path) -> dict:
         raise ValidationError(f"{p}: expected {STRATEGY_TAG!r}")
     where = "prover_dims"
     try:
-        dims = [int(d) for d in data["prover_dims"]]
+        dims = [_int_dec(d, f"prover_dims[{i}]", "prover dimensions")
+                for i, d in enumerate(data["prover_dims"])]
         strategies = []
         for i, sv in enumerate(data["strategies"]):
             where = f"strategies[{i}]"
-            circuits = tuple(_circuit_dec(cv, {}, where)
-                             for cv in sv["turns"])
-            strategies.append(ProverStrategy(int(sv["index"]), circuits))
+            circuits = tuple(_circuit_dec(cv, {}, f"{where}.turns[{t}]")
+                             for t, cv in enumerate(sv["turns"]))
+            strategies.append(ProverStrategy(
+                _int_dec(sv["index"], f"{where}.index", "prover indices"),
+                circuits))
         where = "shared"
         amps = np.array([_c_dec(z, "shared") for z in data["shared"]],
                         dtype=np.complex128)

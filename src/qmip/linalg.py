@@ -590,7 +590,11 @@ def polar_unitary(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("polar decomposition input is not square")
     v, _, wh = np.linalg.svd(a)
-    u = v @ wh
+    return require_unitary(v @ wh)
+
+
+def require_unitary(u: np.ndarray) -> np.ndarray:
+    """u, if ||U^dag U - I||_max <= UNITARITY_TOL; ValidationError if not."""
     err = np.abs(u.conj().T @ u - np.eye(len(u))).max()
     if err > UNITARITY_TOL:
         raise ValidationError(f"operator not unitary (||U^dag U - I|| = {err:.3e})")

@@ -12,9 +12,10 @@ from qmip.adversary import (SeesawConfig, brute_force_value,
                             strategies_from_assignment)
 from qmip.config import (BudgetError, NumericalCheckError, PreconditionError,
                          RunConfig, ValidationError)
-from qmip.linalg import StateVector, random_state
+from qmip.linalg import StateVector, random_state, require_unitary
 from qmip.model import ProtocolInstance, run
-from qmip.transforms import make_perfectly_rewindable
+from qmip.transforms import (make_perfectly_rewindable,
+                             rewind_to_perfect_completeness)
 
 COS2_PI_8 = (1.0 + 1.0 / math.sqrt(2.0)) / 2.0
 
@@ -154,6 +155,30 @@ def test_seesaw_sound_no_finds_true_optimum():
     res = seesaw(fixtures.sound_no().verifier,
                  SeesawConfig(prover_dims=(1,), restarts=5, seed=1))
     assert abs(res.value - 0.01) <= 1e-6
+
+
+# the 60-sweep values of the benchmark's audit restarts before the L-BFGS
+# steps, none of which reached the fixed-point test
+_AUDIT_SWEEP_VALUES = (0.5243370102256004, 0.5237137417273703,
+                       0.5239445806030557, 0.5240559457523959)
+AUDIT_OPTIMUM = 0.524602
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_audit_restarts_reach_the_fixed_point(seed):
+    # the benchmark's audit: the rewound sound_no at prover dimensions (2,)
+    rwd = make_perfectly_rewindable(fixtures.sound_no(), p_max=1.0, check=False)
+    verifier = rewind_to_perfect_completeness(rwd.instance,
+                                              check=False).instance.verifier
+    res = seesaw(verifier, SeesawConfig(prover_dims=(2,), convergence_tol=1e-7,
+                                        max_sweeps=60, restarts=1, seed=seed))
+    assert res.converged
+    assert abs(res.value - AUDIT_OPTIMUM) <= 1e-5
+    assert res.value >= _AUDIT_SWEEP_VALUES[seed]
+    for a, b in zip(res.trace, res.trace[1:]):
+        assert b >= a
+    for gate in (g for p in res.strategies for c in p.circuits for g in c):
+        require_unitary(gate.matrix)
 
 
 # --- brute force grid --------------------------------------------------------

@@ -42,7 +42,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qmip import adversary, files, fixtures, model, transforms
 from qmip.adversary import (SeesawConfig, resize_prover_registers, seesaw,
@@ -451,6 +451,51 @@ def test_sweep_returns_the_next_eigen_update_operator(fuse_max_dim, spec,
         assert np.abs(a - program.acceptance_operator(assignment, cols)).max() <= TOL
         shared = (cols @ states[0])[:, None]
         assert abs(value - program.acceptance_operator(assignment, shared)[0, 0].real) <= TOL
+
+
+def _eigenvalues(program, assignment):
+    a = program.acceptance_operator(
+        assignment, np.eye(program.d_p, dtype=np.complex128))
+    return np.linalg.eigvalsh(a)
+
+
+@pytest.mark.parametrize("fuse_max_dim", FUSE_BOUNDS)
+@settings(max_examples=12, deadline=None)
+@given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1))
+def test_gradient_equals_finite_difference(fuse_max_dim, spec, seed):
+    """The evaluation's Riemannian gradient G_k = U_k^dag E_k - E_k^dag U_k,
+    against a central difference of lambda_max(A) along U_k exp(t Omega_k)
+    for a random skew-Hermitian Omega. lambda_max is smooth only where it
+    is simple; the difference is accurate where the gap is not small."""
+    with mock.patch.object(adversary, "FUSE_MAX_DIM", fuse_max_dim):
+        program, _, assignment, _ = _setup(spec, seed)
+        vals = _eigenvalues(program, assignment)
+        assume(vals[-1] - vals[-2] > 0.05)
+        keys = sorted(assignment, key=lambda k: (k[1], k[0]))
+        blocks = adversary._blocks(program, keys)
+        point = adversary._Point(program, assignment, blocks,
+                                 np.eye(program.d_p, dtype=np.complex128))
+        rng = np.random.default_rng(seed)
+        omegas = {}
+        for key in keys:
+            w = rng.standard_normal((2, program.dims[key], program.dims[key]))
+            w = w[0] + 1j * w[1]
+            omegas[key] = w - w.conj().T
+        norm = np.sqrt(sum(np.vdot(w, w).real for w in omegas.values()))
+        slope = np.vdot(np.concatenate([omegas[k].ravel() for ks in blocks
+                                        for k in ks]) / norm,
+                        point.gradient()).real
+
+        def moved(t):
+            out = {}
+            for key, w in omegas.items():
+                # exp(t w) for skew-Hermitian w, from the Hermitian 1j * w
+                lam, v = np.linalg.eigh(1j * w / norm)
+                out[key] = assignment[key] @ (v * np.exp(-1j * t * lam)) @ v.conj().T
+            return _eigenvalues(program, out)[-1]
+
+        h = 1e-5
+        assert abs((moved(h) - moved(-h)) / (2 * h) - slope) <= 1e-6
 
 
 @pytest.mark.parametrize("fuse_max_dim", FUSE_BOUNDS)

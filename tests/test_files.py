@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qmip import fixtures, files
+from qmip.adversary import SeesawConfig, seesaw
 from qmip.circuits import Circuit, Gate, ry, s as s_gate
 from qmip.config import ValidationError
 from qmip.linalg import StateVector
@@ -318,6 +319,73 @@ def test_one_value_mutations_load_or_fail_validation(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["tried"] > 4000
     assert result["escapes"] == []
+
+
+def _set(data, path, value):
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+_GUESS_GATE = ("circuits", "final", 0)
+_STAGE_COIN = ("turns", 1, "steps", 1, "coin")
+_STRATEGY_GATE = ("strategies", 0, "turns", 0, 0)
+_INTEGER_FIELDS = {
+    # field: (file, where the value goes, the error it gives, values)
+    "control bit": ("guess", _GUESS_GATE + ("controls", 0, 1),
+                    r"circuits\.final\[0\]\.controls: control bits "
+                    r"are 0 or 1", (5, -1, 2, 1.5, True)),
+    "target index": ("guess", _GUESS_GATE + ("targets", 0, 1),
+                     r"circuits\.final\[0\]\.targets: qubit indices "
+                     r"are integers", (0.5, 1.5, True)),
+    "coin flips": ("stage", _STAGE_COIN + ("flips",),
+                   r"turns\[1\]\.steps\[1\]\.coin\.flips: coin flips are "
+                   r"integers", (1.5, True)),
+    "coin recipient": ("stage", _STAGE_COIN + ("recipients", 0),
+                       r"turns\[1\]\.steps\[1\]\.coin\.recipients\[0\]: "
+                       r"coin recipients are integers", (1.5, True)),
+    "strategy target index": (
+        "strategy", _STRATEGY_GATE + ("targets", 0, 1),
+        r"strategies\[0\]\.turns\[0\]\[0\]\.targets: qubit indices "
+        r"are integers", (0.5, 1.5, True)),
+    "strategy prover dimension": (
+        "strategy", ("prover_dims", 0),
+        r"prover_dims\[0\]: prover dimensions are integers", (1.5, True)),
+    "strategy prover index": (
+        "strategy", ("strategies", 0, "index"),
+        r"strategies\[0\]\.index: prover indices are integers", (1.5, True)),
+    "strategy control bit": (
+        "strategy", _STRATEGY_GATE + ("controls",),
+        r"strategies\[0\]\.turns\[0\]\[0\]\.controls: control bits "
+        r"are 0 or 1", (5, -1, 2, 1.5, True)),
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, v) for field, (*_, values) in _INTEGER_FIELDS.items()
+    for v in values])
+def test_integer_fields_are_not_truncated(tmp_path, field, value):
+    # a float, a bool or an out-of-range bit is refused with its path, not
+    # read as int(value) (& 1 for a control bit)
+    kind, path, message, _ = _INTEGER_FIELDS[field]
+    if kind == "guess":
+        text = files.save(fixtures.guess(), os.devnull)
+    elif kind == "stage":
+        text = files.save(run_pipeline(fixtures.sound_yes()).stages[0].instance,
+                          os.devnull)
+    else:
+        text = files.strategy_text(seesaw(fixtures.chsh().verifier, SeesawConfig(
+            prover_dims=(1, 1), restarts=1, seed=0)))
+        if field == "strategy control bit":
+            value = [[["M2", 0], value]]
+    data = json.loads(text)
+    _set(data, path, value)
+    f = tmp_path / "mutated.json"
+    f.write_text(json.dumps(data))
+    load = files.load_strategy if kind == "strategy" else files.load
+    with pytest.raises(ValidationError, match=message):
+        load(f)
 
 
 def test_named_gate_sugar(tmp_path):

@@ -35,10 +35,19 @@ is a sha256, a `repr`'d float or an error's class and message:
 * the value and trace of one see-saw sweep from one restart on two programs
   above `adversary.FUSE_MAX_DIM`: criterion 08's (the one-round output of
   five_turn_no, 14 qubits at prover dimensions (2, 2)) and par-rep(chsh, 2)
-  with product groups ((1, 2), (3, 4)), 15 qubits. Later sweeps are not
-  keyed: the environment operators are rank deficient, so the polar
-  factor's completion on their null space is set by rounding, and any
-  reordering of a sum moves the trajectory after the first sweep.
+  with product groups ((1, 2), (3, 4)), 15 qubits;
+* the value, trace length and `converged` of one full restart on criterion
+  08's program (seed 5, tolerance 1e-6), so the fixed point of a restart
+  above the bound is compared too.
+
+The environment operators are rank deficient, so the polar factor's
+completion on their null space is set by rounding, and any reordering of a
+sum moves a see-saw trajectory after its first sweep (a restart without
+product groups sweeps first, then takes L-BFGS steps). A refactor that
+reorders a sum may therefore move the full traces of the audit and chsh
+keys in their last digits; the one-sweep keys do not move, and a restart
+that reaches its fixed point moves its value by about the tolerance at
+most.
 """
 
 from __future__ import annotations
@@ -198,6 +207,15 @@ def digests(work: Path) -> dict[str, str]:
             continue
         out[f"{label} value"] = repr(res.value)
         out[f"{label} trace"] = repr(res.trace)
+    label = "seesaw criterion 08 restart"
+    try:
+        res = adversary.seesaw(above[0][1].verifier, adversary.SeesawConfig(
+            prover_dims=(2, 2), restarts=1, seed=5, convergence_tol=1e-6))
+        out[f"{label} value"] = repr(res.value)
+        out[f"{label} trace length"] = str(len(res.trace))
+        out[f"{label} converged"] = repr(res.converged)
+    except Exception as e:
+        out[label] = _error(e)
     return out
 
 
