@@ -38,7 +38,12 @@ is a sha256, a `repr`'d float or an error's class and message:
   with product groups ((1, 2), (3, 4)), 15 qubits;
 * the value, trace length and `converged` of one full restart on criterion
   08's program (seed 5, tolerance 1e-6), so the fixed point of a restart
-  above the bound is compared too.
+  above the bound is compared too;
+* f and the packed gradient (real parts, then imaginary parts, as a list of
+  floats) of a restart's first L-BFGS point, restart 0 after
+  `adversary.WARMUP_SWEEPS` plain sweeps, on the audit program (seeds 0-1)
+  and on chsh (seed 0), so the gradient's own difference is shown, not
+  only its effect on the trajectories.
 
 The environment operators are rank deficient, so the polar factor's
 completion on their null space is set by rounding, and any reordering of a
@@ -65,6 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from qmip import adversary, cli, files, fixtures, model, transforms
+from qmip.linalg import random_unitary
 
 PIPELINE_INPUTS = ("five_turn_yes", "sound_yes", "five_turn_no", "sound_no")
 
@@ -100,6 +106,32 @@ def _seesaw(out: dict, label: str, verifier, cfg) -> None:
     out[f"{label} strategies"] = _sha(b"".join(
         _array_sha(g.matrix).encode() for p in res.strategies
         for c in p.circuits for g in c))
+
+
+def _first_point(out: dict, label: str, verifier, dims, seed: int) -> None:
+    """f and the gradient where restart 0 of a see-saw at `seed` takes its
+    first L-BFGS step, from `_Program`, `sweep` and `_Point` alone."""
+    try:
+        program = adversary._Program(
+            adversary.resize_prover_registers(verifier, dims),
+            adversary.DEFAULT_RUN_CONFIG)
+        keys = sorted(program.keys, key=lambda k: (k[1], k[0]))
+        rng = np.random.default_rng([seed, 0])
+        assignment = {k: random_unitary(program.dims[k], rng) for k in keys}
+        eye = np.eye(program.d_p, dtype=np.complex128)
+        psi = adversary._top_eigenvector(
+            program.acceptance_operator(assignment, eye))
+        for _ in range(adversary.WARMUP_SWEEPS):
+            psi = adversary._top_eigenvector(
+                program.sweep(eye, psi, assignment, keys)[1])
+        point = adversary._Point(program, assignment,
+                                 adversary._blocks(program, keys), eye)
+        g = point.gradient()
+    except Exception as e:
+        out[label] = _error(e)
+        return
+    out[f"{label} f"] = repr(point.f)
+    out[f"{label} gradient"] = repr(np.concatenate([g.real, g.imag]).tolist())
 
 
 def digests(work: Path) -> dict[str, str]:
@@ -181,6 +213,11 @@ def digests(work: Path) -> dict[str, str]:
         _seesaw(out, f"seesaw audit seed={seed}", audit.verifier,
                 adversary.SeesawConfig(prover_dims=(2,), convergence_tol=1e-7,
                                        max_sweeps=60, restarts=1, seed=seed))
+    for seed in range(2):
+        _first_point(out, f"first L-BFGS point audit seed={seed}",
+                     audit.verifier, (2,), seed)
+    _first_point(out, "first L-BFGS point chsh seed=0", loaded["chsh"].verifier,
+                 (1, 1), 0)
     for groups in (None, ((1,), (2,))):
         _seesaw(out, f"seesaw chsh groups={groups}", loaded["chsh"].verifier,
                 adversary.SeesawConfig(prover_dims=(1, 1), restarts=4, seed=0,
