@@ -27,15 +27,13 @@ Two engines:
   once: after `WARMUP_SWEEPS` sweeps it takes Riemannian L-BFGS steps
   (Abrudan, Eriksson & Koivunen, IEEE TSP 56(3), 2008) with a Cayley
   retraction and an Armijo line search, and goes back to a sweep whenever a
-  step fails or stalls. `_Program.evaluate` gives A from one forward walk
-  and keeps each branch's columns before its first slot. From those, every
-  key's environment comes from one more forward walk of the shared state's
-  column per branch and one backward walk of its costate (adjoint
-  differentiation, Jones & Gacon, arXiv:2009.02823); a sweep keeps the same
-  columns, so the point after a sweep is not walked again. The gradient of
-  f along U_k exp(t Omega) is Re tr(Omega^dag G_k) with G_k = U_k^dag E_k -
-  E_k^dag U_k. Every step raises f, so the per-iteration trace is
-  non-decreasing too.
+  step fails or stalls. A point's A is one forward walk of the prover
+  columns, or the A its sweep returned; `_Program.environments` gives every
+  key's environment from one forward walk of the shared state's column per
+  branch and one backward walk of its costate (adjoint differentiation,
+  Jones & Gacon, arXiv:2009.02823). The gradient of f along U_k exp(t
+  Omega) is Re tr(Omega^dag G_k) with G_k = U_k^dag E_k - E_k^dag U_k.
+  Every step raises f, so the per-iteration trace is non-decreasing too.
 
 Both engines, `random_search` and `brute_force_value` execute a `_Program`:
 every coin branch compiled once per call into a short list of steps. At or
@@ -71,10 +69,6 @@ floating-point sums moves see-saw trajectories after the first sweep (by
 about 1e-4 on that audit, while the first sweep agrees to 1e-15); executors
 are compared step by step, not by whole traces.
 
-`seesaw` keeps the last program it compiled, for the same verifier object,
-prover dimensions, `RunConfig` and `FUSE_MAX_DIM`; a program holds no
-per-call state.
-
 Everything is seeded: restart r uses default_rng([seed, r]).
 """
 
@@ -84,7 +78,6 @@ import functools
 import itertools
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -112,9 +105,6 @@ adjoint."""
 _Walk = tuple[int, np.ndarray, list[np.ndarray]]
 """A branch walked forward to a step index: the columns there and the rows
 banked so far."""
-_Kept = list[tuple[int, np.ndarray] | None]
-"""Per branch, its first slot's step index and the columns reaching it;
-None for a branch without slots."""
 
 
 def _gate(cols: np.ndarray, matrix: np.ndarray, axes: Sequence[int],
@@ -332,12 +322,11 @@ class _Program:
     are inlined as verifier gates; without, each prover turn is a slot on
     `layout.slot_qubits(i)`. `keys` lists the (prover, turn) slots in sorted
     order, `slots[key]` gives a slot's `operator` and `environment`,
-    `dims[key]` is the dimension of its unitary, `slot_at[j][key]` its
-    step's index in branch j and `first_slot[j]` the index of branch j's
-    first slot (None without slots). `d_p` is the dimension of the joint
-    prover space, and qubit axes are the layout's `qubit_axes()`. Every
-    branch has the weight `weight`, 2^-(coin flips); a power of two, so the
-    sums over branches are scaled once, exactly.
+    `dims[key]` is the dimension of its unitary and `slot_at[j][key]` its
+    step's index in branch j. `d_p` is the dimension of the joint prover
+    space, and qubit axes are the layout's `qubit_axes()`. Every branch has
+    the weight `weight`, 2^-(coin flips); a power of two, so the sums over
+    branches are scaled once, exactly.
 
     While 2^n <= `FUSE_MAX_DIM` a branch is stretches (`_Stretch`)
     alternating with the span slots (`_SpanSlot`) every branch shares;
@@ -345,9 +334,7 @@ class _Program:
     grows (`_Grow`) and events (`_Bank`), from the prover columns alone.
     Each branch ends at its last step that banks anything: later steps
     cannot change its acceptance, and a branch that banks nothing is
-    dropped. Every evaluation walks steps forward with `_forward`. A program
-    holds nothing from the calls it serves, so one program serves any
-    number of them.
+    dropped. Every evaluation walks steps forward with `_forward`.
     """
 
     def __init__(self, spec: VerifierSpec, config: RunConfig,
@@ -380,7 +367,6 @@ class _Program:
                 self.branches.append(tuple(steps))
                 self.slot_at.append({step.key: j for j, step in enumerate(steps)
                                      if getattr(step, "key", None)})
-        self.first_slot = [min(at.values(), default=None) for at in self.slot_at]
 
     # -- compilation
 
@@ -477,24 +463,14 @@ class _Program:
                 banked.append(rows)
         return cols
 
-    def _acceptance(self, walks: Sequence[_Walk], ops: _Operators, b: int,
-                    kept: _Kept | None = None) -> np.ndarray:
+    def _acceptance(self, walks: Sequence[_Walk], ops: _Operators,
+                    b: int) -> np.ndarray:
         """The acceptance operator over the b columns of `walks`, each
         branch walked on from where its walk stopped: the gram of the rows
-        every step banks. With `kept`, each branch appends its first slot's
-        index and the columns reaching it (the walks must start there or
-        before it)."""
+        every step banks."""
         a = np.zeros((b, b), dtype=np.complex128)
-        for j, (steps, (start, cols, done)) in enumerate(
-                zip(self.branches, walks)):
+        for steps, (start, cols, done) in zip(self.branches, walks):
             banked = list(done)
-            if kept is not None:
-                idx = self.first_slot[j]
-                if idx is not None:
-                    # a slot's forward leaves its input as it was
-                    cols = self._forward(steps[start:idx], cols, ops, banked)
-                    start = idx
-                kept.append(None if idx is None else (idx, cols))
             self._forward(steps[start:], cols, ops, banked)
             for v in banked:
                 v = v.reshape(-1, b)
@@ -533,16 +509,15 @@ class _Program:
         return self.weight * self.slots[key].environment(e)
 
     def _environment(self, walks: list[_Walk], ops: _Operators,
-                     key: tuple[int, int], coeffs: np.ndarray | None,
-                     kept: _Kept | None = None) -> np.ndarray:
+                     key: tuple[int, int],
+                     coeffs: np.ndarray | None) -> np.ndarray:
         """The environment operator of slot `key`, before the polar step.
 
         Per branch: carry the walk, on all its columns, on to just before
         the slot (it must not have passed it), and add the `_outer` term of
         the shared state's column x = chi @ coeffs (chi itself when coeffs
         is None). A branch whose slot lies past its last banking step adds
-        nothing. A branch that reaches its first slot here records its
-        columns there in `kept`, if given."""
+        nothing."""
         e = None
         for j, steps in enumerate(self.branches):
             idx = self.slot_at[j].get(key)
@@ -551,8 +526,6 @@ class _Program:
             start, chi, done = walks[j]
             chi = self._forward(steps[start:idx], chi, ops, done)
             walks[j] = (idx, chi, done)
-            if kept is not None and idx == self.first_slot[j]:
-                kept[j] = (idx, chi)
             outer = self._outer(steps, idx,
                                 chi if coeffs is None else chi @ coeffs, ops)
             e = outer if e is None else e + outer
@@ -565,80 +538,65 @@ class _Program:
         return self._environment(self._walks(prover_col),
                                  self._operators(assignment), key, None)
 
-    def environments(self, ops: _Operators, kept: _Kept, coeffs: np.ndarray
+    def environments(self, prover_col: np.ndarray, assignment: Assignment
                      ) -> dict[tuple[int, int], np.ndarray]:
-        """Every key's environment operator at the shared state cols @
-        coeffs, from the columns `kept` before each branch's first slot.
+        """Every key's `environment` at the shared state in prover_col, from
+        one forward and one backward walk per branch (adjoint
+        differentiation, Jones & Gacon, arXiv:2009.02823).
 
-        Per branch, the shared state's column x = chi @ coeffs is walked
-        forward once to the last step, keeping each slot's input and the
-        rows each step banks; the costate mu = the last step's `gram` is
-        walked back once, and at each slot, on the way, that slot's `outer`
-        of mu and its input is its term (adjoint differentiation)."""
-        c = coeffs[:, None]
+        Per branch, the column is walked forward to the last step, keeping
+        each slot's input and the rows each step banks; the costate mu = the
+        last step's `gram` is walked back to the first slot, and at each
+        slot, on the way, that slot's `outer` of mu and its input is its
+        term."""
+        ops = self._operators(assignment)
         e: dict[tuple[int, int], np.ndarray] = {}
-        for steps, start in zip(self.branches, kept):
-            if start is None:
+        for steps, at, (_, x, _) in zip(self.branches, self.slot_at,
+                                        self._walks(prover_col)):
+            if not at:
                 continue
-            first, chi = start
-            x, inputs, banked = chi @ c, {}, []
-            for idx in range(first, len(steps) - 1):
-                if getattr(steps[idx], "key", None):
+            inputs, banked = {}, []
+            for idx, step in enumerate(steps[:-1]):
+                if getattr(step, "key", None):
                     # a slot's forward leaves its input as it was
                     inputs[idx] = x
-                x, rows = steps[idx].forward(x, ops)
+                x, rows = step.forward(x, ops)
                 banked.append(rows)
             mu = steps[-1].gram(x)
+            first = min(inputs)
             for idx in range(len(steps) - 2, first - 1, -1):
                 if idx in inputs:
                     key = steps[idx].key
                     outer = steps[idx].outer(mu, inputs[idx])
                     e[key] = e[key] + outer if key in e else outer
                 if idx > first:
-                    mu = steps[idx].backward(mu, banked[idx - first], ops)
+                    mu = steps[idx].backward(mu, banked[idx], ops)
         return {key: self._scaled(key, e.get(key)) for key in self.keys}
 
-    def evaluate(self, assignment: Assignment, prover_cols: np.ndarray):
-        """A = `acceptance_operator(assignment, prover_cols)` from one
-        forward walk of every branch, and a function of coeffs giving every
-        key's environment operator at the shared state prover_cols @
-        coeffs. The walk keeps each branch's columns before its first slot,
-        and `environments` starts from those."""
-        ops = self._operators(assignment)
-        kept: _Kept = []
-        a = self._acceptance(self._walks(prover_cols), ops,
-                             prover_cols.shape[1], kept)
-        return a, functools.partial(self.environments, ops, kept)
-
     def sweep(self, cols: np.ndarray, coeffs: np.ndarray,
-              assignment: Assignment, keys: Sequence[tuple[int, int]]):
+              assignment: Assignment, keys: Sequence[tuple[int, int]]
+              ) -> tuple[float, np.ndarray]:
         """One see-saw sweep over `keys` at the shared state cols @ coeffs.
 
         Each key in turn is set to the polar factor of its `environment`.
-        Returns the acceptance of the updated assignment, A =
+        Returns the acceptance of the updated assignment and A =
         `acceptance_operator(assignment, cols)`, so value = coeffs^dag A
-        coeffs, and the function of coeffs `evaluate` returns next to A. With
-        the first product group's update columns as `cols`, A is that
-        group's next eigen-update operator. The keys must be in the order in
-        which the branches reach their slots, (turn, prover). Each branch is
-        walked forward once on all the columns: they are carried from one
-        slot to the next, with the rows banked so far, and the rest of it is
-        walked after the last key. So the columns before each slot are
-        computed with the final value of every earlier key: they are the
-        columns `evaluate` keeps for the updated assignment, if `keys` are
-        all the program's keys.
+        coeffs; with the first product group's update columns as `cols`, A
+        is that group's next eigen-update operator. The keys must be in the
+        order in which the branches reach their slots, (turn, prover). Each
+        branch is walked forward once on all the columns: they are carried
+        from one slot to the next, with the rows banked so far, and the rest
+        of it is walked after the last key.
         """
         ops = self._operators(assignment)
         walks = self._walks(cols)
-        kept: _Kept = [None] * len(self.branches)
         c = coeffs[:, None]
         for key in keys:
             assignment[key] = polar_unitary(
-                self._environment(walks, ops, key, c, kept))
+                self._environment(walks, ops, key, c))
             ops[key] = self.slots[key].operator(assignment[key])
         a = self._acceptance(walks, ops, cols.shape[1])
-        return (float((c.conj().T @ a @ c)[0, 0].real), a,
-                functools.partial(self.environments, ops, kept))
+        return float((c.conj().T @ a @ c)[0, 0].real), a
 
 
 # ---------------------------------------------------------------------------
@@ -812,17 +770,18 @@ class _Point:
     its top eigenvector psi and, on demand, the Riemannian gradient of f in
     the Lie algebra, G_k = U_k^dag E_k - E_k^dag U_k, packed into one flat
     vector. `blocks` (`_blocks`) orders the packing; a block's unitaries
-    are stacked and moved together. `evaluated` is what `_Program.evaluate`
-    (or a sweep over every key) returned for the assignment, if at hand."""
+    are stacked and moved together. `a` is the assignment's acceptance
+    operator over `eye`, if at hand."""
 
     def __init__(self, program: _Program, assignment: Assignment,
                  blocks: Sequence[Sequence[tuple[int, int]]], eye: np.ndarray,
-                 evaluated: tuple | None = None):
+                 a: np.ndarray | None = None):
         self.program = program
         self.assignment = assignment
         self.blocks = blocks
         self.eye = eye
-        a, self._environments = evaluated or program.evaluate(assignment, eye)
+        if a is None:
+            a = program.acceptance_operator(assignment, eye)
         vals, vecs = np.linalg.eigh(a)
         self.f = float(vals[-1])
         self.psi = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
@@ -831,7 +790,7 @@ class _Point:
         return np.stack([self.assignment[key] for key in keys])
 
     def gradient(self) -> np.ndarray:
-        envs = self._environments(self.psi)
+        envs = self.program.environments(self.psi[:, None], self.assignment)
         parts = []
         for keys in self.blocks:
             ue = self._stack(keys).conj().transpose(0, 2, 1) @ np.stack(
@@ -890,8 +849,8 @@ def _ascend(program: _Program, assignment: Assignment,
     sweep from where it stopped at psi, which clears the memory. The
     restart stops when a plain sweep gains less than `cfg.convergence_tol`,
     or after `cfg.max_sweeps` iterations (steps and sweeps, one trace value
-    each; a failed line search adds none). The point after a sweep is built
-    from the sweep's own walk. Returns the assignment, the shared state of
+    each; a failed line search adds none). The point after a sweep takes
+    the A the sweep returned. Returns the assignment, the shared state of
     the last value, the trace and whether it converged."""
     eye = np.eye(program.d_p, dtype=np.complex128)
     blocks = _blocks(program, keys)
@@ -901,12 +860,12 @@ def _ascend(program: _Program, assignment: Assignment,
     step_next = False
     while len(trace) < cfg.max_sweeps:
         if not step_next:
-            value, a, environments = program.sweep(eye, psi, assignment, keys)
+            value, a = program.sweep(eye, psi, assignment, keys)
             gain = value - (trace[-1] if trace else -1.0)
             trace.append(value)
             if gain < cfg.convergence_tol or len(trace) == cfg.max_sweeps:
                 return assignment, psi, trace, gain < cfg.convergence_tol
-            point = _Point(program, assignment, blocks, eye, (a, environments))
+            point = _Point(program, assignment, blocks, eye, a)
             psi, g, memory = point.psi, None, []
             step_next = len(trace) >= WARMUP_SWEEPS
             continue
@@ -934,29 +893,6 @@ def _ascend(program: _Program, assignment: Assignment,
     return assignment, psi, trace, False
 
 
-_SEESAW_PROGRAM: tuple | None = None
-"""The last (weakref to the verifier, (prover_dims, RunConfig,
-FUSE_MAX_DIM), resized spec, `_Program`) that `seesaw` built. The weak
-reference matches the verifier by identity without keeping it alive."""
-
-
-def _seesaw_program(verifier: VerifierSpec, prover_dims: tuple[int, ...],
-                    config: RunConfig) -> tuple[VerifierSpec, _Program]:
-    """The verifier resized to `prover_dims` and its compiled program: the
-    kept one if the verifier is the same object and the dimensions, run
-    configuration and `FUSE_MAX_DIM` are equal, else a new one, which is
-    kept in its place."""
-    global _SEESAW_PROGRAM
-    key = (prover_dims, config, FUSE_MAX_DIM)
-    kept = _SEESAW_PROGRAM
-    if kept is not None and kept[0]() is verifier and kept[1] == key:
-        return kept[2], kept[3]
-    spec = resize_prover_registers(verifier, prover_dims)
-    program = _Program(spec, config)
-    _SEESAW_PROGRAM = (weakref.ref(verifier), key, spec, program)
-    return spec, program
-
-
 def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
            config: RunConfig = DEFAULT_RUN_CONFIG) -> AdversaryResult:
     """Alternating maximization over prover unitaries and the shared state.
@@ -969,12 +905,12 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
     `_ascend`'s sweeps and L-BFGS steps. With product groups every
     iteration is a sweep: it updates the shared state group by group, then
     every turn; the first group's eigen-update reads the operator the
-    previous sweep returned. The compiled program is kept for the next call
-    on the same verifier object (`_seesaw_program`).
+    previous sweep returned.
     """
-    spec, program = _seesaw_program(verifier, cfg.prover_dims, config)
+    spec = resize_prover_registers(verifier, cfg.prover_dims)
     layout = spec.layout
     groups = cfg.product_groups or (tuple(range(1, layout.k + 1)),)
+    program = _Program(spec, config)
     keys = sorted(program.keys, key=lambda k: (k[1], k[0]))
 
     best: tuple[float, int, Assignment, np.ndarray, list[float], bool] | None = None
@@ -1028,8 +964,8 @@ def _product_sweeps(program: _Program, assignment: Assignment,
                 assignment, _group_columns(group_states, 0))
         group_states[0] = _top_eigenvector(a)
         _product_state_update(program, assignment, group_states)
-        value, a, _ = program.sweep(_group_columns(group_states, 0),
-                                    group_states[0], assignment, keys)
+        value, a = program.sweep(_group_columns(group_states, 0),
+                                 group_states[0], assignment, keys)
         trace.append(value)
         if value - prev < cfg.convergence_tol:
             return trace, True

@@ -1,9 +1,6 @@
 """Optimal shared states, see-saw ascent, and the exhaustive grid oracle."""
 
-import dataclasses
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -238,8 +235,8 @@ def _scale_sweep_value(monkeypatch, factor):
     compiled = adversary._Program.sweep
 
     def sweep(self, cols, coeffs, assignment, keys):
-        value, *rest = compiled(self, cols, coeffs, assignment, keys)
-        return (factor * value, *rest)
+        value, a = compiled(self, cols, coeffs, assignment, keys)
+        return factor * value, a
     monkeypatch.setattr(adversary._Program, "sweep", sweep)
 
 
@@ -313,63 +310,6 @@ def test_seesaw_config_rejects_product_groups_out_of_register_order(dims, groups
     # these would optimize over states that are product across another cut
     with pytest.raises(ValidationError, match="product groups"):
         SeesawConfig(prover_dims=dims, product_groups=groups)
-
-
-# --- the kept program ------------------------------------------------------------
-
-
-def _same_result(a, b):
-    return (a.value == b.value and a.trace == b.trace
-            and a.restart_values == b.restart_values
-            and a.converged == b.converged
-            and np.array_equal(a.shared.amplitudes, b.shared.amplitudes)
-            and all(np.array_equal(g.matrix, h.matrix)
-                    for p, q in zip(a.strategies, b.strategies)
-                    for c, d in zip(p.circuits, q.circuits)
-                    for g, h in zip(c, d)))
-
-
-def test_seesaw_keeps_the_last_program(monkeypatch):
-    built = []
-
-    class Counted(adversary._Program):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(adversary, "_Program", Counted)
-    monkeypatch.setattr(adversary, "_SEESAW_PROGRAM", None)
-    verifier = fixtures.chsh().verifier
-    cfg = SeesawConfig(prover_dims=(1, 1), restarts=2, seed=3)
-    first, second = seesaw(verifier, cfg), seesaw(verifier, cfg)
-    assert len(built) == 1
-    monkeypatch.setattr(adversary, "_SEESAW_PROGRAM", None)
-    fresh = seesaw(verifier, cfg)
-    assert len(built) == 2
-    assert _same_result(first, fresh) and _same_result(second, fresh)
-    # other prover dimensions, another RunConfig or another fusion bound
-    # compile anew, and each new program replaces the kept one
-    seesaw(verifier, dataclasses.replace(cfg, prover_dims=(2, 1)))
-    assert len(built) == 3
-    seesaw(verifier, cfg, config=RunConfig(probability_tol=1e-8))
-    assert len(built) == 4
-    with monkeypatch.context() as patched:
-        patched.setattr(adversary, "FUSE_MAX_DIM", 1)
-        seesaw(verifier, cfg)
-    assert len(built) == 5
-    seesaw(verifier, cfg)
-    seesaw(verifier, cfg)
-    assert len(built) == 6
-    # an equal verifier that is another object compiles anew too
-    seesaw(fixtures.chsh().verifier, cfg)
-    assert len(built) == 7
-    seesaw(verifier, cfg)
-    assert len(built) == 8
-    # the kept program does not keep its verifier alive
-    ref = weakref.ref(verifier)
-    del verifier
-    gc.collect()
-    assert ref() is None and adversary._SEESAW_PROGRAM[0]() is None
 
 
 # --- budgets -------------------------------------------------------------------

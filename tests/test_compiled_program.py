@@ -447,19 +447,19 @@ def test_sweep_returns_the_next_eigen_update_operator(fuse_max_dim, spec,
         states = [random_state(2 ** sum(g), rng) for g in groups]
         cols = adversary._group_columns(states, 0)
         keys = sorted(assignment, key=lambda k: (k[1], k[0]))
-        value, a, _ = program.sweep(cols, states[0], assignment, keys)
+        value, a = program.sweep(cols, states[0], assignment, keys)
         assert np.abs(a - program.acceptance_operator(assignment, cols)).max() <= TOL
         shared = (cols @ states[0])[:, None]
         assert abs(value - program.acceptance_operator(assignment, shared)[0, 0].real) <= TOL
 
 
 def _assert_adjoint_environments(spec, program, branches, assignment, inst):
-    """`evaluate`'s environments at the shared state, from one backward walk
-    per branch, equal the per-key `environment` (a tail walk per key) and
-    the reference's."""
+    """`environments` at the shared state, from one backward walk per
+    branch, equal the per-key `environment` (a tail walk per key) and the
+    reference's."""
     eye = np.eye(program.d_p, dtype=np.complex128)
     c = inst.shared.amplitudes
-    got = program.evaluate(assignment, eye)[1](c)
+    got = program.environments((eye @ c)[:, None], assignment)
     ref = _Reference(spec.layout.as_state_layout())
     init = np.zeros((ref.dim, 1), dtype=np.complex128)
     init[:len(c), 0] = c
@@ -484,18 +484,16 @@ def test_adjoint_environments_equal_the_per_key_path(fuse_max_dim, spec, seed):
 @settings(max_examples=40, deadline=None)
 @given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1))
 def test_point_from_a_sweep_is_a_fresh_point(fuse_max_dim, spec, seed):
-    """A sweep over every key walks each branch as `evaluate` would at the
-    updated assignment, so the L-BFGS point built from the sweep's walk is
-    the fresh one bit for bit."""
+    """A sweep over every key walks each branch as `acceptance_operator`
+    would at the updated assignment, so the L-BFGS point built from the
+    sweep's A is the fresh one bit for bit."""
     with mock.patch.object(adversary, "FUSE_MAX_DIM", fuse_max_dim):
         program, _, assignment, inst = _setup(spec, seed)
         eye = np.eye(program.d_p, dtype=np.complex128)
         keys = sorted(assignment, key=lambda k: (k[1], k[0]))
         blocks = adversary._blocks(program, keys)
-        _, a, environments = program.sweep(eye, inst.shared.amplitudes,
-                                           assignment, keys)
-        swept = adversary._Point(program, assignment, blocks, eye,
-                                 (a, environments))
+        _, a = program.sweep(eye, inst.shared.amplitudes, assignment, keys)
+        swept = adversary._Point(program, assignment, blocks, eye, a)
         fresh = adversary._Point(program, assignment, blocks, eye)
         assert swept.f == fresh.f
         assert np.array_equal(swept.psi, fresh.psi)
