@@ -22,18 +22,23 @@ Two engines:
   eigensolver. Both moves are exact maximizations of the surrogate, so a
   sweep never lowers the value.
 
-  Without product groups the shared state is always A's top eigenvector, so
-  a restart ascends f(U) = lambda_max(A(U)) over all prover unitaries at
-  once: after `WARMUP_SWEEPS` sweeps it takes Riemannian L-BFGS steps
-  (Abrudan, Eriksson & Koivunen, IEEE TSP 56(3), 2008) with a Cayley
-  retraction and an Armijo line search, and goes back to a sweep whenever a
-  step fails or stalls. A point's A is one forward walk of the prover
-  columns, or the A its sweep returned; `_Program.environments` gives every
-  key's environment from one forward walk of the shared state's column per
-  branch and one backward walk of its costate (adjoint differentiation,
-  Jones & Gacon, arXiv:2009.02823). The gradient of f along U_k exp(t
-  Omega) is Re tr(Omega^dag G_k) with G_k = U_k^dag E_k - E_k^dag U_k.
-  Every step raises f, so the per-iteration trace is non-decreasing too.
+  Every restart, with or without product groups, is one loop
+  (`_restart`): a sweep starts from the top eigenvector of the last A. With
+  one group (no product groups) the shared state is always A's top
+  eigenvector, so the restart ascends f(U) = lambda_max(A(U)) over all
+  prover unitaries at once: after `WARMUP_SWEEPS` sweeps it takes
+  Riemannian L-BFGS steps (Abrudan, Eriksson & Koivunen, IEEE TSP 56(3),
+  2008) with a Cayley retraction and an Armijo line search, and goes back
+  to a sweep whenever a step fails or stalls. Under product groups every
+  iteration is a sweep. A point's A is one forward walk of the prover
+  columns, or the A its sweep returned. One walk (`_Program._costates`)
+  carries a column forward from a given step and its costate back, giving
+  each slot's input and costate (adjoint differentiation, Jones & Gacon,
+  arXiv:2009.02823): from step 0 it gives every key's environment at once
+  (`_Program.environments`), from a slot that slot's environment in a
+  sweep. The gradient of f along U_k exp(t Omega) is Re tr(Omega^dag G_k)
+  with G_k = U_k^dag E_k - E_k^dag U_k. Every step raises f, so the
+  per-iteration trace is non-decreasing too.
 
 Both engines, `random_search` and `brute_force_value` execute a `_Program`:
 every coin branch compiled once per call into a short list of steps. At or
@@ -77,7 +82,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -85,8 +89,9 @@ import numpy as np
 
 from .circuits import _SWAP, Circuit, Gate, ry
 from .config import (DEFAULT_RUN_CONFIG, NumericalCheckError,
-                     PreconditionError, RunConfig, ValidationError)
-from .linalg import (MatrixKernel, ProjectorOp, Slices, StateVector,
+                     PreconditionError, RunConfig, ValidationError, is_integer,
+                     is_real)
+from .linalg import (MatrixKernel, Slices, StateVector,
                      polar_unitary, projector_slices, random_state,
                      random_unitary, require_unitary)
 from .model import (FlatBranch, ProtocolInstance, ProverStrategy, Register,
@@ -404,12 +409,6 @@ class _Program:
             steps += [part] if j % 2 else self._verifier_steps(part, j == 0)
         return steps
 
-    def _mask(self, projectors: Sequence[ProjectorOp], n: int) -> np.ndarray:
-        """The conjunction of commuting diagonal projectors on the leading n
-        axes, a 0/1 vector."""
-        return Slices(projector_slices(projectors, self.pos.__getitem__)
-                      ).kept(np.ones(2 ** n))
-
     def _verifier_steps(self, items: Sequence, first: bool) -> list:
         """The stretch of the gates and banked projector conjunctions
         between two slots, if any; `first` when no slot precedes them."""
@@ -429,10 +428,10 @@ class _Program:
                 t = _gate(t, item.full_matrix(),
                           [self.pos[q] for q in item.qubits()], s)
             else:
-                mask = self._mask(item, s) != 0
-                hit = t[mask]
+                slices = Slices(projector_slices(item, self.pos.__getitem__))
+                hit = slices.kept(t)
                 banked.append(hit[(hit != 0).any(axis=1)])
-                t[mask] = 0
+                slices.clear(t)
         return [_Stretch(np.concatenate([t] + banked), lead, lead)]
 
     # -- evaluation
@@ -485,22 +484,27 @@ class _Program:
                                 prover_cols.shape[1])
 
     @staticmethod
-    def _outer(steps: Sequence, idx: int, x: np.ndarray,
-               ops: _Operators) -> np.ndarray:
-        """One branch's term of the environment of the slot at steps[idx],
-        for the columns x entering it: x walked forward through the slot and
-        the tail, keeping what each step banks, then back to just after the
-        slot, and the slot's `outer` of the two."""
-        slot = steps[idx]
-        tail = steps[idx + 1:-1]
-        cols, banked = slot.forward(x, ops)[0], []
-        for step in tail:
-            cols, rows = step.forward(cols, ops)
+    def _costates(steps: Sequence, start: int, x: np.ndarray, ops: _Operators):
+        """The columns x walked forward from steps[start], keeping each
+        slot's input and the rows each step banks; then the costate mu = the
+        last step's `gram` walked back to the first slot at or after start.
+        Yields (slot step, mu just after it, its input) at each slot on the
+        way back, the last slot first (adjoint differentiation, Jones &
+        Gacon, arXiv:2009.02823). A slot's forward leaves its input as it
+        was."""
+        inputs, banked = {}, []
+        for idx in range(start, len(steps) - 1):
+            if getattr(steps[idx], "key", None):
+                inputs[idx] = x
+            x, rows = steps[idx].forward(x, ops)
             banked.append(rows)
-        mu = steps[-1].gram(cols)
-        for step, rows in zip(reversed(tail), reversed(banked)):
-            mu = step.backward(mu, rows, ops)
-        return slot.outer(mu, x)
+        mu = steps[-1].gram(x)
+        first = min(inputs)
+        for idx in range(len(steps) - 2, first - 1, -1):
+            if idx in inputs:
+                yield steps[idx], mu, inputs[idx]
+            if idx > first:
+                mu = steps[idx].backward(mu, banked[idx - start], ops)
 
     def _scaled(self, key: tuple[int, int], e: np.ndarray | None) -> np.ndarray:
         """The environment operator of `key` from its summed branch terms."""
@@ -514,10 +518,10 @@ class _Program:
         """The environment operator of slot `key`, before the polar step.
 
         Per branch: carry the walk, on all its columns, on to just before
-        the slot (it must not have passed it), and add the `_outer` term of
-        the shared state's column x = chi @ coeffs (chi itself when coeffs
-        is None). A branch whose slot lies past its last banking step adds
-        nothing."""
+        the slot (it must not have passed it), and add the slot's `outer`
+        of the costate and the shared state's column x = chi @ coeffs (chi
+        itself when coeffs is None), from `_costates` starting at the slot.
+        A branch whose slot lies past its last banking step adds nothing."""
         e = None
         for j, steps in enumerate(self.branches):
             idx = self.slot_at[j].get(key)
@@ -526,8 +530,9 @@ class _Program:
             start, chi, done = walks[j]
             chi = self._forward(steps[start:idx], chi, ops, done)
             walks[j] = (idx, chi, done)
-            outer = self._outer(steps, idx,
-                                chi if coeffs is None else chi @ coeffs, ops)
+            *_, (slot, mu, x) = self._costates(
+                steps, idx, chi if coeffs is None else chi @ coeffs, ops)
+            outer = slot.outer(mu, x)
             e = outer if e is None else e + outer
         return self._scaled(key, e)
 
@@ -541,36 +546,17 @@ class _Program:
     def environments(self, prover_col: np.ndarray, assignment: Assignment
                      ) -> dict[tuple[int, int], np.ndarray]:
         """Every key's `environment` at the shared state in prover_col, from
-        one forward and one backward walk per branch (adjoint
-        differentiation, Jones & Gacon, arXiv:2009.02823).
-
-        Per branch, the column is walked forward to the last step, keeping
-        each slot's input and the rows each step banks; the costate mu = the
-        last step's `gram` is walked back to the first slot, and at each
-        slot, on the way, that slot's `outer` of mu and its input is its
-        term."""
+        one forward and one backward walk per branch: each slot's term from
+        `_costates` starting at step 0."""
         ops = self._operators(assignment)
         e: dict[tuple[int, int], np.ndarray] = {}
         for steps, at, (_, x, _) in zip(self.branches, self.slot_at,
                                         self._walks(prover_col)):
             if not at:
                 continue
-            inputs, banked = {}, []
-            for idx, step in enumerate(steps[:-1]):
-                if getattr(step, "key", None):
-                    # a slot's forward leaves its input as it was
-                    inputs[idx] = x
-                x, rows = step.forward(x, ops)
-                banked.append(rows)
-            mu = steps[-1].gram(x)
-            first = min(inputs)
-            for idx in range(len(steps) - 2, first - 1, -1):
-                if idx in inputs:
-                    key = steps[idx].key
-                    outer = steps[idx].outer(mu, inputs[idx])
-                    e[key] = e[key] + outer if key in e else outer
-                if idx > first:
-                    mu = steps[idx].backward(mu, banked[idx], ops)
+            for slot, mu, x_in in self._costates(steps, 0, x, ops):
+                outer = slot.outer(mu, x_in)
+                e[slot.key] = e[slot.key] + outer if slot.key in e else outer
         return {key: self._scaled(key, e.get(key)) for key in self.keys}
 
     def sweep(self, cols: np.ndarray, coeffs: np.ndarray,
@@ -603,6 +589,12 @@ class _Program:
 # optimal shared state
 
 
+def _top_eigenpair(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of the Hermitian a and its unit eigenvector."""
+    vals, vecs = np.linalg.eigh(a)
+    return float(vals[-1]), vecs[:, -1] / np.linalg.norm(vecs[:, -1])
+
+
 def optimal_shared_state(verifier: VerifierSpec,
                          provers: Sequence[ProverStrategy],
                          config: RunConfig = DEFAULT_RUN_CONFIG,
@@ -617,11 +609,9 @@ def optimal_shared_state(verifier: VerifierSpec,
     if d_p > 2 ** 12:
         raise PreconditionError(
             f"joint prover space 2^{int(math.log2(d_p))} exceeds the eigensolver budget")
-    a = program.acceptance_operator(None, np.eye(d_p, dtype=np.complex128))
-    vals, vecs = np.linalg.eigh(a)
-    p_max = float(vals[-1])
-    vec = vecs[:, -1]
-    state = StateVector(vec / np.linalg.norm(vec), verifier.layout.shared_layout)
+    p_max, vec = _top_eigenpair(
+        program.acceptance_operator(None, np.eye(d_p, dtype=np.complex128)))
+    state = StateVector(vec, verifier.layout.shared_layout)
     if check:
         resim = run(ProtocolInstance(verifier, tuple(provers), state),
                     config=config).acceptance
@@ -647,10 +637,12 @@ class SeesawConfig:
     entanglement across group boundaries (see parallel repetition audits):
     the shared state is a product of one state per group. The groups must
     be non-empty and, read in order, list the provers 1..k in order, so
-    each group is a run of consecutive prover registers. Under product
-    groups every iteration is a sweep: the state is then not the top
-    eigenvector of A(U), so f(U) = lambda_max(A(U)), which the L-BFGS steps
-    ascend, is not the value. One group of all provers counts as no groups.
+    each group is a run of consecutive prover registers. Both modes run
+    one restart loop, but under two or more groups every iteration is a
+    sweep: the state is then not the top eigenvector of A(U), so f(U) =
+    lambda_max(A(U)), which the L-BFGS steps ascend, is not the value. One
+    group of all provers is no groups: the same draws and the same
+    iterations, bit for bit.
     """
 
     prover_dims: tuple[int, ...]          # qubits of each P_i
@@ -671,16 +663,16 @@ class SeesawConfig:
                              ("restarts", (self.restarts,)),
                              ("max_sweeps", (self.max_sweeps,)),
                              ("seed", (self.seed,))):
-            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                       for v in values):
+            if not all(map(is_integer, values)):
                 raise ValidationError(
                     f"{name} must be integral, got {getattr(self, name)!r}")
         object.__setattr__(self, "prover_dims", dims)
         if self.restarts < 1 or self.max_sweeps < 1:
             raise ValidationError("restarts and max_sweeps must be >= 1")
-        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
+        tol = self.convergence_tol
+        if not (is_real(tol) and math.isfinite(tol) and tol > 0):
             raise ValidationError(
-                f"convergence_tol must be finite and > 0, got {self.convergence_tol!r}")
+                f"convergence_tol must be finite and > 0, got {tol!r}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         groups = self.product_groups
@@ -736,11 +728,6 @@ def _group_columns(group_states: Sequence[np.ndarray], gi: int) -> np.ndarray:
         for gj, st in enumerate(group_states)])
 
 
-def _top_eigenvector(a: np.ndarray) -> np.ndarray:
-    _, vecs = np.linalg.eigh(a)
-    return vecs[:, -1] / np.linalg.norm(vecs[:, -1])
-
-
 def _product_state_update(program: _Program, assignment: Assignment,
                           group_states: list[np.ndarray]) -> None:
     """The eigen-updates of groups 2..G under a product constraint, in
@@ -748,8 +735,8 @@ def _product_state_update(program: _Program, assignment: Assignment,
     order, so their Kronecker product is in the order of the prover space.
     The first group's operator comes from the previous sweep."""
     for gi in range(1, len(group_states)):
-        group_states[gi] = _top_eigenvector(program.acceptance_operator(
-            assignment, _group_columns(group_states, gi)))
+        group_states[gi] = _top_eigenpair(program.acceptance_operator(
+            assignment, _group_columns(group_states, gi)))[1]
 
 
 WARMUP_SWEEPS = 2
@@ -766,25 +753,23 @@ BACKTRACKS = 12
 
 
 class _Point:
-    """An assignment with f = lambda_max(A) over the prover columns `eye`,
-    its top eigenvector psi and, on demand, the Riemannian gradient of f in
-    the Lie algebra, G_k = U_k^dag E_k - E_k^dag U_k, packed into one flat
-    vector. `blocks` (`_blocks`) orders the packing; a block's unitaries
-    are stacked and moved together. `a` is the assignment's acceptance
-    operator over `eye`, if at hand."""
+    """An assignment with A, its acceptance operator over the prover columns
+    `cols`, f = lambda_max(A), A's top eigenvector psi and, on demand, the
+    Riemannian gradient of f in the Lie algebra, G_k = U_k^dag E_k - E_k^dag
+    U_k, packed into one flat vector. `blocks` (`_blocks`) orders the
+    packing; a block's unitaries are stacked and moved together. `a` is A,
+    if at hand."""
 
     def __init__(self, program: _Program, assignment: Assignment,
-                 blocks: Sequence[Sequence[tuple[int, int]]], eye: np.ndarray,
+                 blocks: Sequence[Sequence[tuple[int, int]]], cols: np.ndarray,
                  a: np.ndarray | None = None):
         self.program = program
         self.assignment = assignment
         self.blocks = blocks
-        self.eye = eye
+        self.cols = cols
         if a is None:
-            a = program.acceptance_operator(assignment, eye)
-        vals, vecs = np.linalg.eigh(a)
-        self.f = float(vals[-1])
-        self.psi = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
+            a = program.acceptance_operator(assignment, cols)
+        self.f, self.psi = _top_eigenpair(a)
 
     def _stack(self, keys: Sequence[tuple[int, int]]) -> np.ndarray:
         return np.stack([self.assignment[key] for key in keys])
@@ -809,7 +794,7 @@ class _Point:
             one = np.eye(us.shape[1], dtype=np.complex128)
             out.update(zip(keys, us @ np.linalg.solve(one - half, one + half)))
             at += us.size
-        return _Point(self.program, out, self.blocks, self.eye)
+        return _Point(self.program, out, self.blocks, self.cols)
 
 
 def _blocks(program: _Program, keys: Sequence[tuple[int, int]]
@@ -839,35 +824,43 @@ def _direction(g: np.ndarray, memory: list) -> np.ndarray:
     return q
 
 
-def _ascend(program: _Program, assignment: Assignment,
-            keys: Sequence[tuple[int, int]], cfg: SeesawConfig
-            ) -> tuple[Assignment, np.ndarray, list[float], bool]:
-    """One restart without product groups: `WARMUP_SWEEPS` plain sweeps,
-    then Riemannian L-BFGS steps on f(U) = lambda_max(A(U)), the shared
-    state always A's top eigenvector. A step that fails its Armijo line
-    search or gains less than `cfg.convergence_tol` is followed by a plain
-    sweep from where it stopped at psi, which clears the memory. The
-    restart stops when a plain sweep gains less than `cfg.convergence_tol`,
-    or after `cfg.max_sweeps` iterations (steps and sweeps, one trace value
-    each; a failed line search adds none). The point after a sweep takes
-    the A the sweep returned. Returns the assignment, the shared state of
-    the last value, the trace and whether it converged."""
-    eye = np.eye(program.d_p, dtype=np.complex128)
+def _restart(program: _Program, assignment: Assignment,
+             keys: Sequence[tuple[int, int]], group_states: list[np.ndarray],
+             cfg: SeesawConfig) -> tuple[Assignment, list[float], bool]:
+    """One restart from `assignment` and one state per product group (one
+    group of all provers without product groups).
+
+    A plain sweep sets the first group's state to the top eigenvector of
+    the last A, its eigen-update operator, updates the other groups
+    (`_product_state_update`), then every turn, and returns the next A. With
+    one group the state is always A's top eigenvector, so after
+    `WARMUP_SWEEPS` sweeps the restart takes Riemannian L-BFGS steps on
+    f(U) = lambda_max(A(U)); a step that fails its Armijo line search or
+    gains less than `cfg.convergence_tol` is followed by a plain sweep from
+    where it stopped, which clears the memory. The point after a sweep
+    takes the A the sweep returned. The restart stops when a plain sweep
+    gains less than `cfg.convergence_tol`, or after `cfg.max_sweeps`
+    iterations (steps and sweeps, one trace value each; a failed line
+    search adds none). `group_states` is left at the shared state of the
+    last value. Returns the assignment, the trace and whether it
+    converged."""
     blocks = _blocks(program, keys)
-    psi = _top_eigenvector(program.acceptance_operator(assignment, eye))
+    point = _Point(program, assignment, blocks, _group_columns(group_states, 0))
     trace: list[float] = []
-    memory: list = []
     step_next = False
     while len(trace) < cfg.max_sweeps:
         if not step_next:
-            value, a = program.sweep(eye, psi, assignment, keys)
+            group_states[0] = point.psi
+            _product_state_update(program, assignment, group_states)
+            cols = _group_columns(group_states, 0)
+            value, a = program.sweep(cols, point.psi, assignment, keys)
             gain = value - (trace[-1] if trace else -1.0)
             trace.append(value)
             if gain < cfg.convergence_tol or len(trace) == cfg.max_sweeps:
-                return assignment, psi, trace, gain < cfg.convergence_tol
-            point = _Point(program, assignment, blocks, eye, a)
-            psi, g, memory = point.psi, None, []
-            step_next = len(trace) >= WARMUP_SWEEPS
+                return assignment, trace, gain < cfg.convergence_tol
+            point = _Point(program, assignment, blocks, cols, a)
+            g, memory = None, []
+            step_next = len(group_states) == 1 and len(trace) >= WARMUP_SWEEPS
             continue
         if g is None:
             g = point.gradient()
@@ -888,9 +881,10 @@ def _ascend(program: _Program, assignment: Assignment,
             memory = memory[1 - LBFGS_MEMORY:] + [(s, y, 1.0 / np.vdot(s, y).real)]
         step_next = trial.f - point.f >= cfg.convergence_tol
         point, g = trial, g_next
-        assignment, psi = point.assignment, point.psi
+        assignment = point.assignment
         trace.append(point.f)
-    return assignment, psi, trace, False
+    group_states[0] = point.psi
+    return assignment, trace, False
 
 
 def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
@@ -900,12 +894,11 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
     Returns the best restart. The trace holds one value per iteration and
     is non-decreasing; the final value is re-simulated through the plain
     executor and must agree within `config.probability_tol`, and every
-    returned unitary must pass `polar_unitary`'s unitarity check. Without
-    product groups (or with one group of all provers) a restart is
-    `_ascend`'s sweeps and L-BFGS steps. With product groups every
-    iteration is a sweep: it updates the shared state group by group, then
-    every turn; the first group's eigen-update reads the operator the
-    previous sweep returned.
+    returned unitary must pass `polar_unitary`'s unitarity check. Each
+    restart draws its unitaries, then one state per product group (one
+    group of all provers without product groups), and runs `_restart`: its
+    sweeps update the shared state group by group, then every turn, and
+    with one group it also takes L-BFGS steps.
     """
     spec = resize_prover_registers(verifier, cfg.prover_dims)
     layout = spec.layout
@@ -919,18 +912,14 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
         rng = np.random.default_rng([cfg.seed, r])
         assignment: Assignment = {k: random_unitary(program.dims[k], rng)
                                   for k in keys}
-        if len(groups) == 1:
-            assignment, shared, trace, converged = _ascend(
-                program, assignment, keys, cfg)
-        else:
-            group_states = [random_state(2 ** sum(cfg.prover_dims[i - 1]
-                                                  for i in g), rng)
-                            for g in groups]
-            trace, converged = _product_sweeps(program, assignment, keys,
-                                               group_states, cfg)
-            shared = functools.reduce(np.kron, group_states)
+        group_states = [random_state(2 ** sum(cfg.prover_dims[i - 1]
+                                              for i in g), rng)
+                        for g in groups]
+        assignment, trace, converged = _restart(program, assignment, keys,
+                                                group_states, cfg)
         restart_values.append(trace[-1])
-        cand = (trace[-1], -r, assignment, shared, trace, converged)
+        cand = (trace[-1], -r, assignment, functools.reduce(np.kron, group_states),
+                trace, converged)
         if best is None or cand[:2] > best[:2]:
             best = cand
 
@@ -948,38 +937,16 @@ def seesaw(verifier: VerifierSpec, cfg: SeesawConfig,
                            converged, tuple(restart_values), cfg.prover_dims)
 
 
-def _product_sweeps(program: _Program, assignment: Assignment,
-                    keys: Sequence[tuple[int, int]],
-                    group_states: list[np.ndarray], cfg: SeesawConfig
-                    ) -> tuple[list[float], bool]:
-    """One restart under product groups, in place: plain sweeps until one
-    gains less than `cfg.convergence_tol` or `cfg.max_sweeps` have run.
-    Returns the trace and whether it converged."""
-    a = None
-    trace: list[float] = []
-    prev = -1.0
-    for _ in range(cfg.max_sweeps):
-        if a is None:
-            a = program.acceptance_operator(
-                assignment, _group_columns(group_states, 0))
-        group_states[0] = _top_eigenvector(a)
-        _product_state_update(program, assignment, group_states)
-        value, a = program.sweep(_group_columns(group_states, 0),
-                                 group_states[0], assignment, keys)
-        trace.append(value)
-        if value - prev < cfg.convergence_tol:
-            return trace, True
-        prev = value
-    return trace, False
-
-
 def random_search(verifier: VerifierSpec, prover_dims: Sequence[int],
                   samples: int, seed: int = 0,
                   config: RunConfig = DEFAULT_RUN_CONFIG) -> float:
     """Best acceptance over `samples` Haar-random strategies and states.
 
-    A lower-bound oracle, independent of the see-saw path.
+    A lower-bound oracle, independent of the see-saw path. `samples` must
+    be an integer >= 1 (ValidationError).
     """
+    if not (is_integer(samples) and samples >= 1):
+        raise ValidationError(f"samples must be an integer >= 1, got {samples!r}")
     program = _Program(resize_prover_registers(verifier, prover_dims), config)
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -1022,10 +989,11 @@ def brute_force_value(verifier: VerifierSpec, grid: float = GRID_STEP,
     exceed `GRID_MAX_EVALS` points, prover 1's turns are pinned to the
     canonical angles (0, pi/2), which preserves the lower-bound guarantee. A
     best value above 1 + `config.probability_tol` raises NumericalCheckError;
-    a `grid` that is not finite and > 0, or that rounds to fewer than 2
-    points per angle (a step above 4*pi/3), raises ValidationError.
+    a `grid` that is not a finite real > 0 (a bool included), or that rounds
+    to fewer than 2 points per angle (a step above 4*pi/3), raises
+    ValidationError.
     """
-    if not (math.isfinite(grid) and grid > 0):
+    if not (is_real(grid) and math.isfinite(grid) and grid > 0):
         raise ValidationError(f"grid must be finite and > 0, got {grid!r}")
     points = int(round(2 * math.pi / grid))
     if points < 2:

@@ -10,10 +10,21 @@ constants, each defined once here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 NORM_TOL = 1e-9         # | ||psi|| - 1 | of a state promised to be normalized
 UNITARITY_TOL = 1e-10   # ||U^dag U - I||_max of a computed or loaded unitary
+
+
+def is_integer(value) -> bool:
+    """An integral number that is not a bool (a bool would count as 0 or 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -27,11 +38,15 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("max_branches", "max_qubits"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.probability_tol) and self.probability_tol >= 0):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
+        tol = self.probability_tol
+        if not (is_real(tol) and math.isfinite(tol) and tol >= 0):
             raise ValidationError(
-                f"probability_tol must be finite and >= 0, got {self.probability_tol!r}")
+                f"probability_tol must be finite and >= 0, got {tol!r}")
 
 
 class QmipError(Exception):

@@ -116,6 +116,26 @@ def test_seesaw_trace_monotone():
     assert res.value == res.trace[-1] or abs(res.value - res.trace[-1]) <= 1e-9
 
 
+def test_one_product_group_of_every_prover_is_no_groups():
+    # both take L-BFGS steps from the same draws, so every output agrees bit
+    # for bit
+    def audit(groups):
+        return seesaw(fixtures.chsh().verifier,
+                      SeesawConfig(prover_dims=(1, 1), restarts=3, seed=5,
+                                   product_groups=groups))
+
+    free, grouped = audit(None), audit(((1, 2),))
+    assert grouped.value == free.value
+    assert grouped.trace == free.trace
+    assert grouped.restart_values == free.restart_values
+    assert grouped.converged == free.converged
+    assert np.array_equal(grouped.shared.amplitudes, free.shared.amplitudes)
+    for p, q in zip(grouped.strategies, free.strategies, strict=True):
+        for c, d in zip(p.circuits, q.circuits, strict=True):
+            for g, h in zip(c, d, strict=True):
+                assert np.array_equal(g.matrix, h.matrix)
+
+
 def test_seesaw_value_is_resimulated_probability():
     res = seesaw(fixtures.chsh().verifier,
                  SeesawConfig(prover_dims=(1, 1), restarts=3, seed=4))
@@ -219,6 +239,20 @@ def test_grid_rejects_steps_with_fewer_than_two_points(grid):
         brute_force_value(fixtures.always().verifier, grid=grid)
 
 
+@pytest.mark.parametrize("grid", [True, "x"])
+def test_grid_rejects_a_step_that_is_not_a_real_number(grid):
+    # True would run as a step of 1.0
+    with pytest.raises(ValidationError, match="grid must be finite"):
+        brute_force_value(fixtures.always().verifier, grid=grid)
+
+
+@pytest.mark.parametrize("samples", [0, -3, True, 2.5])
+def test_random_search_rejects_sample_counts_that_are_not_positive_integers(samples):
+    # 0 and -3 would return 0.0 as if it were a best value
+    with pytest.raises(ValidationError, match="samples"):
+        random_search(fixtures.guess().verifier, (1,), samples=samples)
+
+
 def _scale_acceptance_operator(monkeypatch, factor):
     """Scale the compiled acceptance operator by `factor`, replacing any
     earlier scaling."""
@@ -278,9 +312,10 @@ def test_seesaw_config_rejects_zero_sweeps():
         SeesawConfig(prover_dims=(1,), max_sweeps=0)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), "x", True])
 def test_seesaw_config_rejects_a_tolerance_that_is_not_finite(tol):
-    # a NaN tolerance would never stop a restart: `gain < nan` is False
+    # a NaN tolerance would never stop a restart: `gain < nan` is False; a
+    # bool would run as a tolerance of 1.0
     with pytest.raises(ValidationError, match="convergence_tol must be finite"):
         SeesawConfig(prover_dims=(1,), convergence_tol=tol)
 

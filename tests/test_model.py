@@ -379,7 +379,12 @@ def test_purify_coins_picks_free_register_names(taken, fresh):
 
 @pytest.mark.parametrize("field, value", [
     ("max_qubits", 0), ("max_branches", 0), ("probability_tol", -1e-9),
-    ("probability_tol", float("nan")), ("probability_tol", float("inf"))])
+    ("probability_tol", float("nan")), ("probability_tol", float("inf")),
+    # a bool would run as 0 or 1, and a fraction of a qubit or branch has
+    # no meaning
+    ("max_qubits", 2.5), ("max_qubits", True), ("max_qubits", "22"),
+    ("max_branches", 1.5), ("max_branches", True),
+    ("probability_tol", True), ("probability_tol", "1e-9")])
 def test_run_config_rejects_out_of_range_settings(field, value):
     with pytest.raises(ValidationError, match=field):
         RunConfig(**{field: value})

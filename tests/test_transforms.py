@@ -515,12 +515,14 @@ def test_repetition_keeps_known_bits(repeat):
 
 def test_parallel_repetition_group_local_audit():
     pr = parallel_repetition_fresh_provers(fixtures.chsh(), 2).instance
-    res = seesaw(pr.verifier,
-                 SeesawConfig(prover_dims=(1, 1, 1, 1), restarts=5, seed=2,
-                              convergence_tol=1e-8,
-                              product_groups=((1, 2), (3, 4))))
+    cfg = SeesawConfig(prover_dims=(1, 1, 1, 1), restarts=5, seed=2,
+                       convergence_tol=1e-8, product_groups=((1, 2), (3, 4)))
+    res = seesaw(pr.verifier, cfg)
     expect = ((1 + 1 / math.sqrt(2)) / 2) ** 2
     assert res.value <= expect + 2e-2
+    # every product-group iteration is a sweep, which never lowers the value
+    assert 1 <= len(res.trace) <= cfg.max_sweeps
+    assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
     # cross-group entanglement allowed: recorded, not bounded
     free = seesaw(pr.verifier,
                   SeesawConfig(prover_dims=(1, 1, 1, 1), restarts=3, seed=2,

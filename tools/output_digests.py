@@ -119,10 +119,10 @@ def _first_point(out: dict, label: str, verifier, dims, seed: int) -> None:
         rng = np.random.default_rng([seed, 0])
         assignment = {k: random_unitary(program.dims[k], rng) for k in keys}
         eye = np.eye(program.d_p, dtype=np.complex128)
-        psi = adversary._top_eigenvector(
+        _, psi = adversary._top_eigenpair(
             program.acceptance_operator(assignment, eye))
         for _ in range(adversary.WARMUP_SWEEPS):
-            psi = adversary._top_eigenvector(
+            _, psi = adversary._top_eigenpair(
                 program.sweep(eye, psi, assignment, keys)[1])
         point = adversary._Point(program, assignment,
                                  adversary._blocks(program, keys), eye)
