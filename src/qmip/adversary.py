@@ -56,16 +56,15 @@ branch's first stretch keeps only the columns its initial vectors
 run of axes from its first to its last qubit, with the slot-order unitary
 permuted into axis order once per key update.
 
-Above the bound a branch is the step list `model._compile_branch` compiles
-for `run`, walked on (2^live, b) column blocks: the verifier and message
-qubits start as known bits and join the columns when a gate or a prover slot
-first needs them, SWAPs are relabelled at compile time, and a gate or slot
-is a `linalg.MatrixKernel` on its control-satisfied slice, a slot's matrix
-read from the assignment at call time. Going back, a kernel applies U^dag, a
-grow takes the rows at its known bit, and an event puts back the
-`linalg.Slices` rows it banked and cleared. In both regimes a branch ends at
-its last step that banks anything, so no step that cannot change its
-acceptance is walked or back-propagated.
+Above the bound a branch is `model._compile_branch`'s steps for `run`, as
+compiled, walked on (2^live, b) column blocks. The verifier and message
+qubits start as known bits, and a `Grow` adds one to the columns when a gate
+or slot first needs it; a gate or slot is a `Kernel` on its
+control-satisfied slice, a slot's matrix read from the assignment at call
+time; a `Bank` (an event, or the accept rule) banks and clears its rows, and
+one with no slices is left out. In both regimes a branch ends at its last
+step that banks anything, so no step that cannot change its acceptance is
+walked or back-propagated.
 
 The environment operators of the see-saw audits are often rank deficient
 (rank 1-2 for the 16x16 operators of the rewound `sound_no` audit), so their
@@ -91,12 +90,11 @@ from .circuits import _SWAP, Circuit, Gate, ry
 from .config import (DEFAULT_RUN_CONFIG, NumericalCheckError,
                      PreconditionError, RunConfig, ValidationError, is_integer,
                      is_real)
-from .linalg import (MatrixKernel, Slices, StateVector,
-                     polar_unitary, projector_slices, random_state,
-                     random_unitary, require_unitary)
-from .model import (FlatBranch, ProtocolInstance, ProverStrategy, Register,
-                    RegisterLayout, VerifierSpec, _compile_branch, flatten,
-                    require_budget, run)
+from .linalg import (Slices, StateVector, polar_unitary, projector_slices,
+                     random_state, random_unitary, require_unitary)
+from .model import (Bank, FlatBranch, Kernel, ProtocolInstance, ProverStrategy,
+                    Register, RegisterLayout, VerifierSpec, _compile_branch,
+                    flatten, require_budget, run)
 
 FUSE_MAX_DIM = 256
 """Largest state dimension 2^n whose branches compile into dense stretches
@@ -125,104 +123,7 @@ def _gate(cols: np.ndarray, matrix: np.ndarray, axes: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# compiled steps. `forward(cols, ops)` returns the columns carried on (which
-# nothing reads after a branch's last step) and the rows the step banks
-# (None if it banks nothing). `backward(mu, banked, ops)` takes the adjoint
-# columns after the step and the rows it banked going forward, and returns
-# the adjoint columns before it. A branch's last step banks and carries
-# nothing on, so going back through it is its `gram`, F^dag F on the
-# columns reaching it. Above the bound, steps work in place on their input
-# columns.
-
-
-class _Kernel:
-    """A matrix on a `MatrixKernel`'s slice of the live axes, and going back
-    its adjoint: a verifier gate's own, or a prover slot's (`key`) from the
-    assignment at call time. A slot's forward leaves its input as it was:
-    the environment reads it again."""
-
-    banks = False
-
-    def __init__(self, kernel: MatrixKernel,
-                 key: tuple[int, int] | None = None):
-        self.kernel = kernel
-        self.key = key
-        self.pair = kernel.matrix, np.ascontiguousarray(kernel.matrix.conj().T)
-
-    def _apply(self, m: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        view = self.kernel.front(cols)
-        view[...] = (m @ view.reshape(len(m), -1)).reshape(view.shape)
-        return cols
-
-    def forward(self, cols, ops):
-        if self.key is not None:
-            cols = cols.copy()
-        return self._apply(ops.get(self.key, self.pair)[0], cols), None
-
-    def backward(self, mu, banked, ops):
-        return self._apply(ops.get(self.key, self.pair)[1], mu)
-
-    @staticmethod
-    def operator(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return u, u.conj().T
-
-    def _front(self, cols: np.ndarray) -> np.ndarray:
-        return self.kernel.front(cols).reshape(self.kernel.dim, -1)
-
-    def outer(self, mu: np.ndarray, chi: np.ndarray) -> np.ndarray:
-        """mu chi^dag summed over the qubits outside the slot."""
-        return self._front(mu) @ self._front(chi).conj().T
-
-    @staticmethod
-    def environment(e: np.ndarray) -> np.ndarray:
-        """A sum of `outer` products in slot order."""
-        return e
-
-
-class _Grow:
-    """A known bit joining the live axes: the rows double, the old ones at
-    the bit. Going back takes the rows at the bit."""
-
-    banks = False
-
-    def __init__(self, lead: int, bit: int):
-        self.lead = lead
-        self.bit = bit
-
-    def forward(self, cols, ops):
-        grown = np.zeros((2 * len(cols), cols.shape[1]), dtype=cols.dtype)
-        grown.reshape(self.lead, 2, -1)[:, self.bit] = cols.reshape(self.lead, -1)
-        return grown, None
-
-    def backward(self, mu, banked, ops):
-        return np.ascontiguousarray(
-            mu.reshape(self.lead, 2, -1)[:, self.bit]).reshape(-1, mu.shape[1])
-
-
-class _Bank:
-    """An accept event or rule: its slices' rows are banked (the rest of the
-    banked block is zero) and cleared. Going back puts them in their place."""
-
-    banks = True
-
-    def __init__(self, slices: Slices):
-        self.slices = slices
-
-    def final(self) -> "_Bank":
-        return self
-
-    def forward(self, cols, ops):
-        rows = self.slices.kept(cols)
-        self.slices.clear(cols)
-        return cols, rows
-
-    def backward(self, mu, banked, ops):
-        self.slices.clear(mu)
-        mu += banked
-        return mu
-
-    def gram(self, cols):
-        return self.slices.kept(cols)
+# fused steps, walked as `model`'s steps are
 
 
 class _Stretch:
@@ -257,6 +158,7 @@ class _Stretch:
         return (self.fh @ z).reshape(mu.shape)
 
     def gram(self, cols):
+        """F^dag F on the columns reaching a branch's last step."""
         return (self.fhf @ cols.reshape(self.lead, -1)).reshape(cols.shape)
 
 
@@ -335,11 +237,11 @@ class _Program:
 
     While 2^n <= `FUSE_MAX_DIM` a branch is stretches (`_Stretch`)
     alternating with the span slots (`_SpanSlot`) every branch shares;
-    above it, `_compile_branch`'s kernels (`_Kernel`, gates and slots),
-    grows (`_Grow`) and events (`_Bank`), from the prover columns alone.
-    Each branch ends at its last step that banks anything: later steps
-    cannot change its acceptance, and a branch that banks nothing is
-    dropped. Every evaluation walks steps forward with `_forward`.
+    above it, `model._compile_branch`'s steps from the prover columns
+    alone, without the banks whose slices are empty. Each branch ends at
+    its last step that banks anything: later steps cannot change its
+    acceptance, and a branch that banks nothing is dropped. Every
+    evaluation walks steps forward with `_forward`.
     """
 
     def __init__(self, spec: VerifierSpec, config: RunConfig,
@@ -357,14 +259,18 @@ class _Program:
                             if op.kind == "prover"})
         self.dims = {key: 2 ** len(layout.slot_qubits(key[0]))
                      for key in self.keys}
-        # a live slot takes the assignment's matrix as it is (`_Kernel`)
+        # a live slot takes the assignment's matrix as it is (`Kernel`)
         self.slots = {key: _SpanSlot([self.pos[q] for q in layout.slot_qubits(key[0])],
-                                     self.n, key) if self.fused else _Kernel
+                                     self.n, key) if self.fused else Kernel
                       for key in self.keys}
+        # above the bound the verifier and message axes lead, known at 0
+        known = dict.fromkeys(range(self.n + 1 - self.d_p.bit_length()), 0)
         self.branches: list[tuple] = []
         self.slot_at: list[dict[tuple[int, int], int]] = []
         for br in branches:
-            steps = self._fused_steps(br) if self.fused else self._live_steps(br)
+            steps = self._fused_steps(br) if self.fused else [
+                s for s in _compile_branch(br, self.pos, self.n, known, ())
+                if not isinstance(s, Bank) or s.slices.views]
             last = max((j for j, step in enumerate(steps) if step.banks),
                        default=None)
             if last is not None:
@@ -374,23 +280,6 @@ class _Program:
                                      if getattr(step, "key", None)})
 
     # -- compilation
-
-    def _live_steps(self, br: FlatBranch) -> list:
-        """The steps `model._compile_branch` gives the branch, from the
-        prover columns with every verifier and message qubit known at 0.
-        An event whose slices are empty banks nothing and is left out."""
-        # the verifier and message axes lead
-        known = dict.fromkeys(range(self.n + 1 - self.d_p.bit_length()), 0)
-        compiled, accept = _compile_branch(br, self.pos, self.n, known, ())
-        steps: list = []
-        for kind, *args in compiled + [("event", accept)]:
-            if kind in ("gate", "slot"):
-                steps.append(_Kernel(*args))
-            elif kind == "grow":
-                steps.append(_Grow(*args))
-            elif args[0].views:
-                steps.append(_Bank(args[0]))
-        return steps
 
     def _fused_steps(self, br: FlatBranch) -> list:
         """Stretches of the verifier gates and banked projectors, split at
@@ -700,7 +589,9 @@ def resize_prover_registers(verifier: VerifierSpec,
     layout = verifier.layout
     if len(prover_dims) != layout.k:
         raise ValidationError(f"need {layout.k} prover dimensions")
-    provers = tuple(Register(r.name, int(d), "prover")
+    if not all(map(is_integer, prover_dims)):
+        raise ValidationError(f"prover_dims must be integers: {prover_dims!r}")
+    provers = tuple(Register(r.name, d, "prover")
                     for r, d in zip(layout.provers, prover_dims))
     new_layout = RegisterLayout(layout.verifier_side + layout.messages + provers)
     return replace(verifier, layout=new_layout)
@@ -943,10 +834,12 @@ def random_search(verifier: VerifierSpec, prover_dims: Sequence[int],
     """Best acceptance over `samples` Haar-random strategies and states.
 
     A lower-bound oracle, independent of the see-saw path. `samples` must
-    be an integer >= 1 (ValidationError).
+    be an integer >= 1, `seed` one >= 0, `prover_dims` integers (ValidationError).
     """
     if not (is_integer(samples) and samples >= 1):
         raise ValidationError(f"samples must be an integer >= 1, got {samples!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     program = _Program(resize_prover_registers(verifier, prover_dims), config)
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -75,11 +75,7 @@ def cmd_simulate(args) -> int:
 def cmd_transform(args) -> int:
     t0 = time.time()
     inst = files.load(args.file)
-    name = getattr(args, "pass_name")
-    if name not in transforms.PASSES:
-        print(f"unknown pass {name!r}; choose from "
-              f"{sorted(transforms.PASSES)}", file=sys.stderr)
-        return 2
+    name = args.pass_name
     cfg = _run_config(args)
     check = not args.no_verify and inst.meta.role != "no"
     fn = transforms.PASSES[name]

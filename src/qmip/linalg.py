@@ -485,7 +485,7 @@ class Slices:
 
     def kept(self, buf: np.ndarray) -> np.ndarray:
         """A new buffer holding P psi."""
-        out = np.zeros_like(buf)
+        out = np.zeros(buf.shape, dtype=buf.dtype)
         for shape, index in self.views:
             out.reshape(shape)[index] = buf.reshape(shape)[index]
         return out

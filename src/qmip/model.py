@@ -18,6 +18,11 @@ registers.
 Mid-protocol accept-or-continue tests are accept events: the accepting
 component's probability mass is banked and execution continues on the
 orthogonal complement, unnormalized.
+
+A coin branch compiles once (`_compile_branch`) into one step set: `Kernel`
+(a gate or prover slot), `Grow`, `Bank` (an event, or the accept rule last)
+and `TurnSnapshot`. `run` walks it forward, the adversary's live program
+forward and back.
 """
 
 from __future__ import annotations
@@ -690,11 +695,131 @@ def require_budget(layout: RegisterLayout, config: RunConfig) -> None:
             f"({config.max_qubits})")
 
 
+# ---------------------------------------------------------------------------
+# compiled steps, in place: `forward(cols, ops)` gives the amplitudes carried
+# on and the rows banked, if any, from `run`'s buffer or a (2^live, b) column
+# block, with each prover slot's matrix and adjoint in `ops` by key;
+# `backward(mu, banked, ops)` gives the adjoint before the step from after it.
+
+
+@dataclass
+class Kernel:
+    """A verifier gate, or a prover slot keyed by its (prover, turn), as a
+    `MatrixKernel` on the live axes; a gate's adjoint is built when first
+    needed. A slot's kernel holds the identity in slot order, its matrix is
+    read from `ops`, and its forward leaves its input for the adversary."""
+
+    kernel: MatrixKernel
+    key: tuple[int, int] | None = None
+    banks = False
+
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        return np.ascontiguousarray(self.kernel.matrix.conj().T)
+
+    def _apply(self, m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        view = self.kernel.front(cols)
+        view[...] = (m @ view.reshape(len(m), -1)).reshape(view.shape)
+        return cols
+
+    def forward(self, cols, ops):
+        if self.key is None:
+            self.kernel(cols)
+            return cols, None
+        return self._apply(ops[self.key][0], cols.copy()), None
+
+    def backward(self, mu, banked, ops):
+        return self._apply(self.adjoint if self.key is None
+                           else ops[self.key][1], mu)
+
+    @staticmethod
+    def operator(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return u, u.conj().T
+
+    def outer(self, mu: np.ndarray, chi: np.ndarray) -> np.ndarray:
+        """mu chi^dag summed over the qubits outside the slot."""
+        mu, chi = (self.kernel.front(c).reshape(self.kernel.dim, -1)
+                   for c in (mu, chi))
+        return mu @ chi.conj().T
+
+    @staticmethod
+    def environment(e: np.ndarray) -> np.ndarray:
+        """A sum of `outer` products in slot order."""
+        return e
+
+
+@dataclass
+class Grow:
+    """A known bit joining the live axes, `lead` being 2 to the number of
+    live axes before it: the amplitudes double, the old ones at the bit.
+    Going back takes the rows at the bit."""
+
+    lead: int
+    bit: int
+    banks = False
+
+    def forward(self, cols, ops):
+        grown = np.zeros((2 * len(cols),) + cols.shape[1:], dtype=cols.dtype)
+        grown.reshape(self.lead, 2, -1)[:, self.bit] = cols.reshape(self.lead, -1)
+        return grown, None
+
+    def backward(self, mu, banked, ops):
+        return np.ascontiguousarray(mu.reshape(self.lead, 2, -1)[:, self.bit]
+                                    ).reshape((-1,) + mu.shape[1:])
+
+
+@dataclass
+class Bank:
+    """An accept event, or a branch's accept rule as its last step, which
+    carries nothing on (going back is `gram`): the amplitudes in its slices
+    are banked, the rest of the block zero, and cleared; going back puts
+    them in their place."""
+
+    slices: Slices
+    banks = True
+
+    def final(self) -> "Bank":
+        return self
+
+    def forward(self, cols, ops):
+        rows = self.slices.kept(cols)
+        self.slices.clear(cols)
+        return cols, rows
+
+    def backward(self, mu, banked, ops):
+        self.slices.clear(mu)
+        mu += banked
+        return mu
+
+    def gram(self, cols):
+        return self.slices.kept(cols)
+
+
+@dataclass
+class TurnSnapshot:
+    """The end of a turn `run` takes a snapshot after; it changes nothing.
+    The state in the layout's order holds a known bit at each (qubit, bit)
+    of `known`, and its j-th live axis is buffer axis perm[j]."""
+
+    turn: int
+    known: tuple[tuple[Qubit, int], ...]
+    perm: tuple[int, ...]
+
+    def forward(self, cols, ops):
+        return cols, None
+
+    def state(self, buf: np.ndarray,
+              layout: tuple[tuple[str, int], ...]) -> StateVector:
+        """One copy of the buffer, in the layout's order."""
+        live = buf.reshape([2] * len(self.perm)).transpose(self.perm)
+        return StateVector._unchecked(live.flatten(), layout, self.known)
+
+
 def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
                     classical: dict[int, int], snapshot_turns: Collection[int]
-                    ) -> tuple[list[tuple], Slices]:
-    """A flattened branch compiled against the state buffer: its steps and
-    its accept projector.
+                    ) -> list:
+    """A flattened branch compiled against the state buffer into steps, the
+    last of them its accept rule as a `Bank`.
 
     The full state has n axes. A classical axis holds a known bit and is not
     stored: the buffer holds the live axes only, in full-state order, and
@@ -703,20 +828,13 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
     no data; a control on a classical axis drops the gate (other bit) or the
     control (its bit); a 0/1 permutation on classical targets without live
     controls rewrites their bits. Any other gate first activates its
-    classical targets, one ("grow", lead, bit) step each: the buffer doubles
-    and the old amplitudes land at the known bit of the new axis (`lead` is
-    2 to the number of live axes before it). Projector slices that
-    disagree with a classical bit are dropped, and the classical pairs of
-    the rest removed.
-
-    The other steps are ("gate", MatrixKernel), ("event", Slices) and, for
-    each turn in `snapshot_turns`, ("turn", turn, known, perm): the state in
-    the layout's order holds a known bit at each (axis, bit) of `known`, and
-    its j-th live axis is buffer axis perm[j]. A prover placeholder
-    (`flatten` without provers) activates its qubits and becomes ("slot",
-    MatrixKernel, (prover, turn)): a kernel on them in slot order holding
-    the identity, in whose place the caller applies the prover's matrix
-    through `MatrixKernel.front`.
+    classical targets, one `Grow` step each, and becomes a `Kernel`.
+    Projector slices that disagree with a classical bit are dropped, and the
+    classical pairs of the rest removed: an accept event is a `Bank` of the
+    rest, and so is the accept rule. Each turn in `snapshot_turns` ends in
+    a `TurnSnapshot`. A prover placeholder (`flatten` without provers)
+    activates its qubits and becomes a `Kernel` slot on them in slot order,
+    keyed by its (prover, turn).
     """
     phys = list(range(n))       # logical axis -> full-state axis
     bits = dict(classical)      # full-state axis -> bit, for classical axes
@@ -724,18 +842,18 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
     at = list(itertools.accumulate((a not in bits for a in range(n)),
                                    initial=0))
 
-    def slices(projectors: Sequence[ProjectorOp]) -> Slices:
+    def bank(projectors: Sequence[ProjectorOp]) -> Bank:
         kept = [tuple((at[a], b) for a, b in s if a not in bits)
                 for s in projector_slices(projectors, lambda q: phys[axis[q]])
                 if all(bits.get(a, b) == b for a, b in s)]
-        return Slices(kept)
+        return Bank(Slices(kept))
 
-    steps: list[tuple] = []
+    steps: list = []
 
     def grow(targets: Sequence[int]) -> None:
         for t in targets:
             if t in bits:
-                steps.append(("grow", 2 ** at[t], bits.pop(t)))
+                steps.append(Grow(2 ** at[t], bits.pop(t)))
                 for a in range(t + 1, n):
                     at[a] += 1
 
@@ -763,22 +881,24 @@ def _compile_branch(br: FlatBranch, axis: dict[Qubit, int], n: int,
                         bits[t] = (j >> i) & 1
                     continue
                 grow(targets)
-                steps.append(("gate", MatrixKernel(
+                steps.append(Kernel(MatrixKernel(
                     g.matrix, tuple(at[t] for t in targets),
                     tuple((at[a], b) for a, b in controls))))
         elif op.kind == "prover":
             targets = [phys[axis[q]] for q in op.qubits]
             grow(targets)
-            steps.append(("slot", MatrixKernel(
+            steps.append(Kernel(MatrixKernel(
                 np.eye(2 ** len(targets)), [at[t] for t in targets], ()),
                 op.prover_key))
         elif op.kind == "event":
-            steps.append(("event", slices(op.projectors)))
+            steps.append(bank(op.projectors))
         elif op.kind == "turn" and op.turn in snapshot_turns:
-            known = tuple((j, bits[a]) for j, a in enumerate(phys) if a in bits)
+            known = tuple((q, bits[phys[j]]) for j, q in enumerate(axis)
+                          if phys[j] in bits)
             perm = tuple(at[a] for a in phys if a not in bits)
-            steps.append(("turn", op.turn, known, perm))
-    return steps, slices(br.accept)
+            steps.append(TurnSnapshot(op.turn, known, perm))
+    steps.append(bank(br.accept))
+    return steps
 
 
 def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
@@ -788,7 +908,8 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     The acceptance probability is the coin-weighted sum over branches of the
     banked accept-event masses plus the final projector mass. Summation order
     is the deterministic branch enumeration order. Each branch is compiled
-    once (`_compile_branch`) and runs in place on one writable buffer.
+    once (`_compile_branch`) and walked forward in place on one writable
+    buffer; the mass of each `Bank`'s rows is read (the accept rule last).
 
     Qubits that hold a known bit stay out of the buffer: it starts as a copy
     of the shared state's live amplitudes, with every verifier and message
@@ -822,7 +943,6 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     state_layout = layout.as_state_layout()
     n = layout.total_qubits
     axis = layout.qubit_axes()
-    qubits = list(axis)
     shared = instance.shared
     offset = n - shared.n_qubits
     classical = dict.fromkeys(range(offset), 0)
@@ -833,27 +953,16 @@ def run(instance: ProtocolInstance, snapshot_turns: Collection[int] = (),
     snapshots: list[Snapshot] = []
     acceptance = 0.0
     for br in branches:
-        steps, accept = _compile_branch(br, axis, n, classical, snapshot_turns)
         buf = shared.amplitudes.copy()
-        events: list[float] = []
-        for step in steps:
-            if step[0] == "gate":
-                step[1](buf)
-            elif step[0] == "grow":
-                grown = np.zeros(2 * buf.size, dtype=buf.dtype)
-                grown.reshape(step[1], 2, -1)[:, step[2]] = buf.reshape(step[1], -1)
-                buf = grown
-            elif step[0] == "event":
-                events.append(step[1].mass(buf))
-                step[1].clear(buf)
-            else:
-                # one copy of the buffer, in the layout's order
-                live = buf.reshape([2] * len(step[3])).transpose(step[3])
-                known = tuple((qubits[j], bit) for j, bit in step[2])
-                snapshots.append(Snapshot(
-                    step[1], br.history_key(),
-                    StateVector._unchecked(live.flatten(), state_layout, known)))
-        final_prob = accept.mass(buf)
+        masses: list[float] = []
+        for step in _compile_branch(br, axis, n, classical, snapshot_turns):
+            if isinstance(step, TurnSnapshot):
+                snapshots.append(Snapshot(step.turn, br.history_key(),
+                                          step.state(buf, state_layout)))
+            buf, rows = step.forward(buf, None)
+            if rows is not None:
+                masses.append(step.slices.mass(rows))
+        *events, final_prob = masses
         records.append(BranchRecord(br.history_key(), br.weight,
                                     tuple(events), final_prob, br.history))
         acceptance += br.weight * (sum(events) + final_prob)

@@ -33,7 +33,7 @@ from .circuits import (Circuit, amplitude_rotation, mcx, swap_slices, toffoli,
                        unitary_gate, zero_phase_flip)
 from .config import (DEFAULT_RUN_CONFIG, NORM_TOL, BudgetError,
                      NumericalCheckError, PreconditionError, RunConfig,
-                     ValidationError)
+                     ValidationError, is_real)
 from .linalg import ProjectorOp, Qubit, StateVector, tensor_states
 from .model import (AcceptNowStep, AcceptRule, ApplyStep, CoinStep,
                     FinalDecision, InstanceMeta, ProtocolInstance,
@@ -420,7 +420,8 @@ def make_perfectly_rewindable(instance: ProtocolInstance,
     """Route a fresh flag qubit through prover 1 and fold it into acceptance,
     with the honest prover rotating the flag so the best achievable value
     becomes exactly one half (attained at the eigen-optimal shared state)."""
-    if p_max is not None and not (math.isfinite(p_max) and p_max <= 1.0):
+    if p_max is not None and not (is_real(p_max) and math.isfinite(p_max)
+                                  and p_max <= 1.0):
         raise ValidationError(f"p_max must be finite and <= 1, got {p_max!r}")
 
     def build(inst, notes, snapshot):

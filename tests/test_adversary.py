@@ -253,6 +253,19 @@ def test_random_search_rejects_sample_counts_that_are_not_positive_integers(samp
         random_search(fixtures.guess().verifier, (1,), samples=samples)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("seed", {"seed": -1}), ("seed", {"seed": 1.5}), ("seed", {"seed": True}),
+    ("prover_dims", {"prover_dims": (1.5,)}),
+    ("prover_dims", {"prover_dims": (True,)}),
+    ("prover_dims", {"prover_dims": ("1",)})])
+def test_random_search_rejects_seeds_and_dimensions_that_are_not_integers(
+        field, kwargs):
+    # as SeesawConfig does; True would run as seed 1 or a 1-qubit prover
+    with pytest.raises(ValidationError, match=field):
+        random_search(fixtures.guess().verifier,
+                      **{"prover_dims": (1,), "samples": 3, **kwargs})
+
+
 def _scale_acceptance_operator(monkeypatch, factor):
     """Scale the compiled acceptance operator by `factor`, replacing any
     earlier scaling."""

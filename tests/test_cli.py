@@ -154,6 +154,17 @@ def test_transform_and_report(fdir, tmp_path, capsys):
     assert report["transform"] == "rewindable"
 
 
+def test_transform_unknown_pass_exits_2_and_writes_nothing(fdir, tmp_path,
+                                                          capsys):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["transform", str(fdir / "good.json"), "--pass", "bogus",
+                  "--out", str(out_dir)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_transform_precondition_exit_code(fdir, tmp_path, capsys):
     code, _, err = run_cli(capsys, "transform", str(fdir / "good.json"),
                            "--pass", "halve", "--out", str(tmp_path))

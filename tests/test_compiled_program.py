@@ -562,7 +562,7 @@ def test_branch_ends_at_its_last_banking_step(fuse_max_dim):
         program, branches, assignment, inst = _setup(spec, 5)
         kept, cut = program.branches
         assert [(1, 2) in at for at in program.slot_at] == [True, False]
-        assert isinstance(cut[-1], adversary._Bank if fuse_max_dim == 1
+        assert isinstance(cut[-1], model.Bank if fuse_max_dim == 1
                           else adversary._Stretch)
         ref = _Reference(spec.layout.as_state_layout())
         phi = inst.shared.amplitudes[:, None]
@@ -788,11 +788,13 @@ def test_lazy_paths_equal_reference(case):
 
     with mock.patch.object(model, "_compile_branch", spy):
         tr = _run_against_reference(inst)
-    (steps, final), = compiled
-    kinds = [s[0] for s in steps]
-    assert (kinds.count("grow"), kinds.count("gate")) == (grows, kernels)
-    assert [len(s[1].views) for s in steps if s[0] == "event"] == event_slices
-    assert len(final.views) == accept_slices
+    (*steps, final), = compiled
+    kinds = [type(s) for s in steps]
+    assert (kinds.count(model.Grow), kinds.count(model.Kernel)) == (grows, kernels)
+    assert [len(s.slices.views) for s in steps
+            if isinstance(s, model.Bank)] == event_slices
+    assert isinstance(final, model.Bank)
+    assert len(final.slices.views) == accept_slices
     assert [s.turn for s in tr.snapshots] == [1, 2, 3]
 
 
@@ -800,7 +802,7 @@ def test_lazy_paths_equal_reference(case):
 @given(spec=verifiers(), seed=st.integers(0, 2 ** 32 - 1),
        requested=st.sets(st.integers(0, 5)))
 def test_only_requested_turns_are_compiled(spec, seed, requested):
-    # `run` compiles a ("turn", ...) step for the requested turns only;
+    # `run` compiles a `TurnSnapshot` step for the requested turns only;
     # snapshots change neither the acceptance nor any branch record, and a
     # snapshot is the state that requesting every turn gives for that turn
     inst = _setup(spec, seed)[3]
@@ -813,8 +815,9 @@ def test_only_requested_turns_are_compiled(spec, seed, requested):
     with mock.patch.object(model, "_compile_branch", spy):
         tr = run(inst, snapshot_turns=requested)
     wanted = sorted(requested & set(range(1, inst.m + 1)))
-    for steps, _ in compiled:
-        assert [s[1] for s in steps if s[0] == "turn"] == wanted
+    for steps in compiled:
+        assert [s.turn for s in steps
+                if isinstance(s, model.TurnSnapshot)] == wanted
     plain = run(inst)
     assert tr.acceptance == plain.acceptance and tr.branches == plain.branches
     every = run(inst, snapshot_turns=range(1, inst.m + 1))

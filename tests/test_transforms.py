@@ -13,7 +13,7 @@ from qmip import circuits, files, fixtures, model, transforms
 from qmip.adversary import SeesawConfig, optimal_shared_state, seesaw
 from qmip.circuits import circuit_matrix
 from qmip.config import (BudgetError, NumericalCheckError, PreconditionError,
-                         RunConfig)
+                         RunConfig, ValidationError)
 from qmip.linalg import (ProjectorOp, StateVector, project, tensor_states,
                           zero_state)
 from qmip.model import run, validate
@@ -224,6 +224,13 @@ def test_rewindable_optimum_is_half():
 def test_rewindable_p_max_consistency_check():
     with pytest.raises(PreconditionError, match="inconsistent"):
         make_perfectly_rewindable(fixtures.good(), p_max=0.9)
+
+
+@pytest.mark.parametrize("p_max", [float("nan"), float("inf"), 5.0, True, "0.9"])
+def test_rewindable_rejects_a_p_max_that_is_not_a_real_at_most_one(p_max):
+    # True would run as 1.0
+    with pytest.raises(ValidationError, match="p_max must be finite"):
+        make_perfectly_rewindable(fixtures.good(), p_max=p_max, check=False)
 
 
 def test_rewindable_rejects_low_optimum():

@@ -27,6 +27,10 @@ is a sha256, a `repr`'d float or an error's class and message:
   of the dense state's bytes;
 * `optimal_shared_state` (value and state) and `random_search` on every
   committed fixture, and `brute_force_value` on the fixtures it accepts;
+* `optimal_shared_state` (value and state) on the public-coin stage of
+  five_turn_yes and sound_yes: 15 qubits with the provers inlined, above
+  `adversary.FUSE_MAX_DIM`, so the live program's gate kernels, grows and
+  banks are compared;
 * see-saw values, traces, restart values, states and strategies on the
   verifier of the rewound sound_no (the benchmark's audit, seeds 0-3) and on
   chsh with and without product groups;
@@ -134,6 +138,16 @@ def _first_point(out: dict, label: str, verifier, dims, seed: int) -> None:
     out[f"{label} gradient"] = repr(np.concatenate([g.real, g.imag]).tolist())
 
 
+def _optimal_shared_state(out: dict, label: str, inst) -> None:
+    try:
+        value, state = adversary.optimal_shared_state(inst.verifier,
+                                                      inst.provers)
+        out[f"{label} value"] = repr(value)
+        out[f"{label} state"] = _array_sha(state.amplitudes)
+    except Exception as e:
+        out[label] = _error(e)
+
+
 def digests(work: Path) -> dict[str, str]:
     out: dict[str, str] = {}
     fix = fixtures.fixtures_dir()
@@ -182,18 +196,16 @@ def digests(work: Path) -> dict[str, str]:
             label = f"pipeline {n} {stage.report.name}"
             out[f"{label} output"] = _save_sha(stage.instance, work)
             out[f"{label} report"] = _sha(repr(stage.report))
+            if (stage.report.name == "public-coin"
+                    and n in ("five_turn_yes", "sound_yes")):
+                _optimal_shared_state(out, f"optimal_shared_state {label}",
+                                      stage.instance)
         out[f"pipeline {n} final"] = _save_sha(res.instance, work)
 
     for n in names:
         inst = loaded[n]
         dims = tuple(r.qubits for r in inst.verifier.layout.provers)
-        try:
-            value, state = adversary.optimal_shared_state(inst.verifier,
-                                                          inst.provers)
-            out[f"optimal_shared_state {n} value"] = repr(value)
-            out[f"optimal_shared_state {n} state"] = _array_sha(state.amplitudes)
-        except Exception as e:
-            out[f"optimal_shared_state {n}"] = _error(e)
+        _optimal_shared_state(out, f"optimal_shared_state {n}", inst)
         try:
             out[f"random_search {n}"] = repr(adversary.random_search(
                 inst.verifier, dims, samples=8, seed=1))
